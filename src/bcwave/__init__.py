@@ -7,7 +7,6 @@ reconstruction from response data alone, plus a finite-interval spectral
 bridge cross-validating the dynamic representations.
 """
 
-from ._backend import BACKEND
 from .grid import Control, StateVector, UniformGrid
 from .potentials import (
     ConstantPotential,
@@ -21,6 +20,10 @@ from .potentials import (
 )
 
 __version__ = "0.1.0"
+
+#: Name of the march implementation, recorded in ``report.json``.  The
+#: numpy march is the only one.
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",

@@ -52,9 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="override the output directory")
         sp.add_argument("--paper-sign", action="store_true",
                         help="use the printed left half-line sign convention")
-        sp.add_argument("--serial", action="store_true",
-                        help="force serial execution (the only mode; accepted "
-                             "for compatibility)")
         sp.add_argument("--seed", type=int,
                         help="override the RNG seed for generated controls")
     return ap

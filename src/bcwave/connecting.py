@@ -25,13 +25,13 @@ r21 vanish identically and C12 = C21 = 0 pointwise.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, InternalConsistencyError
-from .grid import Control, UniformGrid, cumulative_trapezoid, trapezoid_weights
+from .grid import (Control, UniformGrid, cumulative_trapezoid,
+                   trapezoid_weights, write_csv)
 from .response import ResponseMatrix
 
 
@@ -89,15 +89,11 @@ class ConnectingKernel:
                          np.max(np.abs(self.c21)), np.max(np.abs(self.c22))))
 
     def dump_csv(self, path) -> None:
+        """Columns t, s, C11, C12, C21, C22, one block per t row."""
         t = self.grid.t
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "s", "C11", "C12", "C21", "C22"])
-            for i in range(len(t)):
-                for j in range(len(t)):
-                    wr.writerow(["%.17g" % v for v in
-                                 (t[i], t[j], self.c11[i, j], self.c12[i, j],
-                                  self.c21[i, j], self.c22[i, j])])
+        rows = ((np.full(len(t), t[i]), t, self.c11[i], self.c12[i],
+                 self.c21[i], self.c22[i]) for i in range(len(t)))
+        write_csv(path, ["t", "s", "C11", "C12", "C21", "C22"], rows)
 
 
 def build_connecting(r: ResponseMatrix, n_half: int | None = None) -> ConnectingKernel:

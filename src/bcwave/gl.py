@@ -16,7 +16,6 @@ from the sum diagonal (sign convention selectable, see recover_q_from_m).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,8 @@ import numpy as np
 from .connecting import ConnectingKernel, build_connecting, reflect_kernel
 from .errors import GridMismatchError, ReconstructionError
 from .goursat import KernelField
-from .grid import UniformGrid, differentiate, trapezoid_weights
+from .grid import (UniformGrid, differentiate, row_trapezoid_weights,
+                   trapezoid_weights, write_csv)
 from .response import ResponseMatrix, operator_k_matrix
 
 #: Tikhonov shift, relative to trace/size, for near-singular column systems.
@@ -52,28 +52,12 @@ class OperatorM:
                 np.diag(self.m21).copy(), np.diag(self.m22).copy())
 
     def dump_csv(self, path) -> None:
+        """Columns x, s, m11, m12, m21, m22 on s >= x, one block per x row."""
         t = self.grid.t
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["x", "s", "m11", "m12", "m21", "m22"])
-            for i in range(len(t)):
-                for j in range(i, len(t)):
-                    wr.writerow(["%.17g" % v for v in
-                                 (t[i], t[j], self.m11[i, j], self.m12[i, j],
-                                  self.m21[i, j], self.m22[i, j])])
-
-
-def _row_weights(n_half: int, h: float) -> np.ndarray:
-    """Per-row trapezoid weights for integrals over [x_i, T]: w[i, j] for
-    nodes j in [i, n], halved at both ends, zero off the triangle."""
-    i_idx, j_idx = np.meshgrid(np.arange(n_half + 1), np.arange(n_half + 1),
-                               indexing="ij")
-    tri = j_idx >= i_idx
-    w = np.where(tri, h, 0.0)
-    w[j_idx == i_idx] = 0.5 * h
-    w[(j_idx == n_half) & tri] = 0.5 * h
-    w[(j_idx == i_idx) & (j_idx == n_half)] = 0.0
-    return w
+        rows = ((np.full(len(t) - i, t[i]), t[i:], self.m11[i, i:],
+                 self.m12[i, i:], self.m21[i, i:], self.m22[i, i:])
+                for i in range(len(t)))
+        write_csv(path, ["x", "s", "m11", "m12", "m21", "m22"], rows)
 
 
 def _kernel_from_nystrom(A: np.ndarray, n_half: int, h: float):
@@ -81,7 +65,7 @@ def _kernel_from_nystrom(A: np.ndarray, n_half: int, h: float):
     matrix; the weightless corner (n, n) is filled by quadratic
     extrapolation along the diagonal."""
     m = n_half + 1
-    w = _row_weights(n_half, h)
+    w = row_trapezoid_weights(n_half, h)
     safe = np.where(w > 0.0, w, 1.0)
     blocks = []
     for bi in (0, 1):
@@ -179,7 +163,7 @@ def gl_from_response(r: ResponseMatrix, n_half: int | None = None) -> OperatorM:
 def m_action_matrix(M: OperatorM) -> np.ndarray:
     """Nystrom action matrix of M on stacked nodal controls (per-row
     trapezoid weights over [x, T], mirroring the K discretization)."""
-    w = _row_weights(M.grid.n, M.grid.h)
+    w = row_trapezoid_weights(M.grid.n, M.grid.h)
     return np.block([[M.m11 * w, M.m12 * w], [M.m21 * w, M.m22 * w]])
 
 
@@ -227,8 +211,5 @@ def recover_q_from_m(M: OperatorM, sign: str = "derived"):
 
 
 def write_q_csv(path, x: np.ndarray, q: np.ndarray, route: str) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x", "q", "route"])
-        for xv, qv in zip(x, q):
-            wr.writerow(["%.17g" % xv, "%.17g" % qv, route])
+    write_csv(path, ["x", "q", "route"], [(np.asarray(x), np.asarray(q))],
+              text=[route])

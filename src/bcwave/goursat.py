@@ -15,15 +15,13 @@ march is second-order with no extrapolation at the cone boundary.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid as _cumtrap
 
-from ._backend import march
 from .errors import DomainError
-from .grid import UniformGrid
+from .grid import UniformGrid, write_csv
 from .potentials import Potential
 
 
@@ -103,19 +101,21 @@ class KernelField:
         return self._traces
 
     def dump_csv(self, path) -> None:
-        """Cone field dump: columns t, x, w1, w2."""
+        """Cone field dump: columns t, x, w1, w2, one block per time level.
+
+        Level k holds the nodes i = -k..k, i.e. the lattice anti-diagonal
+        a + b = 2k from a = 0 upwards, read as a view rather than gathered
+        into a new array (see :func:`bcwave.grid.write_csv`)."""
         h = self.grid.h
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "x", "w1", "w2"])
+
+        def levels():
             for k in range(self.grid.n + 1):
-                for i in range(-k, k + 1):
-                    wr.writerow([
-                        "%.17g" % (k * h),
-                        "%.17g" % (i * h),
-                        "%.17g" % self.W1[k + i, k - i],
-                        "%.17g" % self.W2[k + i, k - i],
-                    ])
+                m = 2 * k + 1
+                yield (np.full(m, k * h), np.arange(-k, k + 1) * h,
+                       np.diagonal(self.W1[:m, m - 1::-1]),
+                       np.diagonal(self.W2[:m, m - 1::-1]))
+
+        write_csv(path, ["t", "x", "w1", "w2"], levels())
 
 
 def _boundary_arrays(p: Potential, grid: UniformGrid, which: str):
@@ -143,19 +143,45 @@ def _midpoint_q(p: Potential, grid: UniformGrid) -> np.ndarray:
 
 
 def solve_kernels(p: Potential, grid: UniformGrid) -> KernelField:
-    """March both Goursat problems over the characteristic lattice."""
+    """March both Goursat problems over the characteristic lattice.
+
+    Both lattices live in one block.  From grid.n = 724 up the block is
+    over glibc's 32 MB ceiling for serving a request from the heap, so it
+    is always mmapped and unmapped again when the field is dropped.  Two
+    separate lattices are served from the heap once the first one has
+    been freed; a small allocation left between their holes then makes a
+    later solve grow the heap by a whole lattice, so repeated solves in
+    one process reach a peak RSS that differs from run to run.
+    """
     _check_support(p, grid)
     m = 2 * grid.n
     qd = _midpoint_q(p, grid)
-    field = []
-    for which in ("w1", "w2"):
-        W = np.zeros((m + 1, m + 1))
+    lattices = np.zeros((2, m + 1, m + 1))
+    for W, which in zip(lattices, ("w1", "w2")):
         right, left = _boundary_arrays(p, grid, which)
         W[:, 0] = right
         W[0, :] = left
-        march(W, qd, grid.h)
-        field.append(W)
-    return KernelField(grid, field[0], field[1])
+        _march(W, qd, grid.h)
+    return KernelField(grid, lattices[0], lattices[1])
+
+
+def _march(W, qd, h):
+    """Characteristic-cell march over the lattice W, in place.
+
+    The recurrence couples each anti-diagonal a + b = s only to the two
+    previous ones, so the update vectorizes wavefront by wavefront.
+    """
+    m = W.shape[0] - 1
+    coef = 0.125 * h * h
+    for s in range(2, 2 * m + 1):
+        a = np.arange(max(1, s - m), min(s - 1, m) + 1)
+        if len(a) == 0:
+            continue
+        b = s - a
+        wa = W[a - 1, b]
+        wb = W[a, b - 1]
+        W[a, b] = wa + wb - W[a - 1, b - 1] - coef * qd[a - b + m] * (wa + wb)
+    return W
 
 
 def picard_oracle(p: Potential, grid: UniformGrid, iterations: int) -> KernelField:

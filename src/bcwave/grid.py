@@ -1,13 +1,16 @@
 """Uniform grids, two-component controls, state vectors and the fixed
-operator algebra (S, time reversal, L2 inner products).
+operator algebra (S, time reversal, L2 inner products), plus the one CSV
+output format every stage writes.
 
-Everything here is a pure function of immutable inputs; arrays handed to
-the constructors are copied and never mutated afterwards.
+Apart from the CSV writer, everything here is a pure function of
+immutable inputs; arrays handed to the constructors are copied and never
+mutated afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -53,6 +56,20 @@ def trapezoid_weights(m: int, h: float) -> np.ndarray:
     """Composite trapezoid weights for m+1 nodes with step h."""
     w = np.full(m + 1, h)
     w[0] = w[-1] = 0.5 * h
+    return w
+
+
+def row_trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Per-row trapezoid weights of a Volterra integral over [x_i, t_n]:
+    w[i, j] for nodes j in [i, n], halved at both ends, zero off the
+    triangle (and zero on the one-node row i = n)."""
+    i_idx, j_idx = np.meshgrid(np.arange(n + 1), np.arange(n + 1),
+                               indexing="ij")
+    tri = j_idx >= i_idx
+    w = np.where(tri, h, 0.0)
+    w[j_idx == i_idx] = 0.5 * h
+    w[(j_idx == n) & tri] = 0.5 * h
+    w[(j_idx == i_idx) & (j_idx == n)] = 0.0
     return w
 
 
@@ -247,3 +264,36 @@ def smooth_random_control(grid: UniformGrid, rng, modes: int = 5) -> Control:
         f2 += b * np.sin(k * t)
         d2 += b * k * np.cos(k * t)
     return Control(grid, f1, f2, d1, d2)
+
+
+def _csv_text(value: str) -> str:
+    """A constant text field quoted as the standard ``csv`` module quotes
+    it (only when it holds a comma, quote or line break), escaped for use
+    inside a %-format."""
+    if any(c in value for c in ',"\r\n'):
+        value = '"%s"' % value.replace('"', '""')
+    return value.replace("%", "%%")
+
+
+def write_csv(path, header, blocks, text=()) -> None:
+    """Write a CSV in the one output format every stage uses.
+
+    The header row comes first.  Each element of ``blocks`` is a sequence
+    of equal-length 1-D arrays, one per numeric column; every value is
+    written as ``%.17g``, fields are comma-separated and rows end in CRLF,
+    byte for byte the standard ``csv`` module's rendering.
+    Integer-valued columns render as plain integers.  ``text`` holds
+    constant text fields appended to every row.  Each block (one time
+    level or kernel row of a large file) is formatted with a single
+    ``%``.  Columns are interleaved as Python lists rather than stacked
+    into a new array per block: those temporaries fragmented the heap
+    above the kernel lattices, so a process that runs the forward stages
+    repeatedly did not return the lattices' memory and its peak RSS grew.
+    """
+    fields = ["%.17g"] * (len(header) - len(text))
+    row = ",".join(fields + [_csv_text(f) for f in text]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            values = chain.from_iterable(zip(*(c.tolist() for c in columns)))
+            fh.write(row * len(columns[0]) % tuple(values))

@@ -8,7 +8,6 @@ and the potential follows as q = y''/y away from zeros of y.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .connecting import _assemble, connecting_blocks
 from .errors import ReconstructionError
+from .grid import write_csv
 from .response import ResponseMatrix
 
 #: Tikhonov shift, relative to trace/size, applied when the Cholesky
@@ -81,16 +81,11 @@ class CauchyProfile:
     regularized: np.ndarray   # per-horizon Tikhonov flags
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["x", "y", "q", "valid", "tau_residual"])
-            n = (len(self.x) - 1) // 2
-            for i, xv in enumerate(self.x):
-                k = abs(i - n)
-                res = self.residuals[k - 1] if k >= 1 else 0.0
-                wr.writerow(["%.17g" % xv, "%.17g" % self.y[i],
-                             "%.17g" % self.q[i], int(self.valid[i]),
-                             "%.17g" % res])
+        n = (len(self.x) - 1) // 2
+        k = np.abs(np.arange(len(self.x)) - n)   # horizon index of each x
+        res = np.concatenate([[0.0], self.residuals])[k]
+        write_csv(path, ["x", "y", "q", "valid", "tau_residual"],
+                  [(self.x, self.y, self.q, self.valid, res)])
 
 
 def sweep_reconstruct(r: ResponseMatrix, n_half: int | None = None,

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from ._backend import BACKEND
+from . import BACKEND
 from .config import RunConfig, config_to_dict
 from .connecting import assemble_matrix, build_connecting, connecting_form
 from .errors import BCWaveError

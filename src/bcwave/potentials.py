@@ -195,11 +195,3 @@ def potential_from_config(spec: dict) -> Potential:
         return _KINDS[kind](**spec)
     except TypeError as exc:
         raise ConfigError("bad parameters for potential %r: %s" % (kind, exc))
-
-
-def potential_eval(p: Potential, x):
-    return p(x)
-
-
-def potential_cumint(p: Potential, x):
-    return p.cumint(x)

@@ -11,6 +11,7 @@ inverse stages consume only this object, never the kernel field.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,10 @@ from .grid import (
     conv_trapezoid,
     differentiate,
     jt_apply,
+    row_trapezoid_weights,
     s_apply,
     trapezoid_weights,
+    write_csv,
 )
 
 
@@ -49,13 +52,8 @@ class ResponseMatrix:
         return float(np.max(np.abs(d - self.r12)))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "r11", "r12", "r21", "r22"])
-            for k, t in enumerate(self.grid.t):
-                wr.writerow(["%.17g" % v for v in
-                             (t, self.r11[k], self.r12[k],
-                              self.r21[k], self.r22[k])])
+        write_csv(path, ["t", "r11", "r12", "r21", "r22"],
+                  [(self.grid.t, self.r11, self.r12, self.r21, self.r22)])
 
 
 def read_response_csv(path, min_horizon: float | None = None) -> ResponseMatrix:
@@ -72,9 +70,12 @@ def read_response_csv(path, min_horizon: float | None = None) -> ResponseMatrix:
         if len(row) != 5:
             raise IngestionError("row %d: expected 5 columns, got %d" % (ln, len(row)))
         try:
-            data.append([float(v) for v in row])
+            vals = [float(v) for v in row]
         except ValueError as exc:
             raise IngestionError("row %d: %s" % (ln, exc))
+        if not all(math.isfinite(v) for v in vals):
+            raise IngestionError("row %d: non-finite value" % ln)
+        data.append(vals)
     arr = np.array(data)
     if arr.shape[0] < 9:
         raise IngestionError("response CSV needs at least 9 rows")
@@ -144,9 +145,17 @@ def operator_k_matrix(field: KernelField, n_half: int) -> np.ndarray:
     vanish for s < x, and the s-integral over [x, T] uses trapezoid
     weights on the surviving nodes.
     """
+    m = n_half + 1
+    kk = operator_k_kernel(field, n_half)
+    w = row_trapezoid_weights(n_half, field.grid.h)
+    return (kk * w).transpose(0, 2, 1, 3).reshape(2 * m, 2 * m)
+
+
+def operator_k_kernel(field: KernelField, n_half: int) -> np.ndarray:
+    """Pointwise block kernel k_ij(x, s) on the closed triangle x <= s,
+    shape (2, 2, m, m); zero for s < x."""
     if n_half > field.grid.n:
         raise DomainError("kernel horizon too short for requested T")
-    h = field.grid.h
     m = n_half + 1
     i_idx, j_idx = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     tri = j_idx >= i_idx
@@ -156,31 +165,6 @@ def operator_k_matrix(field: KernelField, n_half: int) -> np.ndarray:
     w1m = np.where(tri, field.W1[a_m * tri, b_m * tri], 0.0)
     w2p = np.where(tri, field.W2[a_p * tri, b_p * tri], 0.0)
     w2m = np.where(tri, field.W2[a_m * tri, b_m * tri], 0.0)
-
-    # trapezoid weights over [x_i, T] per row
-    w = np.where(tri, h, 0.0)
-    w[j_idx == i_idx] = 0.5 * h
-    w[(j_idx == n_half) & tri] = 0.5 * h
-    w[(j_idx == i_idx) & (j_idx == n_half)] = 0.0
-
-    K = np.empty((2 * m, 2 * m))
-    K[:m, :m] = (w1p - w1m) * w
-    K[:m, m:] = (w2p - w2m) * w
-    K[m:, :m] = (-w1p - w1m) * w
-    K[m:, m:] = (-w2p - w2m) * w
-    return K
-
-
-def operator_k_kernel(field: KernelField, n_half: int) -> np.ndarray:
-    """Pointwise block kernel k_ij(x, s) on the closed triangle x <= s,
-    shape (2, 2, m, m); zero for s < x."""
-    m = n_half + 1
-    i_idx, j_idx = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    tri = j_idx >= i_idx
-    w1p = np.where(tri, field.W1[(j_idx + i_idx) * tri, (j_idx - i_idx) * tri], 0.0)
-    w1m = np.where(tri, field.W1[(j_idx - i_idx) * tri, (j_idx + i_idx) * tri], 0.0)
-    w2p = np.where(tri, field.W2[(j_idx + i_idx) * tri, (j_idx - i_idx) * tri], 0.0)
-    w2m = np.where(tri, field.W2[(j_idx - i_idx) * tri, (j_idx + i_idx) * tri], 0.0)
     return np.array([[w1p - w1m, w2p - w2m], [-w1p - w1m, -w2p - w2m]])
 
 

@@ -17,7 +17,6 @@ spectral sums converge uniformly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,8 @@ from scipy.interpolate import interp1d
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, DomainError
-from .grid import Control, StateVector, conv_trapezoid, trapezoid_weights
+from .grid import (Control, StateVector, conv_trapezoid, trapezoid_weights,
+                   write_csv)
 from .potentials import Potential
 
 #: fraction of leading terms defining the tail-movement indicator
@@ -49,12 +49,9 @@ class SpectralMeasure:
         return len(self.lam)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["n", "lambda", "beta", "gamma"])
-            for k in range(self.count):
-                wr.writerow([k + 1, "%.17g" % self.lam[k],
-                             "%.17g" % self.beta[k], "%.17g" % self.gamma[k]])
+        write_csv(path, ["n", "lambda", "beta", "gamma"],
+                  [(np.arange(1, self.count + 1), self.lam, self.beta,
+                    self.gamma)])
 
 
 def eigensolve(p: Potential, half_length: float, bc=(1.0, 0.0, 1.0, 0.0),

@@ -148,7 +148,7 @@ def test_paper_sign_and_seed_overrides(tmp_path, capsys):
                       "center": 0.3},
         "T": 1.0, "n": 32, "out": str(tmp_path / "o1")}))
     assert main(["gl", "--config", str(c), "--paper-sign", "--seed", "3",
-                 "--out", str(tmp_path / "o2"), "--serial"]) in (0, 1)
+                 "--out", str(tmp_path / "o2")]) in (0, 1)
     report = json.loads((tmp_path / "o2" / "report.json").read_text())
     assert report["config"]["sign"] == "paper"
     assert report["config"]["seed"] == 3

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+from bcwave.config import parse_config
 from bcwave.errors import DomainError, IngestionError
 from bcwave.goursat import solve_kernels
 from bcwave.grid import Control, UniformGrid, smooth_random_control
+from bcwave.pipeline import run_pipeline
 from bcwave.potentials import ConstantPotential, ZeroPotential
 from bcwave.response import (
     apply_response,
@@ -135,3 +139,33 @@ def test_response_csv_validation(tmp_path, resp128):
     resp128.write_csv(good)
     with pytest.raises(IngestionError, match="horizon"):
         read_response_csv(good, min_horizon=3.0)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_response_csv_rejects_non_finite(tmp_path, bad):
+    p = tmp_path / "bad.csv"
+    rows = ["%g,0,0,0,0" % (0.1 * k) for k in range(12)]
+    rows[4] = "0.4,0,%s,0,0" % bad
+    p.write_text("t,r11,r12,r21,r22\n" + "\n".join(rows) + "\n")
+    with pytest.raises(IngestionError, match="row 6: non-finite"):
+        read_response_csv(p)
+
+
+def test_pipeline_reports_non_finite_response(tmp_path, resp128):
+    good = tmp_path / "good.csv"
+    resp128.write_csv(good)
+    lines = good.read_text().splitlines()
+    cells = lines[40].split(",")
+    cells[2] = "nan"
+    lines[40] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    report = run_pipeline(parse_config(json.dumps(
+        {"response_csv": str(bad), "T": 1.0, "n": 128, "out": str(out)})))
+    assert not report["ok"]
+    ingest = report["stages"][0]
+    assert ingest["name"] == "ingest" and ingest["status"] == "failed"
+    assert "row 41" in ingest["error"]
+    assert all(s["status"] == "skipped" for s in report["stages"][1:])
+    assert json.loads((out / "report.json").read_text()) == report
