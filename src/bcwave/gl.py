@@ -9,6 +9,17 @@ Two independent constructions of m are provided:
   column, where C~(t,s) = 2 C(T-t, T-s) is the doubled time-reflected
   connecting kernel (the kernel of J (2 C^T) J^T - I = K + K* + K*K).
 
+Scaled by W/2, the column system at s_j is the unsymmetrized matrix of
+the Krein horizon j, so :func:`solve_gl` shares the Krein route's nested
+Cholesky factor (:func:`~bcwave.connecting.nested_factor`): one O(n^3/3)
+factorization, then O(j^2) per column, with all columns going through
+two whole-matrix triangular solves.  The factor is of the symmetrized
+matrix, so two steps of iterative refinement against the unsymmetrized
+system I + C~ W follow, and m equals a dense per-column solve to
+roundoff.  Columns past the factor's reach (see the Krein route), and
+columns whose refinement has not converged, get that dense solve, with a
+Tikhonov shift if the matrix is singular.
+
 On the diagonal m(x,x) = -k(x,x), and the potential follows from
 q(x) = 2 d/dx [m11(x,x) - m12(x,x)] with the left half-line recovered
 from the sum diagonal (sign convention selectable, see recover_q_from_m).
@@ -20,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connecting import ConnectingKernel, build_connecting, reflect_kernel
+from .connecting import (ConnectingKernel, build_connecting, nested_factor,
+                         reflect_kernel, reflected_nodes)
 from .errors import GridMismatchError, ReconstructionError
 from .goursat import KernelField
 from .grid import (UniformGrid, differentiate, row_trapezoid_weights,
@@ -29,6 +41,11 @@ from .response import ResponseMatrix, operator_k_matrix
 
 #: Tikhonov shift, relative to trace/size, for near-singular column systems.
 TIKHONOV_RELATIVE = 1e-10
+#: Refinement steps against the unsymmetrized column systems after the
+#: solve through the symmetrized factor, and the largest size of the last
+#: step, relative to the column, that counts as converged.
+REFINEMENT_STEPS = 2
+REFINEMENT_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -122,37 +139,74 @@ def solve_gl(ck: ConnectingKernel) -> OperatorM:
 
     For fixed s_j the unknown column m(., s_j) lives on the x-nodes
     0..j and satisfies (I + C~|_{[0,s_j]^2} W) m = -C~(., s_j); both
-    matrix columns share the system matrix, so each column index costs
-    one dense solve with two right-hand sides.
+    matrix columns share the system matrix.  The columns the nested
+    factor reaches are solved through it at once and refined; the others
+    are solved one by one (see the module docstring).
     """
-    ct = gl_kernel(ck)
     n = ck.grid.n
     h = ck.grid.h
-    m11 = np.zeros((n + 1, n + 1))
-    m12 = np.zeros((n + 1, n + 1))
-    m21 = np.zeros((n + 1, n + 1))
-    m22 = np.zeros((n + 1, n + 1))
+    # the result first, below the work arrays on the heap
+    m11, m12, m21, m22 = (np.zeros((n + 1, n + 1)) for _ in range(4))
+    cr = reflected_nodes(ck)
+    fac = nested_factor(cr, h)
+    K = fac.horizons
+    # A_j m = -W C~(., s_j)/2 with A_j = W/2 + W (C~/2) W: the residual of
+    # m is -W g with g = C~(., s_j)/2 + m/2 + (C~/2) W m.  Column 2j + b
+    # of m is m_ab(., s_j) in node-major rows 2i + a.
+    rhs = cr[:, 2:2 * K + 2]
+    m = fac.solve(fac.weigh(-rhs))
+    wm, g = np.empty_like(m), np.empty_like(m)
+    for _ in range(REFINEMENT_STEPS):
+        np.copyto(wm, m)
+        np.matmul(cr, fac.weigh(wm), out=g)
+        g += np.multiply(m, 0.5, out=wm)
+        g += rhs
+        g *= -1.0
+        step = fac.solve(fac.weigh(g))
+        m += step
+    del wm
+    # a column whose last step is not at roundoff level has not converged
+    # (too asymmetric a system) and is solved on its own
+    size = np.maximum(step.max(axis=0), -step.min(axis=0))
+    scale = np.maximum(m.max(axis=0), -m.min(axis=0))
+    converged = (size <= REFINEMENT_TOLERANCE * scale).reshape(K, 2).all(axis=1)
+    for blk, a, b in ((m11, 0, 0), (m12, 0, 1), (m21, 1, 0), (m22, 1, 1)):
+        blk[0, 0] = -2.0 * cr[a, b]   # s = 0: the system is the identity
+        blk[:, 1:K + 1] = m[a::2, b::2]
+    del fac, cr, m, g, step
+    ct = gl_kernel(ck)
     regularized = []
-    for j in range(n + 1):
+    for j in range(1, n + 1):
+        if j <= K and converged[j - 1]:
+            continue
         k = j + 1
-        w = trapezoid_weights(j, h) if j else np.zeros(1)
-        A = np.eye(2 * k) + np.block(
-            [[ct.c11[:k, :k] * w, ct.c12[:k, :k] * w],
-             [ct.c21[:k, :k] * w, ct.c22[:k, :k] * w]])
-        rhs = -np.stack([np.concatenate([ct.c11[:k, j], ct.c21[:k, j]]),
-                         np.concatenate([ct.c12[:k, j], ct.c22[:k, j]])],
-                        axis=1)
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            shift = TIKHONOV_RELATIVE * np.trace(A) / (2 * k)
-            sol = np.linalg.solve(A + shift * np.eye(2 * k), rhs)
+        sol, reg = _solve_column(ct, j, h)
+        if reg:
             regularized.append(j)
         m11[:k, j] = sol[:k, 0]
         m21[:k, j] = sol[k:, 0]
         m12[:k, j] = sol[:k, 1]
         m22[:k, j] = sol[k:, 1]
     return OperatorM(ck.grid, m11, m12, m21, m22, tuple(regularized))
+
+
+def _solve_column(ct: ConnectingKernel, j: int, h: float):
+    """Dense solve of the column system at s_j (j >= 1), stacked
+    [m1; m2] by two right-hand sides, with a Tikhonov shift when the
+    matrix is singular.  Returns (solution, regularized)."""
+    k = j + 1
+    w = trapezoid_weights(j, h)
+    A = np.eye(2 * k) + np.block(
+        [[ct.c11[:k, :k] * w, ct.c12[:k, :k] * w],
+         [ct.c21[:k, :k] * w, ct.c22[:k, :k] * w]])
+    rhs = -np.stack([np.concatenate([ct.c11[:k, j], ct.c21[:k, j]]),
+                     np.concatenate([ct.c12[:k, j], ct.c22[:k, j]])],
+                    axis=1)
+    try:
+        return np.linalg.solve(A, rhs), False
+    except np.linalg.LinAlgError:
+        shift = TIKHONOV_RELATIVE * np.trace(A) / (2 * k)
+        return np.linalg.solve(A + shift * np.eye(2 * k), rhs), True
 
 
 def gl_from_response(r: ResponseMatrix, n_half: int | None = None) -> OperatorM:

@@ -4,6 +4,19 @@ For each horizon tau the Krein equation (C^tau F)(t) = (tau - t)(1, 0)^T
 is solved on the Nystrom grid; the t = 0 samples of the solution give the
 Cauchy solution values y(+-tau) of -y'' + q y = 0, y(0) = 0, y'(0) = 1,
 and the potential follows as q = y''/y away from zeros of y.
+
+In reversed time every horizon's matrix is a leading block of one fixed
+matrix, so :func:`sweep_reconstruct` factors that matrix once
+(:func:`~bcwave.connecting.nested_factor`, O(n^3/3)) and borders the
+leading factor for each horizon: after one forward substitution y(+-tau_k)
+costs O(1), and the full solution, which the per-horizon residual needs,
+O(k^2).  The factor reaches every horizon unless its Cholesky stops at a
+node whose leading block is not positive definite, or a horizon's matrix
+is more asymmetric than the assembly accepts.  From there on each horizon
+is solved on its own by :func:`solve_krein`, which falls back from
+Cholesky to a Tikhonov shift (and is the test oracle of the sweep).  A
+horizon that fails even there keeps a NaN residual; none is dropped
+silently.
 """
 
 from __future__ import annotations
@@ -14,8 +27,9 @@ import numpy as np
 from scipy.interpolate import make_smoothing_spline
 from scipy.linalg import cho_factor, cho_solve
 
-from .connecting import _assemble, connecting_blocks
-from .errors import ReconstructionError
+from .connecting import (_assemble, build_connecting, connecting_blocks,
+                         nested_factor, reflected_nodes)
+from .errors import BCWaveError, ReconstructionError
 from .grid import write_csv
 from .response import ResponseMatrix
 
@@ -77,7 +91,8 @@ class CauchyProfile:
     y: np.ndarray
     q: np.ndarray
     valid: np.ndarray
-    residuals: np.ndarray     # per-horizon relative solver residuals
+    residuals: np.ndarray     # per-horizon relative solver residuals,
+                              # NaN where the solve failed
     regularized: np.ndarray   # per-horizon Tikhonov flags
 
     def write_csv(self, path) -> None:
@@ -91,11 +106,19 @@ class CauchyProfile:
 def sweep_reconstruct(r: ResponseMatrix, n_half: int | None = None,
                       eps_frac: float = 0.05) -> CauchyProfile:
     """Sweep horizons tau_k = k*h, k = 1..n, and assemble y on [-T, T];
-    then recover q = y''/y on the valid band."""
+    then recover q = y''/y on the valid band.
+
+    The horizons the nested factor reaches are solved through it at
+    once; each later horizon is solved on its own by :func:`solve_krein`.
+    A horizon that fails there keeps a NaN residual and leaves y
+    unsolved at +-tau.
+    """
     if n_half is None:
         if r.grid.n % 2:
             raise ReconstructionError("response grid has an odd step count")
         n_half = r.grid.n // 2
+    if not all(np.isfinite(a).all() for a in (r.r11, r.r12, r.r21, r.r22)):
+        raise ReconstructionError("non-finite response data")
     n = n_half
     h = r.grid.h
     y = np.full(2 * n + 1, np.nan)
@@ -103,10 +126,26 @@ def sweep_reconstruct(r: ResponseMatrix, n_half: int | None = None,
     residuals = np.full(n, np.nan)
     regularized = np.zeros(n, dtype=bool)
     solved = np.ones(2 * n + 1, dtype=bool)
-    for k in range(1, n + 1):
+
+    fac = nested_factor(reflected_nodes(build_connecting(r, n)), h)
+    K = fac.horizons
+    if K:
+        # right-hand side (tau - t, 0) in reversed time: (t', 0) at node t'
+        rho = np.zeros((2 * n + 2, 1))
+        rho[0::2, 0] = h * np.arange(n + 1)
+        b = fac.weigh(np.repeat(rho, K, axis=1))
+        f = fac.solve(b.copy())
+        residuals[:K] = np.linalg.norm(fac.apply(f) - b, axis=0) \
+            / np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+        k = np.arange(1, K + 1)
+        f1, f2 = f[2 * k, k - 1], f[2 * k + 1, k - 1]   # the t = 0 node
+        y[n + k] = 0.5 * f1 - 0.5 * f2
+        y[n - k] = -0.5 * f1 - 0.5 * f2
+    del fac
+    for k in range(K + 1, n + 1):
         try:
             sol = solve_krein(r, k)
-        except Exception:
+        except (np.linalg.LinAlgError, BCWaveError):
             solved[n + k] = solved[n - k] = False
             continue
         residuals[k - 1] = sol.residual

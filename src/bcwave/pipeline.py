@@ -73,7 +73,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
                 entry["metrics"] = runners[name](cfg, state, entry["files"])
                 entry["status"] = "ok"
                 done.add(name)
-            except BCWaveError as exc:
+            except (BCWaveError, np.linalg.LinAlgError) as exc:
                 entry["status"] = "failed"
                 entry["error"] = str(exc)
                 report["ok"] = False
@@ -139,6 +139,7 @@ def _stage_krein(cfg, state, files):
     metrics = {
         "max_solver_residual": float(np.nanmax(prof.residuals)),
         "regularized_horizons": int(np.count_nonzero(prof.regularized)),
+        "failed_horizons": int(np.count_nonzero(np.isnan(prof.residuals))),
         "valid_fraction": float(np.mean(prof.valid)),
     }
     if "potential" in state:

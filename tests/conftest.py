@@ -5,7 +5,7 @@ from bcwave.connecting import build_connecting
 from bcwave.goursat import solve_kernels
 from bcwave.grid import UniformGrid
 from bcwave.potentials import GaussianPotential
-from bcwave.response import response_matrix
+from bcwave.response import ResponseMatrix, response_matrix
 
 ACCEPTANCE_LINES = []
 
@@ -72,6 +72,28 @@ def field_off(offcenter):
 @pytest.fixture(scope="session")
 def resp_off(field_off):
     return response_matrix(field_off)
+
+
+@pytest.fixture(scope="session", params=[70.25, 0.25])
+def resp_broken(request):
+    """Response with r22 = -c only (T = 1, n = 96): C22 = -c is a
+    rank-one negative term, so the connecting matrix of horizon tau stops
+    being positive definite once c tau > 1/2, here at tau = param * h."""
+    grid = UniformGrid(2.0, 192)
+    zero = np.zeros(193)
+    c = 0.5 / (request.param * grid.h)
+    return ResponseMatrix(grid, zero, zero, zero, np.full(193, -c))
+
+
+@pytest.fixture(scope="session")
+def resp_skew(resp_off):
+    """resp_off with r12 + 100 and r21 - 100 t, which breaks r21' = r12 by
+    a term that is antisymmetric in the connecting matrix: the symmetrized
+    matrix is resp_off's, but the asymmetry of the horizon-tau matrix
+    passes 100 h^2 near tau = 1/2."""
+    t = resp_off.grid.t
+    return ResponseMatrix(resp_off.grid, resp_off.r11, resp_off.r12 + 100.0,
+                          resp_off.r21 - 100.0 * t, resp_off.r22)
 
 
 def max_rel(a, b):

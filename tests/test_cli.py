@@ -153,3 +153,25 @@ def test_paper_sign_and_seed_overrides(tmp_path, capsys):
     assert report["config"]["sign"] == "paper"
     assert report["config"]["seed"] == 3
     assert not (tmp_path / "o1").exists()
+
+
+def test_linalg_error_becomes_failed_stage(tmp_path, monkeypatch):
+    from bcwave import pipeline
+
+    def singular(cfg, state, files):
+        raise np.linalg.LinAlgError("Matrix is singular")
+
+    monkeypatch.setattr(pipeline, "_stage_connect", singular)
+    out = tmp_path / "out"
+    cfg = json.loads(MINIMAL)
+    cfg.update({"stages": ["kernels", "response", "connect", "krein"],
+                "out": str(out)})
+    report = run_pipeline(parse_config(json.dumps(cfg)))
+    saved = json.loads((out / "report.json").read_text())
+    assert saved == report and saved["ok"] is False
+    status = {s["name"]: s["status"] for s in saved["stages"]}
+    assert status == {"kernels": "ok", "response": "ok", "connect": "failed",
+                      "krein": "ok"}
+    connect = saved["stages"][2]
+    assert connect["error"] == "Matrix is singular"
+    assert saved["stages"][3]["metrics"]["failed_horizons"] == 0

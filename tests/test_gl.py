@@ -17,7 +17,7 @@ from bcwave.gl import (
     write_q_csv,
 )
 from bcwave.goursat import solve_kernels
-from bcwave.grid import UniformGrid
+from bcwave.grid import UniformGrid, trapezoid_weights
 from bcwave.potentials import ConstantPotential, GaussianPotential, ZeroPotential
 from bcwave.response import operator_k_kernel, operator_k_matrix, response_matrix
 
@@ -159,3 +159,56 @@ def test_kernel_csv_and_q_csv(tmp_path, gl128):
     with open(qpath) as fh:
         rows = list(csv.reader(fh))
     assert rows[1][2] == "GL" and len(rows) == len(x) + 1
+
+
+def _oracle_gl(ck):
+    """One dense solve of (I + C~ W) m = -C~(., s_j) per column, as
+    solve_gl did before it shared one factor: (m11, m12, m21, m22,
+    regularized columns)."""
+    ct = gl_kernel(ck)
+    n, h = ck.grid.n, ck.grid.h
+    m = np.zeros((4, n + 1, n + 1))
+    regularized = []
+    for j in range(n + 1):
+        k = j + 1
+        w = trapezoid_weights(j, h) if j else np.zeros(1)
+        A = np.eye(2 * k) + np.block(
+            [[ct.c11[:k, :k] * w, ct.c12[:k, :k] * w],
+             [ct.c21[:k, :k] * w, ct.c22[:k, :k] * w]])
+        rhs = -np.stack([np.concatenate([ct.c11[:k, j], ct.c21[:k, j]]),
+                         np.concatenate([ct.c12[:k, j], ct.c22[:k, j]])],
+                        axis=1)
+        try:
+            sol = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError:
+            shift = 1e-10 * np.trace(A) / (2 * k)
+            sol = np.linalg.solve(A + shift * np.eye(2 * k), rhs)
+            regularized.append(j)
+        m[0, :k, j], m[2, :k, j] = sol[:k, 0], sol[k:, 0]
+        m[1, :k, j], m[3, :k, j] = sol[:k, 1], sol[k:, 1]
+    return m, tuple(regularized)
+
+
+@pytest.mark.parametrize("resp", ["resp_off", "resp_skew"])
+def test_solve_gl_matches_per_column_solves(request, resp):
+    # resp_skew: past the factor's reach the columns are solved one by one
+    ck = build_connecting(request.getfixturevalue(resp))
+    M = solve_gl(ck)
+    ref, regularized = _oracle_gl(ck)
+    for blk, r in zip((M.m11, M.m12, M.m21, M.m22), ref):
+        assert np.max(np.abs(blk - r)) <= 1e-12 * np.max(np.abs(r))
+    assert M.regularized == regularized
+
+
+def test_solve_gl_falls_back_past_the_factor(resp_broken):
+    ck = build_connecting(resp_broken)
+    M = solve_gl(ck)
+    ref, regularized = _oracle_gl(ck)
+    assert M.regularized == regularized == ()
+    # columns 1..p-1 go through the factor, p and later one by one
+    p = max(int(np.ceil(-0.5 / (resp_broken.r22[0] * ck.grid.h) - 0.5)), 1)
+    for blk, r in zip((M.m11, M.m12, M.m21, M.m22), ref):
+        scale = np.max(np.abs(r))
+        assert np.max(np.abs(blk[:, :p] - r[:, :p])) <= 1e-12 * scale
+        assert np.array_equal(blk[:, p:], r[:, p:])
+    assert np.all(np.diag(M.m22) != 0.0)

@@ -1,18 +1,23 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from bcwave.errors import ReconstructionError
+from bcwave.connecting import build_connecting, nested_factor, reflected_nodes
+from bcwave.config import parse_config
+from bcwave.errors import BCWaveError, ReconstructionError
 from bcwave.goursat import solve_kernels
 from bcwave.grid import UniformGrid
 from bcwave.krein import (
     endpoint_values,
+    recover_q_from_y,
     second_derivative,
     solve_krein,
     sweep_reconstruct,
 )
+from bcwave.pipeline import run_pipeline
 from bcwave.potentials import ConstantPotential, ZeroPotential
 from bcwave.response import response_matrix
 
@@ -89,6 +94,17 @@ def test_odd_step_count_rejected(resp128):
         sweep_reconstruct(odd)
 
 
+def test_non_finite_response_rejected(resp128):
+    from bcwave.response import ResponseMatrix
+
+    r22 = resp128.r22.copy()
+    r22[5] = np.nan
+    bad = ResponseMatrix(resp128.grid, resp128.r11, resp128.r12,
+                         resp128.r21, r22)
+    with pytest.raises(ReconstructionError, match="non-finite"):
+        sweep_reconstruct(bad)
+
+
 def test_second_derivative_cubic_exact():
     h = 0.1
     x = h * np.arange(20)
@@ -109,3 +125,89 @@ def test_profile_csv(tmp_path, resp128):
     assert len(rows) == len(prof.x) + 1
     mid = rows[1 + (len(prof.x) - 1) // 2]
     assert float(mid[0]) == 0.0 and mid[3] == "0"
+
+
+def _oracle_sweep(r):
+    """One dense solve_krein per horizon, as the sweep did before it
+    shared one factor: (y, regularized, residuals, valid)."""
+    n = r.grid.n // 2
+    y = np.zeros(2 * n + 1)
+    regularized = np.zeros(n, dtype=bool)
+    residuals = np.zeros(n)
+    for k in range(1, n + 1):
+        sol = solve_krein(r, k)
+        y[n + k], y[n - k] = endpoint_values(sol)
+        regularized[k - 1] = sol.regularized
+        residuals[k - 1] = sol.residual
+    x = r.grid.h * np.arange(-n, n + 1)
+    _, valid = recover_q_from_y(x, y, np.ones(2 * n + 1, dtype=bool))
+    return y, regularized, residuals, valid
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def test_sweep_matches_per_horizon_solves(resp_off):
+    prof = sweep_reconstruct(resp_off)
+    y, regularized, _, valid = _oracle_sweep(resp_off)
+    assert _rel(prof.y, y) < 1e-12
+    assert np.array_equal(prof.regularized, regularized)
+    assert np.array_equal(prof.valid, valid)
+    assert np.max(prof.residuals) <= 1e-12
+
+
+def _break_nodes(r):
+    """(p, j): B, whose last node has full weight, is positive definite
+    on the nodes 0..p-1, and the matrix of horizon k is for k < j."""
+    tau_break = -0.5 / (r.r22[0] * r.grid.h)
+    return int(np.ceil(tau_break - 0.5)), int(np.ceil(tau_break))
+
+
+def test_sweep_falls_back_past_the_factor(resp_broken):
+    r = resp_broken
+    n = r.grid.n // 2
+    p, j = _break_nodes(r)
+    # horizons 1..p-1 use the factor, p and later are solved one by one
+    fac = nested_factor(reflected_nodes(build_connecting(r)), r.grid.h)
+    assert fac.horizons == max(p - 1, 0)
+    prof = sweep_reconstruct(r)
+    y, regularized, residuals, valid = _oracle_sweep(r)
+    assert np.isfinite(prof.residuals).all() and np.isfinite(prof.y).all()
+    assert np.array_equal(prof.regularized, regularized)
+    assert not regularized[:j - 1].any() and regularized[j - 1:].all()
+    assert np.array_equal(prof.valid, valid)
+    near = np.abs(np.arange(-n, n + 1)) < p
+    if near.sum() > 1:
+        assert _rel(prof.y[near], y[near]) < 1e-12
+    assert np.array_equal(prof.y[~near], y[~near])
+    solo = slice(max(p - 1, 0), None)
+    assert np.array_equal(prof.residuals[solo], residuals[solo])
+
+
+def test_failed_horizons_counted(tmp_path, resp_skew):
+    r = resp_skew
+    n = r.grid.n // 2
+    failed = []
+    for k in range(1, n + 1):
+        try:
+            solve_krein(r, k)
+        except BCWaveError:
+            failed.append(k)
+    assert failed and failed == list(range(failed[0], n + 1))
+    # the factor stops where the asymmetry check would reject the horizon
+    fac = nested_factor(reflected_nodes(build_connecting(r)), r.grid.h)
+    assert fac.horizons == failed[0] - 1
+    prof = sweep_reconstruct(r)
+    assert np.array_equal(np.flatnonzero(np.isnan(prof.residuals)) + 1, failed)
+    assert np.isnan(prof.y[n + failed[0]:]).all()
+    assert not prof.valid[n + failed[0]:].any()
+
+    path = tmp_path / "skew.csv"
+    r.write_csv(path)
+    report = run_pipeline(parse_config(json.dumps(
+        {"response_csv": str(path), "T": 1.0, "n": n, "stages": ["krein"],
+         "out": str(tmp_path / "out")})))
+    krein = report["stages"][-1]
+    assert krein["status"] == "ok"
+    assert krein["metrics"]["failed_horizons"] == len(failed)
