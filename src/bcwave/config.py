@@ -22,6 +22,7 @@ identity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -83,9 +84,21 @@ def _take(d: dict, allowed, where: str) -> None:
             raise ConfigError("unknown key '%s' in %s" % (key, where))
 
 
+def _non_finite(token: str):
+    raise ConfigError("non-finite number '%s'" % token)
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        _non_finite(token)
+    return value
+
+
 def parse_config(text: str) -> RunConfig:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_non_finite,
+                         parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError("invalid JSON: %s" % exc)
     if not isinstance(raw, dict):

@@ -107,9 +107,10 @@ class ConnectingKernel:
     def dump_csv(self, path) -> None:
         """Columns t, s, C11, C12, C21, C22, one block per t row."""
         t = self.grid.t
-        rows = ((np.full(len(t), t[i]), t, self.c11[i], self.c12[i],
-                 self.c21[i], self.c22[i]) for i in range(len(t)))
-        write_csv(path, ["t", "s", "C11", "C12", "C21", "C22"], rows)
+        rows = ((i, slice(None), self.c11[i], self.c12[i], self.c21[i],
+                 self.c22[i]) for i in range(len(t)))
+        write_csv(path, ["t", "s", "C11", "C12", "C21", "C22"], rows,
+                  coords=t)
 
 
 def build_connecting(r: ResponseMatrix, n_half: int | None = None) -> ConnectingKernel:

@@ -71,10 +71,10 @@ class OperatorM:
     def dump_csv(self, path) -> None:
         """Columns x, s, m11, m12, m21, m22 on s >= x, one block per x row."""
         t = self.grid.t
-        rows = ((np.full(len(t) - i, t[i]), t[i:], self.m11[i, i:],
-                 self.m12[i, i:], self.m21[i, i:], self.m22[i, i:])
-                for i in range(len(t)))
-        write_csv(path, ["x", "s", "m11", "m12", "m21", "m22"], rows)
+        rows = ((i, slice(i, None), self.m11[i, i:], self.m12[i, i:],
+                 self.m21[i, i:], self.m22[i, i:]) for i in range(len(t)))
+        write_csv(path, ["x", "s", "m11", "m12", "m21", "m22"], rows,
+                  coords=t)
 
 
 def _kernel_from_nystrom(A: np.ndarray, n_half: int, h: float):
@@ -141,7 +141,8 @@ def solve_gl(ck: ConnectingKernel) -> OperatorM:
     0..j and satisfies (I + C~|_{[0,s_j]^2} W) m = -C~(., s_j); both
     matrix columns share the system matrix.  The columns the nested
     factor reaches are solved through it at once and refined; the others
-    are solved one by one (see the module docstring).
+    are solved one by one (see the module docstring).  A non-finite m
+    (from non-finite kernel data) raises :class:`ReconstructionError`.
     """
     n = ck.grid.n
     h = ck.grid.h
@@ -187,6 +188,8 @@ def solve_gl(ck: ConnectingKernel) -> OperatorM:
         m21[:k, j] = sol[k:, 0]
         m12[:k, j] = sol[:k, 1]
         m22[:k, j] = sol[k:, 1]
+    if not all(np.isfinite(blk).all() for blk in (m11, m12, m21, m22)):
+        raise ReconstructionError("non-finite GL kernel m")
     return OperatorM(ck.grid, m11, m12, m21, m22, tuple(regularized))
 
 
@@ -223,18 +226,36 @@ def m_action_matrix(M: OperatorM) -> np.ndarray:
 
 def operator_identity_residual(ck: ConnectingKernel, M: OperatorM) -> float:
     """max-norm residual of (I+M)* (I+C~) (I+M) = I with the quadrature-
-    weighted discrete adjoint (A* = W^{-1} A^T W)."""
+    weighted discrete adjoint (A* = W^{-1} A^T W).
+
+    Evaluated as W^{-1} P^T W ((I + C~ W) P) - I with P = I + M in three
+    2(n+1) x 2(n+1) buffers: P, I + C~ W (which then takes the result)
+    and the right-hand product."""
     if M.grid != ck.grid:
         raise GridMismatchError("kernel grids differ")
     n, h = ck.grid.n, ck.grid.h
-    ct = gl_kernel(ck)
+    m = n + 1
     w = trapezoid_weights(n, h)
-    wvec = np.concatenate([w, w])
-    Ct = np.block([[ct.c11, ct.c12], [ct.c21, ct.c22]]) * wvec
-    IM = np.eye(2 * (n + 1)) + m_action_matrix(M)
-    IM_star = (IM.T * wvec) / wvec[:, None]
-    R = IM_star @ (np.eye(2 * (n + 1)) + Ct) @ IM - np.eye(2 * (n + 1))
-    return float(np.max(np.abs(R)))
+    rows = row_trapezoid_weights(n, h)
+    p = np.empty((2 * m, 2 * m))
+    c = np.empty((2 * m, 2 * m))
+    for a, b, mb, cb in ((0, 0, M.m11, ck.c11), (0, 1, M.m12, ck.c12),
+                         (1, 0, M.m21, ck.c21), (1, 1, M.m22, ck.c22)):
+        block = np.s_[a * m:(a + 1) * m, b * m:(b + 1) * m]
+        np.multiply(mb, rows, out=p[block])
+        # C~ = twice the time-reflected kernel, as in gl_kernel
+        np.multiply(cb[::-1, ::-1], 2.0, out=c[block])
+        c[block] *= w
+    diag = np.diag_indices(2 * m)
+    p[diag] += 1.0
+    c[diag] += 1.0
+    right = np.matmul(c, p)
+    wvec = np.concatenate([w, w])[:, None]
+    right *= wvec
+    np.matmul(p.T, right, out=c)
+    c /= wvec
+    c[diag] -= 1.0
+    return float(np.max(np.abs(c, out=c)))
 
 
 def recover_q_from_m(M: OperatorM, sign: str = "derived"):
@@ -243,7 +264,8 @@ def recover_q_from_m(M: OperatorM, sign: str = "derived"):
     Right half: q(x) = 2 d/dx [m11(x,x) - m12(x,x)].  Left half uses the
     sum diagonal; ``sign="derived"`` applies q(-x) = +2 d/dx
     [m11(x,x) + m12(x,x)] (the convention validated by the off-center
-    round trip), ``sign="paper"`` flips it.
+    round trip), ``sign="paper"`` flips it.  A non-finite q raises
+    :class:`ReconstructionError`.
     """
     if sign not in ("derived", "paper"):
         raise ValueError("sign must be 'derived' or 'paper'")
@@ -261,6 +283,8 @@ def recover_q_from_m(M: OperatorM, sign: str = "derived"):
     q[n:] = q_right
     q[:n] = q_left[:0:-1]
     q[n] = 0.5 * (q_right[0] + q_left[0])
+    if not np.isfinite(q).all():
+        raise ReconstructionError("non-finite GL potential q")
     return x, q
 
 

@@ -105,17 +105,20 @@ class KernelField:
 
         Level k holds the nodes i = -k..k, i.e. the lattice anti-diagonal
         a + b = 2k from a = 0 upwards, read as a view rather than gathered
-        into a new array (see :func:`bcwave.grid.write_csv`)."""
-        h = self.grid.h
+        into a new array (see :func:`bcwave.grid.write_csv`).  Its t and x
+        are entries n + k and n - k..n + k of the coordinates i*h,
+        i = -n..n."""
+        n = self.grid.n
 
         def levels():
-            for k in range(self.grid.n + 1):
+            for k in range(n + 1):
                 m = 2 * k + 1
-                yield (np.full(m, k * h), np.arange(-k, k + 1) * h,
+                yield (n + k, slice(n - k, n + k + 1),
                        np.diagonal(self.W1[:m, m - 1::-1]),
                        np.diagonal(self.W2[:m, m - 1::-1]))
 
-        write_csv(path, ["t", "x", "w1", "w2"], levels())
+        write_csv(path, ["t", "x", "w1", "w2"], levels(),
+                  coords=np.arange(-n, n + 1) * self.grid.h)
 
 
 def _boundary_arrays(p: Potential, grid: UniformGrid, which: str):

@@ -275,25 +275,55 @@ def _csv_text(value: str) -> str:
     return value.replace("%", "%%")
 
 
-def write_csv(path, header, blocks, text=()) -> None:
+def write_csv(path, header, blocks, text=(), coords=()) -> None:
     """Write a CSV in the one output format every stage uses.
 
     The header row comes first.  Each element of ``blocks`` is a sequence
-    of equal-length 1-D arrays, one per numeric column; every value is
-    written as ``%.17g``, fields are comma-separated and rows end in CRLF,
-    byte for byte the standard ``csv`` module's rendering.
+    of columns, one per header field before the ``text`` fields; every
+    value is written as ``%.17g``, fields are comma-separated and rows
+    end in CRLF, byte for byte the standard ``csv`` module's rendering.
     Integer-valued columns render as plain integers.  ``text`` holds
-    constant text fields appended to every row.  Each block (one time
-    level or kernel row of a large file) is formatted with a single
-    ``%``.  Columns are interleaved as Python lists rather than stacked
-    into a new array per block: those temporaries fragmented the heap
-    above the kernel lattices, so a process that runs the forward stages
-    repeatedly did not return the lattices' memory and its peak RSS grew.
+    constant text fields appended to every row.
+
+    A column is either a 1-D array of data values or a reference into
+    ``coords``, the file's grid coordinates: an ``int`` i puts coords[i]
+    on every row of the block, a ``slice`` puts one entry of
+    ``coords[slice]`` on each row (at most one slice per block).  Each
+    coordinate is formatted once per file and spliced into the block's
+    row template, so ``%`` runs over the data columns only.  Coordinates
+    are taken by index, not looked up by value, so every row gets the
+    string of exactly the float the grid holds: a memo keyed by value
+    would merge -0.0 with 0.0 and never find a NaN.
+
+    Each block (one time level or kernel row of a large file) is
+    formatted with a single ``%``.  Data columns are interleaved as
+    Python lists rather than stacked into a new array per block: those
+    temporaries fragmented the heap above the kernel lattices, so a
+    process that runs the forward stages repeatedly did not return the
+    lattices' memory and its peak RSS grew.
     """
-    fields = ["%.17g"] * (len(header) - len(text))
-    row = ",".join(fields + [_csv_text(f) for f in text]) + "\r\n"
+    labels = ["%.17g" % v for v in np.asarray(coords, dtype=float).tolist()]
+    text = [_csv_text(f) for f in text]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for columns in blocks:
-            values = chain.from_iterable(zip(*(c.tolist() for c in columns)))
-            fh.write(row * len(columns[0]) % tuple(values))
+            fields, data, spread, rows = [], [], None, None
+            for c in columns:
+                if isinstance(c, slice):
+                    spread, rows = len(fields), labels[c]
+                    fields.append("")
+                elif isinstance(c, int):
+                    fields.append(labels[c])
+                else:
+                    fields.append("%.17g")
+                    data.append(c.tolist())
+            fields += text
+            if spread is None:
+                template = (",".join(fields) + "\r\n") * len(data[0])
+            else:
+                # row r is before + rows[r] + after
+                before = ",".join(fields[:spread + 1])
+                after = ",".join(fields[spread:]) + "\r\n"
+                template = (before + (after + before).join(rows) + after
+                            if rows else "")
+            fh.write(template % tuple(chain.from_iterable(zip(*data))))

@@ -70,6 +70,20 @@ def test_required_and_exclusive_fields():
         parse_config('{"potential": {}, "T": 1, "n": 16, "sign": "up"}')
 
 
+@pytest.mark.parametrize("text,token", [
+    ('{"potential": {"kind": "gaussian", "amplitude": NaN}, "T": 1, "n": 16}',
+     "NaN"),
+    ('{"potential": {"kind": "gaussian"}, "T": 1e999, "n": 16}', "1e999"),
+    ('{"potential": {"kind": "gaussian"}, "T": 1, "n": 16, '
+     '"spectral": {"N": -Infinity}}', "-Infinity"),
+    ('{"potential": {"kind": "gaussian"}, "T": 1, "n": 16, '
+     '"spectral": {"bc": [1, 0, Infinity, 0]}}', "Infinity"),
+])
+def test_non_finite_numbers_rejected(text, token):
+    with pytest.raises(ConfigError, match="non-finite number '%s'" % token):
+        parse_config(text)
+
+
 def test_response_csv_drops_forward_stages():
     cfg = parse_config('{"response_csv": "r.csv", "T": 1, "n": 16}')
     assert cfg.stages == ("connect", "krein", "gl")

@@ -7,11 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bcwave.connecting import ConnectingKernel
-from bcwave.gl import OperatorM, write_q_csv
-from bcwave.goursat import KernelField
+from bcwave.connecting import ConnectingKernel, build_connecting
+from bcwave.gl import OperatorM, solve_gl, write_q_csv
+from bcwave.goursat import KernelField, solve_kernels
+from bcwave.grid import UniformGrid
 from bcwave.krein import CauchyProfile
-from bcwave.response import ResponseMatrix
+from bcwave.potentials import GaussianPotential
+from bcwave.response import ResponseMatrix, response_matrix
 from bcwave.spectral import SpectralMeasure
 
 NAN, INF = float("nan"), float("inf")
@@ -134,3 +136,75 @@ def test_writer_output_format(tmp_path, name):
     path = tmp_path / "out.csv"
     write(path)
     assert path.read_bytes() == "".join(l + "\r\n" for l in lines).encode()
+
+
+# The kernel, connecting and GL files format each grid coordinate once
+# and splice it into the rows.  At T = 0.7, n = 22 the step h = 0.7/22
+# has no short decimal form, so every coordinate string is 17 digits
+# long and any mix-up of grid nodes shows in the bytes.
+
+
+@pytest.fixture(scope="module")
+def solved():
+    p = GaussianPotential(amplitude=1.1, width=0.3, center=-0.15)
+    field = solve_kernels(p, UniformGrid(1.4, 44))
+    ck = build_connecting(response_matrix(field))
+    return field, ck, solve_gl(ck)
+
+
+def _reference(header, rows):
+    """Every field through "%.17g", one row at a time, CRLF."""
+    lines = [",".join(header)]
+    lines += [",".join("%.17g" % v for v in row) for row in rows]
+    return "".join(l + "\r\n" for l in lines).encode()
+
+
+def _kernel_file(field, poison):
+    W1, W2 = field.W1.copy(), field.W2.copy()
+    if poison:
+        W1[3, 5], W2[7, 1], W1[20, 20] = -0.0, np.nan, np.nan
+    n, h = field.grid.n, field.grid.h
+    rows = [(k * h, i * h, W1[k + i, k - i], W2[k + i, k - i])
+            for k in range(n + 1) for i in range(-k, k + 1)]
+    return (KernelField(field.grid, W1, W2),
+            _reference(["t", "x", "w1", "w2"], rows))
+
+
+def _connecting_file(ck, poison):
+    c = [b.copy() for b in (ck.c11, ck.c12, ck.c21, ck.c22)]
+    if poison:
+        c[1][0, 4], c[3][22, 0], c[0][9, 9] = -0.0, np.nan, -0.0
+    t = ck.grid.t
+    rows = [(t[i], t[j]) + tuple(b[i, j] for b in c)
+            for i in range(len(t)) for j in range(len(t))]
+    return (ConnectingKernel(ck.grid, *c),
+            _reference(["t", "s", "C11", "C12", "C21", "C22"], rows))
+
+
+def _gl_file(M, poison):
+    m = [b.copy() for b in (M.m11, M.m12, M.m21, M.m22)]
+    if poison:
+        m[0][2, 2], m[2][5, 22], m[3][0, 1] = np.nan, -0.0, np.nan
+    t = M.grid.t
+    rows = [(t[i], t[j]) + tuple(b[i, j] for b in m)
+            for i in range(len(t)) for j in range(i, len(t))]
+    return (OperatorM(M.grid, *m),
+            _reference(["x", "s", "m11", "m12", "m21", "m22"], rows))
+
+
+@pytest.mark.parametrize("poison", [False, True],
+                         ids=["solved", "neg_zero_nan"])
+@pytest.mark.parametrize("which,build", [(0, _kernel_file),
+                                         (1, _connecting_file),
+                                         (2, _gl_file)],
+                         ids=["kernels", "connecting", "gl_kernel"])
+def test_coordinate_columns_match_per_field_format(tmp_path, solved, which,
+                                                   build, poison):
+    obj, expected = build(solved[which], poison)
+    path = tmp_path / "out.csv"
+    obj.dump_csv(path)
+    data = path.read_bytes()
+    assert data == expected
+    if poison:
+        fields = data.decode().replace("\r\n", ",").split(",")
+        assert "nan" in fields and "-0" in fields

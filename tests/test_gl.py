@@ -1,9 +1,12 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
-from bcwave.connecting import build_connecting
+from bcwave import pipeline
+from bcwave.config import parse_config
+from bcwave.connecting import ConnectingKernel, build_connecting
 from bcwave.errors import ReconstructionError
 from bcwave.gl import (
     OperatorM,
@@ -101,6 +104,28 @@ def test_two_route_agreement(field128, ck128, gl128):
 def test_operator_identity(ck128, gl128):
     h = ck128.grid.h
     assert operator_identity_residual(ck128, gl128) <= 50.0 * h * h
+
+
+def _dense_identity_residual(ck, M):
+    """operator_identity_residual as first written: every operator formed
+    as a dense block matrix."""
+    n, h = ck.grid.n, ck.grid.h
+    ct = gl_kernel(ck)
+    w = trapezoid_weights(n, h)
+    wvec = np.concatenate([w, w])
+    Ct = np.block([[ct.c11, ct.c12], [ct.c21, ct.c22]]) * wvec
+    IM = np.eye(2 * (n + 1)) + m_action_matrix(M)
+    IM_star = (IM.T * wvec) / wvec[:, None]
+    R = IM_star @ (np.eye(2 * (n + 1)) + Ct) @ IM - np.eye(2 * (n + 1))
+    return float(np.max(np.abs(R)))
+
+
+@pytest.mark.parametrize("resp", ["resp128", "resp_off", "resp_skew"])
+def test_operator_identity_residual_matches_dense_formula(request, resp):
+    ck = build_connecting(request.getfixturevalue(resp))
+    M = solve_gl(ck)
+    res = operator_identity_residual(ck, M)
+    assert abs(res - _dense_identity_residual(ck, M)) <= 1e-12
 
 
 def test_gl_kernel_doubles_reflection(ck128):
@@ -212,3 +237,37 @@ def test_solve_gl_falls_back_past_the_factor(resp_broken):
         assert np.max(np.abs(blk[:, :p] - r[:, :p])) <= 1e-12 * scale
         assert np.array_equal(blk[:, p:], r[:, p:])
     assert np.all(np.diag(M.m22) != 0.0)
+
+
+def _nan_kernel(n=16):
+    c = [np.zeros((n + 1, n + 1)) for _ in range(4)]
+    c[0][3, 5] = np.nan
+    return ConnectingKernel(UniformGrid(1.0, n), *c)
+
+
+def test_non_finite_kernel_rejected():
+    with pytest.raises(ReconstructionError, match="non-finite"):
+        solve_gl(_nan_kernel())
+    g = UniformGrid(1.0, 16)
+    m = np.zeros((17, 17))
+    bad = m.copy()
+    bad[4, 4] = np.inf
+    with pytest.raises(ReconstructionError, match="non-finite"):
+        recover_q_from_m(OperatorM(g, bad, m, m, m))
+
+
+def test_non_finite_kernel_fails_gl_stage(tmp_path, monkeypatch):
+    # the NaN goes straight into the gl stage: ingest and the config
+    # check reject it before it could get there from input
+    monkeypatch.setattr(pipeline, "build_connecting",
+                        lambda r: _nan_kernel(16))
+    out = tmp_path / "out"
+    cfg = {"potential": {"kind": "gaussian", "amplitude": 1.0}, "T": 1.0,
+           "n": 16, "stages": ["kernels", "response", "gl"],
+           "out": str(out)}
+    report = pipeline.run_pipeline(parse_config(json.dumps(cfg)))
+    saved = json.loads((out / "report.json").read_text())
+    assert saved == report and saved["ok"] is False
+    gl = saved["stages"][2]
+    assert gl["name"] == "gl" and gl["status"] == "failed"
+    assert gl["error"] == "non-finite GL kernel m"
