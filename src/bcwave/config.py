@@ -95,6 +95,30 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def finite_number(value, key: str) -> float:
+    """``float(value)``, which must be finite; ConfigError names the key.
+
+    JSON strings and integers beyond float range reach this coercion as
+    well as number tokens, so it is checked here, not only in the parser.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError("'%s' must be a finite number, got %.40r"
+                          % (key, value))
+    return number
+
+
+def _integer(value, key: str) -> int:
+    finite_number(value, key)
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError("'%s' must be an integer, got %.40r" % (key, value))
+
+
 def parse_config(text: str) -> RunConfig:
     try:
         raw = json.loads(text, parse_constant=_non_finite,
@@ -107,6 +131,7 @@ def parse_config(text: str) -> RunConfig:
                 "out", "sign", "seed"}, "config")
     if "T" not in raw or "n" not in raw:
         raise ConfigError("config requires 'T' and 'n'")
+    T = finite_number(raw["T"], "T")
     spec = None
     if "spectral" in raw:
         s = raw["spectral"]
@@ -114,25 +139,26 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("'spectral' must be an object")
         _take(s, {"N", "bc", "cutoff", "mesh"}, "spectral")
         bc = s.get("bc", [1.0, 0.0, 1.0, 0.0])
-        if len(bc) != 4:
+        if not isinstance(bc, list) or len(bc) != 4:
             raise ConfigError("spectral.bc must have 4 entries")
-        spec = SpectralOptions(float(s.get("N", 4.0 * float(raw["T"]))),
-                               tuple(float(v) for v in bc),
-                               int(s.get("cutoff", 400)),
-                               int(s.get("mesh", 2048)))
+        spec = SpectralOptions(
+            finite_number(s.get("N", 4.0 * T), "spectral.N"),
+            tuple(finite_number(v, "spectral.bc") for v in bc),
+            _integer(s.get("cutoff", 400), "spectral.cutoff"),
+            _integer(s.get("mesh", 2048), "spectral.mesh"))
     pot = raw.get("potential")
     if pot is not None and not isinstance(pot, dict):
         raise ConfigError("'potential' must be an object")
     return RunConfig(
-        T=float(raw["T"]),
-        n=int(raw["n"]),
+        T=T,
+        n=_integer(raw["n"], "n"),
         potential=pot,
         response_csv=raw.get("response_csv"),
         spectral=spec,
         stages=tuple(raw.get("stages", ALL_STAGES)),
         out=str(raw.get("out", "out")),
         sign=str(raw.get("sign", "derived")),
-        seed=int(raw.get("seed", 0)),
+        seed=_integer(raw.get("seed", 0), "seed"),
     )
 
 

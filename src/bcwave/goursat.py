@@ -15,6 +15,7 @@ march is second-order with no extrapolation at the cone boundary.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +63,15 @@ class Traces:
 
 
 class KernelField:
-    """Solved kernels on the light cone, stored on the characteristic
-    lattice W[a, b] ~ w(xi = a h, eta = b h).
+    """Solved kernels on the light cone, stored level by level.
 
-    Grid-node access goes through :meth:`value`, which maps (k, i) with
-    |i| <= k to lattice indices (k + i, k - i); points outside the cone
-    are rejected rather than silently read.
+    ``W1`` and ``W2`` are 1-D arrays of (n+1)^2 values.  Level k (t = k h)
+    holds the nodes i = -k..k (x = i h) at ``[k*k, (k+1)**2)``, so node
+    (k, i) sits at ``k*k + k + i``; in characteristic coordinates level k
+    is the anti-diagonal xi + eta = 2 k h, read from eta = 2 k h down.
+
+    Grid-node access goes through :meth:`value` and :meth:`column`;
+    points outside the cone are rejected rather than silently read.
     """
 
     def __init__(self, grid: UniformGrid, W1: np.ndarray, W2: np.ndarray):
@@ -80,20 +84,22 @@ class KernelField:
     def horizon(self) -> float:
         return self.grid.horizon
 
-    def _lattice(self, which):
+    def _levels(self, which):
         return self.W1 if which == "w1" else self.W2
 
     def value(self, which: str, k: int, i: int) -> float:
-        """Kernel value at (x, t) = (i*h, k*h); requires |i| <= k."""
-        if abs(i) > k:
+        """Kernel value at (x, t) = (i*h, k*h); requires |i| <= k <= n."""
+        if abs(i) > k or k > self.grid.n:
             raise DomainError("point (k=%d, i=%d) lies outside the cone" % (k, i))
-        return self._lattice(which)[k + i, k - i]
+        return self._levels(which)[k * k + k + i]
 
     def column(self, which: str, i: int, ks: np.ndarray) -> np.ndarray:
-        """Values w(x_i, t_k) for an array of time indices ks >= |i|."""
+        """Values w(x_i, t_k) for an array of time indices |i| <= ks <= n."""
         if np.any(ks < abs(i)):
             raise DomainError("time indices dip below the cone boundary")
-        return self._lattice(which)[ks + i, ks - i]
+        if np.any(ks > self.grid.n):
+            raise DomainError("time indices exceed the kernel horizon")
+        return self._levels(which)[ks * ks + ks + i]
 
     def traces(self) -> Traces:
         if self._traces is None:
@@ -103,19 +109,16 @@ class KernelField:
     def dump_csv(self, path) -> None:
         """Cone field dump: columns t, x, w1, w2, one block per time level.
 
-        Level k holds the nodes i = -k..k, i.e. the lattice anti-diagonal
-        a + b = 2k from a = 0 upwards, read as a view rather than gathered
-        into a new array (see :func:`bcwave.grid.write_csv`).  Its t and x
-        are entries n + k and n - k..n + k of the coordinates i*h,
-        i = -n..n."""
+        Each level is one contiguous slice of ``W1``/``W2``, written as a
+        view (see :func:`bcwave.grid.write_csv`).  Its t and x are entries
+        n + k and n - k..n + k of the coordinates i*h, i = -n..n."""
         n = self.grid.n
 
         def levels():
             for k in range(n + 1):
-                m = 2 * k + 1
-                yield (n + k, slice(n - k, n + k + 1),
-                       np.diagonal(self.W1[:m, m - 1::-1]),
-                       np.diagonal(self.W2[:m, m - 1::-1]))
+                lvl = slice(k * k, (k + 1) ** 2)
+                yield (n + k, slice(n - k, n + k + 1), self.W1[lvl],
+                       self.W2[lvl])
 
         write_csv(path, ["t", "x", "w1", "w2"], levels(),
                   coords=np.arange(-n, n + 1) * self.grid.h)
@@ -146,45 +149,56 @@ def _midpoint_q(p: Potential, grid: UniformGrid) -> np.ndarray:
 
 
 def solve_kernels(p: Potential, grid: UniformGrid) -> KernelField:
-    """March both Goursat problems over the characteristic lattice.
+    """March both Goursat problems over the cone, level by level.
 
-    Both lattices live in one block.  From grid.n = 724 up the block is
-    over glibc's 32 MB ceiling for serving a request from the heap, so it
-    is always mmapped and unmapped again when the field is dropped.  Two
-    separate lattices are served from the heap once the first one has
-    been freed; a small allocation left between their holes then makes a
-    later solve grow the heap by a whole lattice, so repeated solves in
-    one process reach a peak RSS that differs from run to run.
+    Only the anti-diagonals xi + eta <= 2 horizon are marched: the even
+    ones are the stored levels and the odd ones a rolling buffer.  Both
+    kernels live in one anonymous memory map, 2 (n+1)^2 values, which is
+    unmapped again when the field is dropped.  A block below glibc's
+    32 MB mmap ceiling would be served from the heap and stay there after
+    it is freed, so a later large allocation would stack on top of it.
     """
     _check_support(p, grid)
-    m = 2 * grid.n
-    qd = _midpoint_q(p, grid)
-    lattices = np.zeros((2, m + 1, m + 1))
-    for W, which in zip(lattices, ("w1", "w2")):
-        right, left = _boundary_arrays(p, grid, which)
-        W[:, 0] = right
-        W[0, :] = left
-        _march(W, qd, grid.h)
-    return KernelField(grid, lattices[0], lattices[1])
+    n = grid.n
+    size = (n + 1) ** 2
+    block = np.frombuffer(mmap.mmap(-1, 2 * size * 8)).reshape(2, size)
+    right, left = zip(*(_boundary_arrays(p, grid, which)
+                        for which in ("w1", "w2")))
+    _march(block, np.array(right), np.array(left), _midpoint_q(p, grid),
+           grid.h)
+    return KernelField(grid, block[0], block[1])
 
 
-def _march(W, qd, h):
-    """Characteristic-cell march over the lattice W, in place.
+def _march(levels, right, left, qd, h):
+    """Characteristic-cell march of both kernels, in place.
 
-    The recurrence couples each anti-diagonal a + b = s only to the two
-    previous ones, so the update vectorizes wavefront by wavefront.
+    ``levels`` is the (2, (n+1)^2) level store of the two kernels, and
+    ``right``/``left`` their data on eta = 0 and xi = 0.  Anti-diagonal
+    s = xi/h + eta/h holds the cells a = 0..s (b = s - a); the recurrence
+    couples it only to the two previous ones, so each anti-diagonal is
+    one update of contiguous slices.  Even anti-diagonal 2k is level k;
+    the odd ones only pass through ``odd``.
     """
-    m = W.shape[0] - 1
+    m = right.shape[1] - 1
     coef = 0.125 * h * h
-    for s in range(2, 2 * m + 1):
-        a = np.arange(max(1, s - m), min(s - 1, m) + 1)
-        if len(a) == 0:
-            continue
-        b = s - a
-        wa = W[a - 1, b]
-        wb = W[a, b - 1]
-        W[a, b] = wa + wb - W[a - 1, b - 1] - coef * qd[a - b + m] * (wa + wb)
-    return W
+    odd = np.empty((2, m + 1))
+    levels[:, 0] = left[:, 0]
+    odd[:, 0], odd[:, 1] = left[:, 1], right[:, 1]
+    for s in range(2, m + 1):
+        k = s // 2
+        if s % 2 == 0:
+            d1 = odd[:, :s]
+            d2 = levels[:, (k - 1) ** 2:k * k]
+            new = levels[:, k * k:(k + 1) ** 2]
+        else:
+            d1 = levels[:, k * k:(k + 1) ** 2]
+            d2 = odd[:, :s - 1]
+            new = odd[:, :s + 1]
+        P, Q = d1[:, :-1], d1[:, 1:]
+        # on odd s, d2 and new share ``odd``: the right-hand side is formed
+        # in full before it is stored, and the ends are set after it
+        new[:, 1:s] = P + Q - d2 - coef * qd[m - s + 2:m + s - 1:2] * (P + Q)
+        new[:, 0], new[:, s] = left[:, s], right[:, s]
 
 
 def picard_oracle(p: Potential, grid: UniformGrid, iterations: int) -> KernelField:
@@ -197,7 +211,8 @@ def picard_oracle(p: Potential, grid: UniformGrid, iterations: int) -> KernelFie
 
     by fixed-point iteration with trapezoid quadrature.  ``iterations``
     applications of the integral map reproduce the Picard series through
-    order ``iterations`` in q.
+    order ``iterations`` in q.  The dense lattice is gathered into the
+    level layout of :class:`KernelField`.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -212,6 +227,9 @@ def picard_oracle(p: Potential, grid: UniformGrid, iterations: int) -> KernelFie
         out = _cumtrap(F, dx=h, axis=0, initial=0.0)
         return _cumtrap(out, dx=h, axis=1, initial=0.0)
 
+    levels = np.arange(grid.n + 1)
+    k = np.repeat(levels, 2 * levels + 1)
+    a = np.arange((grid.n + 1) ** 2) - k * k
     field = []
     for which in ("w1", "w2"):
         right, left = _boundary_arrays(p, grid, which)
@@ -219,7 +237,7 @@ def picard_oracle(p: Potential, grid: UniformGrid, iterations: int) -> KernelFie
         W = W0
         for _ in range(iterations):
             W = W0 - 0.25 * cum2d(Q * W)
-        field.append(W)
+        field.append(W[a, 2 * k - a])
     return KernelField(grid, field[0], field[1])
 
 
@@ -227,20 +245,21 @@ def _trace_derivative(W: np.ndarray, n: int, h: float):
     """Symmetric average of one-sided x-derivatives at x = 0, plus the
     left/right mismatch as a continuity residual."""
     k = np.arange(n + 1)
-    mid = W[k, k]
+    c = k * k + k  # node (k, 0)
+    mid = W[c]
     deriv = np.zeros(n + 1)
     resid = np.zeros(n + 1)
 
-    k2 = k[k >= 2]
-    right = (-3.0 * W[k2, k2] + 4.0 * W[k2 + 1, k2 - 1] - W[k2 + 2, k2 - 2]) / (2 * h)
-    left = (3.0 * W[k2, k2] - 4.0 * W[k2 - 1, k2 + 1] + W[k2 - 2, k2 + 2]) / (2 * h)
+    c2 = c[2:]
+    right = (-3.0 * W[c2] + 4.0 * W[c2 + 1] - W[c2 + 2]) / (2 * h)
+    left = (3.0 * W[c2] - 4.0 * W[c2 - 1] + W[c2 - 2]) / (2 * h)
     deriv[2:] = 0.5 * (right + left)
     resid[2:] = np.abs(right - left)
 
     if n >= 1:
         # only x = 0, +-h available: central difference, first-order sides
-        deriv[1] = (W[2, 0] - W[0, 2]) / (2 * h)
-        resid[1] = abs((W[2, 0] - mid[1]) / h - (mid[1] - W[0, 2]) / h)
+        deriv[1] = (W[3] - W[1]) / (2 * h)
+        resid[1] = abs((W[3] - mid[1]) / h - (mid[1] - W[1]) / h)
     # corner: quadratic extrapolation from the first interior estimates
     deriv[0] = 3.0 * deriv[1] - 3.0 * deriv[2] + deriv[3]
     resid[0] = 0.0
@@ -251,8 +270,9 @@ def extract_traces(field: KernelField) -> Traces:
     grid = field.grid
     n, h = grid.n, grid.h
     k = np.arange(n + 1)
-    w1 = field.W1[k, k].copy()
-    w2 = field.W2[k, k].copy()
+    c = k * k + k  # node (k, 0)
+    w1 = field.W1[c]
+    w2 = field.W2[c]
     w1x, res1 = _trace_derivative(field.W1, n, h)
     w2x, res2 = _trace_derivative(field.W2, n, h)
     return Traces(grid, w1, w2, w1x, w2x, np.vstack([res1, res2]))

@@ -298,9 +298,9 @@ def write_csv(path, header, blocks, text=(), coords=()) -> None:
     Each block (one time level or kernel row of a large file) is
     formatted with a single ``%``.  Data columns are interleaved as
     Python lists rather than stacked into a new array per block: those
-    temporaries fragmented the heap above the kernel lattices, so a
-    process that runs the forward stages repeatedly did not return the
-    lattices' memory and its peak RSS grew.
+    temporaries fragmented the heap above the kernel storage, so a
+    process that runs the forward stages repeatedly did not return its
+    memory and its peak RSS grew.
     """
     labels = ["%.17g" % v for v in np.asarray(coords, dtype=float).tolist()]
     text = [_csv_text(f) for f in text]

@@ -13,7 +13,18 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import erf
 
+from .config import finite_number
 from .errors import ConfigError, DomainError
+
+
+def _finite_samples(values, key: str) -> np.ndarray:
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        a = np.array(np.nan)
+    if not np.all(np.isfinite(a)):
+        raise ConfigError("'%s' must hold finite numbers" % key)
+    return a
 
 
 class Potential:
@@ -46,7 +57,7 @@ class ConstantPotential(Potential):
     kind = "constant"
 
     def __init__(self, value: float):
-        self.value = float(value)
+        self.value = finite_number(value, "potential.value")
 
     def _eval(self, x):
         return np.full_like(x, self.value)
@@ -75,11 +86,11 @@ class GaussianPotential(Potential):
 
     def __init__(self, amplitude: float = 1.0, width: float = 1.0,
                  center: float = 0.0):
-        if width <= 0:
+        self.amplitude = finite_number(amplitude, "potential.amplitude")
+        self.width = finite_number(width, "potential.width")
+        self.center = finite_number(center, "potential.center")
+        if self.width <= 0:
             raise ConfigError("gaussian width must be positive")
-        self.amplitude = float(amplitude)
-        self.width = float(width)
-        self.center = float(center)
 
     def _eval(self, x):
         u = (x - self.center) / self.width
@@ -102,11 +113,11 @@ class Sech2Potential(Potential):
 
     def __init__(self, amplitude: float = 1.0, width: float = 1.0,
                  center: float = 0.0):
-        if width <= 0:
+        self.amplitude = finite_number(amplitude, "potential.amplitude")
+        self.width = finite_number(width, "potential.width")
+        self.center = finite_number(center, "potential.center")
+        if self.width <= 0:
             raise ConfigError("sech2 width must be positive")
-        self.amplitude = float(amplitude)
-        self.width = float(width)
-        self.center = float(center)
 
     def _eval(self, x):
         u = (x - self.center) / self.width
@@ -127,7 +138,7 @@ class PolynomialPotential(Potential):
     kind = "polynomial"
 
     def __init__(self, coeffs):
-        self.coeffs = [float(c) for c in coeffs]
+        self.coeffs = [finite_number(c, "potential.coeffs") for c in coeffs]
         if not self.coeffs:
             raise ConfigError("polynomial needs at least one coefficient")
 
@@ -149,8 +160,8 @@ class TabulatedPotential(Potential):
     kind = "tabulated"
 
     def __init__(self, x, q):
-        x = np.asarray(x, dtype=float)
-        q = np.asarray(q, dtype=float)
+        x = _finite_samples(x, "potential.x")
+        q = _finite_samples(q, "potential.q")
         if x.ndim != 1 or x.shape != q.shape or len(x) < 4:
             raise ConfigError("tabulated potential needs >= 4 (x, q) pairs")
         if np.any(np.diff(x) <= 0):

@@ -123,6 +123,7 @@ def forward_solution(f: Control, field: KernelField, t: float) -> StateVector:
     a2 = np.empty(k + 1)
     for i in range(k + 1):
         j = np.arange(i, k + 1)
+        c = j * j + j  # node (j, 0)
         g1 = f1[k - j]
         g2 = f2[k - j]
         w = np.full(k + 1 - i, h)
@@ -130,10 +131,10 @@ def forward_solution(f: Control, field: KernelField, t: float) -> StateVector:
         if i == k:
             w[:] = 0.0
         # x = +i h
-        integ = np.sum(w * (W1[j + i, j - i] * g1 + W2[j + i, j - i] * g2))
+        integ = np.sum(w * (W1[c + i] * g1 + W2[c + i] * g2))
         a1[i] = 0.5 * f1[k - i] - 0.5 * f2[k - i] + integ
         # x = -i h
-        integ = np.sum(w * (W1[j - i, j + i] * g1 + W2[j - i, j + i] * g2))
+        integ = np.sum(w * (W1[c - i] * g1 + W2[c - i] * g2))
         a2[i] = -0.5 * f1[k - i] - 0.5 * f2[k - i] + integ
     return StateVector(field.grid.subgrid(k), a1, a2)
 
@@ -159,12 +160,13 @@ def operator_k_kernel(field: KernelField, n_half: int) -> np.ndarray:
     m = n_half + 1
     i_idx, j_idx = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     tri = j_idx >= i_idx
-    a_p, b_p = j_idx + i_idx, j_idx - i_idx  # lattice indices for +x
-    a_m, b_m = j_idx - i_idx, j_idx + i_idx  # lattice indices for -x
-    w1p = np.where(tri, field.W1[a_p * tri, b_p * tri], 0.0)
-    w1m = np.where(tri, field.W1[a_m * tri, b_m * tri], 0.0)
-    w2p = np.where(tri, field.W2[a_p * tri, b_p * tri], 0.0)
-    w2m = np.where(tri, field.W2[a_m * tri, b_m * tri], 0.0)
+    c = j_idx * j_idx + j_idx
+    plus = (c + i_idx) * tri   # level-store indices for +x
+    minus = (c - i_idx) * tri  # level-store indices for -x
+    w1p = np.where(tri, field.W1[plus], 0.0)
+    w1m = np.where(tri, field.W1[minus], 0.0)
+    w2p = np.where(tri, field.W2[plus], 0.0)
+    w2m = np.where(tri, field.W2[minus], 0.0)
     return np.array([[w1p - w1m, w2p - w2m], [-w1p - w1m, -w2p - w2m]])
 
 

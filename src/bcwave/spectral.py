@@ -24,8 +24,8 @@ from scipy.interpolate import interp1d
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, DomainError
-from .grid import (Control, StateVector, conv_trapezoid, trapezoid_weights,
-                   write_csv)
+from .grid import (Control, StateVector, conv_trapezoid, cumulative_trapezoid,
+                   trapezoid_weights, write_csv)
 from .potentials import Potential
 
 #: fraction of leading terms defining the tail-movement indicator
@@ -235,26 +235,31 @@ def smoothed_response_traces(measure: SpectralMeasure, f: Control,
         reference = free_reference(measure)
     if reference.count != measure.count:
         raise DomainError("reference measure must share the cutoff")
-    g = _cauchy_coefficients(measure, f)
-    g0 = _cauchy_coefficients(reference, f)
+    h = grid.h
+    _, d2 = f.derivative()
     sig = wave_kernel_antiderivative(measure.lam[:, None], grid.t)
     sig0 = wave_kernel_antiderivative(reference.lam[:, None], grid.t)
-    out = np.zeros((2, grid.n + 1))
-    head = np.zeros((2, grid.n + 1))
-    n_head = int(TAIL_FRACTION * measure.count)
-    for n in range(measure.count):
-        conv = conv_trapezoid(sig[n], g[n], grid.h)
-        conv0 = conv_trapezoid(sig0[n], g0[n], grid.h)
-        out[0] += measure.beta[n] * conv - reference.beta[n] * conv0
-        out[1] += measure.gamma[n] * conv - reference.gamma[n] * conv0
-        if n == n_head - 1:
-            head[:] = out
-    from .grid import cumulative_trapezoid
+    free = np.array([-0.5 * (f.f1 - f.f1[0]),
+                     0.5 * cumulative_trapezoid(f.f2, h)])
 
-    out[0] += -0.5 * (f.f1 - f.f1[0])
-    out[1] += 0.5 * cumulative_trapezoid(f.f2, grid.h)
-    head[0] += -0.5 * (f.f1 - f.f1[0])
-    head[1] += 0.5 * cumulative_trapezoid(f.f2, grid.h)
+    # conv_trapezoid is bilinear and g_n = beta_n f1 + gamma_n f2', so the
+    # mode sums collapse onto three kernels: beta^2, beta gamma and
+    # gamma^2 times sigma, each minus its reference counterpart.
+    weights = [(measure.beta * measure.beta, reference.beta * reference.beta),
+               (measure.beta * measure.gamma,
+                reference.beta * reference.gamma),
+               (measure.gamma * measure.gamma,
+                reference.gamma * reference.gamma)]
+
+    def summed(count):
+        kbb, kbg, kgg = (c[:count] @ sig[:count] - c0[:count] @ sig0[:count]
+                         for c, c0 in weights)
+        return free + np.array([
+            conv_trapezoid(kbb, f.f1, h) + conv_trapezoid(kbg, d2, h),
+            conv_trapezoid(kbg, f.f1, h) + conv_trapezoid(kgg, d2, h)])
+
+    out = summed(measure.count)
+    head = summed(int(TAIL_FRACTION * measure.count))
     return SpectralResult(out, _tail(out, head))
 
 

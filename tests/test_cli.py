@@ -84,6 +84,29 @@ def test_non_finite_numbers_rejected(text, token):
         parse_config(text)
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"potential": {"kind": "gaussian"}, "T": "nan", "n": 16}', "'T'"),
+    ('{"potential": {"kind": "gaussian"}, "T": 1%s, "n": 16}' % ("0" * 400),
+     "'T'"),
+    ('{"potential": {"kind": "gaussian", "amplitude": "inf"}, "T": 1, '
+     '"n": 16}', "'potential.amplitude'"),
+    ('{"potential": {"kind": "gaussian"}, "T": 1, "n": "nan"}', "'n'"),
+    ('{"potential": {"kind": "gaussian"}, "T": 1, "n": 16, '
+     '"seed": 1%s}' % ("0" * 400), "'seed'"),
+    ('{"potential": {"kind": "gaussian"}, "T": 1, "n": 16, '
+     '"spectral": {"cutoff": "-inf"}}', "'spectral.cutoff'"),
+    ('{"potential": {"kind": "tabulated", "x": [-1, 0, 1, "nan"], '
+     '"q": [0, 0, 0, 0]}, "T": 1, "n": 16}', "'potential.x'"),
+], ids=["T_nan_string", "T_big_int", "amplitude_inf_string", "n_nan_string",
+        "seed_big_int", "cutoff_inf_string", "tabulated_nan_string"])
+def test_coerced_numbers_must_be_finite(tmp_path, capsys, text, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text[:-1] + ', "out": %s}' % json.dumps(str(tmp_path)))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 def test_response_csv_drops_forward_stages():
     cfg = parse_config('{"response_csv": "r.csv", "T": 1, "n": 16}')
     assert cfg.stages == ("connect", "krein", "gl")

@@ -25,8 +25,9 @@ def _grid(t):
 
 
 def _kernels(path):
-    W1 = np.array([[NAN, 0.0, INF], [0.0, -0.0, 0.0], [TINY, 0.0, 0.0]])
-    W2 = np.array([[-INF, 0.0, HUGE], [0.0, 0.1, 0.0], [-2.5, 0.0, 0.0]])
+    # levels k = 0, 1: nodes (0, 0), then (1, -1), (1, 0), (1, 1)
+    W1 = np.array([NAN, INF, -0.0, TINY])
+    W2 = np.array([-INF, HUGE, 0.1, -2.5])
     KernelField(SimpleNamespace(n=1, h=0.5), W1, W2).dump_csv(path)
 
 
@@ -159,12 +160,18 @@ def _reference(header, rows):
     return "".join(l + "\r\n" for l in lines).encode()
 
 
+def _node(k, i):
+    """Index of cone node (t_k, x_i) in the level store."""
+    return k * k + k + i
+
+
 def _kernel_file(field, poison):
     W1, W2 = field.W1.copy(), field.W2.copy()
     if poison:
-        W1[3, 5], W2[7, 1], W1[20, 20] = -0.0, np.nan, np.nan
+        W1[_node(4, -1)], W2[_node(4, 3)], W1[_node(20, 0)] = (
+            -0.0, np.nan, np.nan)
     n, h = field.grid.n, field.grid.h
-    rows = [(k * h, i * h, W1[k + i, k - i], W2[k + i, k - i])
+    rows = [(k * h, i * h, W1[_node(k, i)], W2[_node(k, i)])
             for k in range(n + 1) for i in range(-k, k + 1)]
     return (KernelField(field.grid, W1, W2),
             _reference(["t", "x", "w1", "w2"], rows))

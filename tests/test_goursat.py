@@ -23,6 +23,46 @@ def test_free_space_kernels_vanish():
     assert np.max(np.abs(field.W2)) == 0.0
 
 
+def _dense_march(p, grid):
+    """The march over the whole (4n+1)^2 characteristic lattice, cell by
+    cell along each anti-diagonal, as it was before the cone-only march."""
+    m = 2 * grid.n
+    qd = np.asarray(p(0.5 * grid.h * np.arange(-m, m + 1)), dtype=float)
+    coef = 0.125 * grid.h * grid.h
+    lattices = []
+    for which in ("w1", "w2"):
+        x = 0.5 * grid.h * np.arange(m + 1)
+        W = np.zeros((m + 1, m + 1))
+        W[:, 0] = diagonal_data(p, x, which, "right")
+        W[0, :] = diagonal_data(p, -x, which, "left")
+        for s in range(2, 2 * m + 1):
+            a = np.arange(max(1, s - m), min(s - 1, m) + 1)
+            if len(a) == 0:
+                continue
+            b = s - a
+            wa = W[a - 1, b]
+            wb = W[a, b - 1]
+            W[a, b] = (wa + wb - W[a - 1, b - 1]
+                       - coef * qd[a - b + m] * (wa + wb))
+        lattices.append(W)
+    return lattices
+
+
+@pytest.mark.parametrize("n", [16, 53])
+@pytest.mark.parametrize("p", [ZeroPotential(),
+                               GaussianPotential(1.3, 0.3, 0.25)],
+                         ids=["zero", "gaussian_off_centre"])
+def test_level_march_bit_identical_to_dense_lattice(p, n):
+    grid = UniformGrid(1.7, n)
+    field = solve_kernels(p, grid)
+    assert field.W1.shape == field.W2.shape == ((n + 1) ** 2,)
+    k = np.repeat(np.arange(n + 1), 2 * np.arange(n + 1) + 1)
+    i = np.arange((n + 1) ** 2) - k * k - k
+    for W, dense in zip((field.W1, field.W2), _dense_march(p, grid)):
+        cone = dense[k + i, k - i]
+        assert np.array_equal(W.view(np.int64), cone.view(np.int64))
+
+
 def test_diagonal_data_signs():
     p = ConstantPotential(2.0)
     x = np.array([0.0, 0.5, 1.0])
@@ -57,6 +97,11 @@ def test_cone_access_guard():
         field.value("w1", 3, 4)
     with pytest.raises(DomainError):
         field.column("w2", 5, np.array([3, 6]))
+    # above the horizon: not stored
+    with pytest.raises(DomainError):
+        field.value("w1", 17, 0)
+    with pytest.raises(DomainError):
+        field.column("w2", 0, np.array([16, 17]))
 
 
 def test_support_checked():
@@ -94,7 +139,7 @@ def test_traces_continuity_and_values(field128):
     n = field128.grid.n
     assert np.max(tr.continuity) < 50.0 * field128.grid.h ** 2
     k = np.arange(n + 1)
-    assert np.allclose(tr.w1, field128.W1[k, k])
+    assert np.allclose(tr.w1, field128.W1[k * k + k])
     # even potential: w1(0, t) is an even function of x => trace of w1
     # equals the diagonal, and w1x is even-symmetric data
     assert tr.w1x.shape == (n + 1,)

@@ -6,6 +6,7 @@ from bcwave.connecting import connecting_form
 from bcwave.errors import ConfigError, DomainError
 from bcwave.grid import (
     UniformGrid,
+    conv_trapezoid,
     cumulative_trapezoid,
     inner_inner,
     smooth_random_control,
@@ -14,6 +15,7 @@ from bcwave.grid import (
 from bcwave.potentials import ConstantPotential, ZeroPotential
 from bcwave.response import apply_response, forward_solution
 from bcwave.spectral import (
+    TAIL_FRACTION,
     eigensolve,
     free_reference,
     smoothed_response_traces,
@@ -108,6 +110,45 @@ def test_smoothed_response_vs_dynamic(gauss, resp128, measure_g, reference):
         rel = np.linalg.norm(sp.value - dyn_int) / np.linalg.norm(dyn_int)
         assert rel < 0.02
         assert sp.tail < 0.05
+
+
+def _mode_loop_traces(measure, f, reference):
+    """The smoothed response traces summed mode by mode, two convolutions
+    per mode, as they were before the mode sums were collapsed."""
+    grid = f.grid
+    _, d2 = f.derivative()
+    g = measure.beta[:, None] * f.f1 + measure.gamma[:, None] * d2
+    g0 = reference.beta[:, None] * f.f1 + reference.gamma[:, None] * d2
+    sig = wave_kernel_antiderivative(measure.lam[:, None], grid.t)
+    sig0 = wave_kernel_antiderivative(reference.lam[:, None], grid.t)
+    out = np.zeros((2, grid.n + 1))
+    head = np.zeros((2, grid.n + 1))
+    n_head = int(TAIL_FRACTION * measure.count)
+    for n in range(measure.count):
+        conv = conv_trapezoid(sig[n], g[n], grid.h)
+        conv0 = conv_trapezoid(sig0[n], g0[n], grid.h)
+        out[0] += measure.beta[n] * conv - reference.beta[n] * conv0
+        out[1] += measure.gamma[n] * conv - reference.gamma[n] * conv0
+        if n == n_head - 1:
+            head[:] = out
+    for a in (out, head):
+        a[0] += -0.5 * (f.f1 - f.f1[0])
+        a[1] += 0.5 * cumulative_trapezoid(f.f2, grid.h)
+    tail = np.max(np.abs(out - head)) / np.max(np.abs(out))
+    return out, tail
+
+
+@pytest.mark.parametrize("bc", [(1, 0, 1, 0), (0, 1, 0, 1)],
+                         ids=["dirichlet", "neumann"])
+def test_smoothed_response_matches_mode_loop(offcenter, bc):
+    m = eigensolve(offcenter, 4.0, bc, CUTOFF, MESH)
+    ref = free_reference(m)
+    f = smooth_random_control(UniformGrid(1.0, 128),
+                              np.random.default_rng(5))
+    got = smoothed_response_traces(m, f, ref)
+    want, tail = _mode_loop_traces(m, f, ref)
+    assert np.max(np.abs(got.value - want)) <= 1e-10 * np.max(np.abs(want))
+    assert abs(got.tail - tail) <= 1e-10 * tail
 
 
 def test_measure_substitution(gauss, resp128):
