@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -66,6 +67,15 @@ class RunConfig:
         if self.spectral is None:
             self.spectral = SpectralOptions(4.0 * self.T, (1.0, 0.0, 1.0, 0.0),
                                             400, 2048)
+        spec = self.spectral
+        if spec.half_length <= 0:
+            raise ConfigError("spectral.N must be positive")
+        if spec.cutoff < 1:
+            raise ConfigError("spectral.cutoff must be at least 1")
+        if spec.mesh % 2:
+            raise ConfigError("spectral.mesh must be even")
+        if spec.cutoff >= spec.mesh // 2:
+            raise ConfigError("spectral.cutoff must be below spectral.mesh/2")
         if "spectral" in self.stages and self.spectral.half_length <= self.T:
             raise ConfigError("spectral.N must exceed T")
         if self.response_csv is not None:
@@ -76,6 +86,40 @@ class RunConfig:
                     "stage '%s' needs a potential, not a response CSV" % bad[0])
             self.stages = tuple(s for s in self.stages
                                 if s not in ("kernels", "response", "spectral"))
+
+
+def memory_estimate(cfg: RunConfig) -> int:
+    """Rough peak bytes of the arrays the configured stages hold.
+
+    The kernels take two (2n+1)^2 cone stores, the inverse stages about
+    seven dense (2n+2)^2 matrices, and the spectral stage a few
+    (cutoff, mesh+1) arrays, all float64.  The kernels stay alive while
+    the later stages run, so the terms add.
+    """
+    stages = set(cfg.stages)
+    total = 0
+    if "kernels" in stages:
+        total += 2 * (2 * cfg.n + 1) ** 2 * 8
+    if stages & {"connect", "krein", "gl"}:
+        total += 7 * (2 * cfg.n + 2) ** 2 * 8
+    if "spectral" in stages:
+        total += 4 * cfg.spectral.cutoff * (cfg.spectral.mesh + 1) * 8
+    return total
+
+
+def check_memory(cfg: RunConfig) -> None:
+    """ConfigError if :func:`memory_estimate` exceeds physical memory."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # no POSIX sysconf: nothing to compare against
+    need = memory_estimate(cfg)
+    if need > physical:
+        raise ConfigError("the stages need about %.3g GB (n = %d, "
+                          "spectral.mesh = %d), more than the %.3g GB of "
+                          "physical memory" % (need / 1e9, cfg.n,
+                                               cfg.spectral.mesh,
+                                               physical / 1e9))
 
 
 def _take(d: dict, allowed, where: str) -> None:

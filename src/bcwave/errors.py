@@ -31,3 +31,7 @@ class ReconstructionError(BCWaveError):
 
 class IngestionError(BCWaveError):
     """External data file (CSV) is malformed or inconsistent."""
+
+
+class SpectralError(BCWaveError):
+    """The finite-interval eigensolve produced no usable eigendata."""

@@ -243,10 +243,6 @@ def inner_inner(a: StateVector, b: StateVector) -> float:
     return float(np.sum(w * (a.a1 * b.a1 + a.a2 * b.a2)))
 
 
-def state_norm(a: StateVector) -> float:
-    return float(np.sqrt(max(inner_inner(a, a), 0.0)))
-
-
 def smooth_random_control(grid: UniformGrid, rng, modes: int = 5) -> Control:
     """Seeded smooth test control: random sine series vanishing at both
     endpoints, with exact derivatives attached."""

@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from . import BACKEND
-from .config import RunConfig, config_to_dict
+from .config import RunConfig, check_memory, config_to_dict
 from .connecting import assemble_matrix, build_connecting, connecting_form
 from .errors import BCWaveError
 from .gl import (operator_identity_residual, recover_q_from_m, solve_gl,
@@ -30,6 +30,7 @@ from .spectral import (eigensolve, free_reference, smoothed_response_traces,
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
+    check_memory(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     report = {"backend": BACKEND, "config": config_to_dict(cfg),
               "stages": [], "ok": True}

@@ -21,15 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import interp1d
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dsterf
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, SpectralError
 from .grid import (Control, StateVector, conv_trapezoid, cumulative_trapezoid,
                    trapezoid_weights, write_csv)
 from .potentials import Potential
 
 #: fraction of leading terms defining the tail-movement indicator
 TAIL_FRACTION = 0.9
+#: mesh rows per vectorised block in the eigensolver's twist search
+_TWIST_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,11 @@ def eigensolve(p: Potential, half_length: float, bc=(1.0, 0.0, 1.0, 0.0),
     The discretization is the quadratic form on the mesh (stiffness
     tridiagonal, lumped trapezoid mass with halved end nodes, Robin
     terms (a/b) y^2 added at retained ends); the generalized problem is
-    scaled to an ordinary symmetric tridiagonal one, so scipy's
-    tridiagonal eigensolver applies directly.
+    scaled to an ordinary symmetric tridiagonal one (diagonal a,
+    off-diagonal b).  Every eigenvalue of it comes from LAPACK's
+    root-free QR (``dsterf``); the lowest ``count`` are then refined and
+    given eigenvectors by a twisted factorisation, the core of MRRR
+    (Dhillon and Parlett, LAA 387, 2004), see :func:`_twisted_eigenpairs`.
     """
     a1, b1, a2, b2 = (float(v) for v in bc)
     if (a1 == 0.0 and b1 == 0.0) or (a2 == 0.0 and b2 == 0.0):
@@ -99,10 +104,10 @@ def eigensolve(p: Potential, half_length: float, bc=(1.0, 0.0, 1.0, 0.0),
     scale = 1.0 / np.sqrt(mass[lo:hi])
     dt = d * scale * scale
     et = e * scale[:-1] * scale[1:]
-    w, v = eigh_tridiagonal(dt, et, select="i", select_range=(0, count - 1))
+    w, z = _twisted_eigenpairs(dt, et, count)
 
     y = np.zeros((count, mesh + 1))
-    y[:, lo:hi] = (v * scale[:, None]).T  # rows L2-normalized by trapezoid
+    np.multiply(z.T, scale, out=y[:, lo:hi])  # rows L2-normalized by trapezoid
 
     c = mesh // 2
     beta = (-y[:, c + 2] + 8 * y[:, c + 1] - 8 * y[:, c - 1] + y[:, c - 2]) \
@@ -116,6 +121,102 @@ def eigensolve(p: Potential, half_length: float, bc=(1.0, 0.0, 1.0, 0.0),
     beta *= flip
     gamma *= flip
     return SpectralMeasure(N, (a1, b1, a2, b2), w, beta, gamma, x, y)
+
+
+def _twisted_eigenpairs(a: np.ndarray, b: np.ndarray, count: int):
+    """Lowest ``count`` eigenpairs of the symmetric tridiagonal (a, b).
+
+    All eigenvalues come from ``dsterf``; the lowest ``count`` are kept.
+    :func:`_twisted_vectors` at those shifts gives one Rayleigh-quotient
+    correction of each, and a second call at the corrected shifts gives
+    the eigenvectors.  A vector's error is about its shift's error over
+    the gap, so vectors taken at the ``dsterf`` values themselves would
+    be 10-50x less accurate than the refined ones.  The two (m, count)
+    pivot arrays are the only work arrays; the unit eigenvectors are
+    returned as the columns of the first.
+    """
+    vals, info = dsterf(a, b)
+    if info != 0:
+        raise SpectralError("dsterf failed to converge (info %d)" % info)
+    lam = np.sort(vals)[:count]
+    z = np.empty((len(a), count))
+    work = np.empty_like(z)
+    lam = lam + _twisted_vectors(a, b, lam, z, work)
+    _twisted_vectors(a, b, lam, z, work)
+    z /= np.sqrt(np.einsum("ij,ij->j", z, z))
+    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(z))):
+        raise SpectralError("non-finite eigendata from the twisted "
+                            "factorisation")
+    return lam, z
+
+
+def _twisted_vectors(a, b, lam, fwd, bwd):
+    """Twisted-factorisation eigenvectors of T - lam, one per shift.
+
+    The forward and backward LDL^T pivots of T - lam,
+
+        D+_0 = a_0 - lam,          D+_i = a_i - lam - b_{i-1}^2 / D+_{i-1},
+        D-_{m-1} = a_{m-1} - lam,  D-_i = a_i - lam - b_i^2 / D-_{i+1},
+
+    go into ``fwd`` and ``bwd`` (a Python loop over the rows, vectorised
+    over the shifts).  The twist r minimising |gamma_i|,
+    gamma_i = D+_i + D-_i - (a_i - lam), fixes z_r = 1, and z follows
+    outwards: z_i = -b_i z_{i+1} / D+_i above r, z_i = -b_{i-1} z_{i-1} / D-_i
+    below.  Each side is a cumulative product of ratios that are 1 on
+    the other side, so z, unnormalised, overwrites ``fwd``.  As
+    (T - lam) z = gamma_r e_r, the Rayleigh quotient of z is
+    lam + gamma_r / |z|^2; the correction gamma_r / |z|^2 is returned.
+    An exactly vanishing pivot (the free Neumann lam = 0 yields some)
+    would make a ratio infinite: it is lifted to -eps max|a|, and its
+    shift gets no correction.
+    """
+    m, count = fwd.shape
+    cols = np.arange(count)
+    b2 = b * b
+    best = np.full(count, np.inf)
+    twist = np.zeros(count, dtype=np.intp)
+    gam = np.zeros(count)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.subtract(a[:, None], lam, out=fwd)
+        np.copyto(bwd, fwd)
+        for i in range(1, m):
+            fwd[i] -= b2[i - 1] / fwd[i - 1]
+        for i in range(m - 2, -1, -1):
+            bwd[i] -= b2[i] / bwd[i + 1]
+        # Lift the zero pivots that feed z and recompute their neighbour;
+        # past that the recurrence already is the limit of the lifted one.
+        tiny = np.finfo(float).eps * np.max(np.abs(a))
+        k, j = np.nonzero(fwd[:-1] == 0.0)
+        fwd[k, j] = -tiny
+        fwd[k + 1, j] = (a[k + 1] - lam[j]) + b2[k] / tiny
+        lifted = np.isin(cols, j)
+        k, j = np.nonzero(bwd[1:] == 0.0)
+        bwd[k + 1, j] = -tiny
+        bwd[k, j] = (a[k] - lam[j]) + b2[k] / tiny
+        lifted |= np.isin(cols, j)
+        for s in range(0, m, _TWIST_BLOCK):
+            g = fwd[s:s + _TWIST_BLOCK] + bwd[s:s + _TWIST_BLOCK] \
+                - (a[s:s + _TWIST_BLOCK, None] - lam)
+            mag = np.abs(g)
+            mag[np.isnan(mag)] = np.inf
+            k = np.argmin(mag, axis=0)
+            low = mag[k, cols]
+            win = low < best
+            best[win] = low[win]
+            gam[win] = g[k, cols][win]
+            twist[win] = s + k[win]
+
+        rows = np.arange(m)[:, None]
+        np.divide(-b[:, None], bwd[1:], out=bwd[1:])
+        np.copyto(bwd[1:], 1.0, where=rows[1:] <= twist)
+        bwd[0] = 1.0
+        np.cumprod(bwd, axis=0, out=bwd)
+        np.divide(-b[:, None], fwd[:-1], out=fwd[:-1])
+        np.copyto(fwd[:-1], 1.0, where=rows[:-1] >= twist)
+        fwd[-1] = 1.0
+        np.cumprod(fwd[::-1], axis=0, out=fwd[::-1])
+        fwd *= bwd
+        return np.where(lifted, 0.0, gam / np.einsum("ij,ij->j", fwd, fwd))
 
 
 def wave_kernel(lam, t):

@@ -8,6 +8,7 @@ from bcwave.config import (
     ALL_STAGES,
     RunConfig,
     SpectralOptions,
+    memory_estimate,
     parse_config,
     write_config,
 )
@@ -105,6 +106,57 @@ def test_coerced_numbers_must_be_finite(tmp_path, capsys, text, key):
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("spectral,needle", [
+    ('{"cutoff": 0}', "cutoff"),
+    ('{"cutoff": -5}', "cutoff"),
+    ('{"mesh": 513, "cutoff": 40}', "even"),
+    ('{"mesh": 512, "cutoff": 256}', "mesh/2"),
+    ('{"N": 0}', "spectral.N"),
+    ('{"N": -4}', "spectral.N"),
+], ids=["cutoff_zero", "cutoff_negative", "mesh_odd", "cutoff_half_mesh",
+        "N_zero", "N_negative"])
+def test_spectral_options_rejected_at_parse(tmp_path, capsys, spectral,
+                                            needle):
+    text = ('{"potential": {"kind": "gaussian"}, "T": 1, "n": 16, '
+            '"spectral": %s}' % spectral)
+    with pytest.raises(ConfigError, match=needle):
+        parse_config(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text[:-1] + ', "out": %s}' % json.dumps(str(tmp_path)))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"potential": {"kind": "gaussian"}, "T": 1, "n": 1000000000000000000, '
+    '"stages": ["kernels"]}',
+    '{"response_csv": "r.csv", "T": 1, "n": 1000000000000000000}',
+    '{"potential": {"kind": "gaussian"}, "T": 1, "n": 16, '
+    '"spectral": {"mesh": 1000000000000000}}',
+], ids=["kernels_n", "inverse_n", "spectral_mesh"])
+def test_over_memory_budget_exits_2(tmp_path, capsys, text):
+    # each config is rejected before anything is allocated or read
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cfg.write_text(text[:-1] + ', "out": %s}' % json.dumps(str(out)))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "physical memory" in err
+    assert not out.exists()
+
+
+def test_memory_estimate_terms():
+    cfg = parse_config(MINIMAL)
+    n, spec = cfg.n, cfg.spectral
+    kernels = 2 * (2 * n + 1) ** 2 * 8
+    inverse = 7 * (2 * n + 2) ** 2 * 8
+    spectral = 4 * spec.cutoff * (spec.mesh + 1) * 8
+    assert memory_estimate(cfg) == kernels + inverse + spectral
+    cfg.stages = ("kernels", "response")
+    assert memory_estimate(cfg) == kernels
 
 
 def test_response_csv_drops_forward_stages():

@@ -1,18 +1,26 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
+from bcwave import spectral
+from bcwave.config import parse_config
 from bcwave.connecting import connecting_form
-from bcwave.errors import ConfigError, DomainError
+from bcwave.errors import ConfigError, DomainError, SpectralError
 from bcwave.grid import (
     UniformGrid,
     conv_trapezoid,
     cumulative_trapezoid,
     inner_inner,
     smooth_random_control,
+    trapezoid_weights,
     zero_control,
 )
-from bcwave.potentials import ConstantPotential, ZeroPotential
+from bcwave.pipeline import run_pipeline
+from bcwave.potentials import ConstantPotential, GaussianPotential, ZeroPotential
 from bcwave.response import apply_response, forward_solution
 from bcwave.spectral import (
     TAIL_FRACTION,
@@ -65,6 +73,108 @@ def test_eigensolve_validation():
         eigensolve(ZeroPotential(), 1.0, (1, 0, 1, 0), 8, 511)
     with pytest.raises(ConfigError):
         eigensolve(ZeroPotential(), 1.0, (1, 0, 1, 0), 300, 512)
+
+
+@pytest.mark.parametrize("count,mesh", [(CUTOFF, MESH), (400, 2048)])
+@pytest.mark.parametrize("bc", [(1, 0, 1, 0), (0, 1, 0, 1)],
+                         ids=["dirichlet", "neumann"])
+def test_free_spectrum_closed_form(bc, count, mesh):
+    # the discrete free spectrum: Dirichlet drops the end nodes, Neumann
+    # keeps them with halved masses; k = 1..count and 0..count-1
+    N = 4.0
+    step = 2.0 * N / mesh
+    k = np.arange(count) + (1 if bc[1] == 0 else 0)
+    exact = 4.0 / step ** 2 * np.sin(k * np.pi / (2 * mesh)) ** 2
+    m = eigensolve(ZeroPotential(), N, bc, count, mesh)
+    assert np.all(np.abs(m.lam - exact) <= 1e-10 * np.maximum(exact, 1.0))
+    # the eigenvectors are sampled sines and cosines
+    wave = np.sin if bc[1] == 0 else np.cos
+    y = wave(np.outer(k, np.arange(mesh + 1)) * np.pi / mesh)
+    y /= np.sqrt(np.sum(y * y * trapezoid_weights(mesh, step), axis=1))[:, None]
+    y *= np.sign(np.sum(y * m.vecs, axis=1))[:, None]
+    assert np.max(np.abs(m.vecs - y)) <= 1e-10
+
+
+def test_free_neumann_zero_mode_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        m = eigensolve(ZeroPotential(), 4.0, (0, 1, 0, 1), 400, 2048)
+    assert np.isfinite(m.lam[0]) and abs(m.lam[0]) <= 1e-9
+    assert np.all(np.isfinite(m.vecs))
+
+
+@pytest.mark.parametrize("reverse", [False, True],
+                         ids=["forward_pivot", "backward_pivot"])
+def test_zero_pivot_lift(reverse):
+    # T = tridiag(-1; 0, 2, 2, 2, 1, 3; -1) has the null vector
+    # (-1, 0, 1, 2, 3, 1); at lam = 0 its first forward pivot is exactly
+    # zero and feeds z, and reversed, its last backward pivot does
+    a = np.array([0.0, 2.0, 2.0, 2.0, 1.0, 3.0])
+    want = np.array([-1.0, 0.0, 1.0, 2.0, 3.0, 1.0])
+    if reverse:
+        a, want = a[::-1].copy(), want[::-1]
+    z = np.empty((6, 1))
+    step = spectral._twisted_vectors(a, -np.ones(5), np.zeros(1), z,
+                                     np.empty_like(z))
+    assert step[0] == 0.0     # a lifted shift keeps its value
+    z = z[:, 0] * (want @ z[:, 0]) / (z[:, 0] @ z[:, 0])
+    assert np.max(np.abs(z - want)) <= 1e-12
+
+
+def _stein_eigenpairs(a, b, count):
+    """The tridiagonal solve eigensolve used before the twisted
+    factorisation: bisection plus inverse iteration."""
+    return eigh_tridiagonal(a, b, select="i", select_range=(0, count - 1))
+
+
+def _check_against_stein(monkeypatch, p, bc, count, mesh):
+    got = eigensolve(p, 4.0, bc, count, mesh)
+    monkeypatch.setattr(spectral, "_twisted_eigenpairs", _stein_eigenpairs)
+    want = eigensolve(p, 4.0, bc, count, mesh)
+    # relative to max(|lam|, 1): the free Neumann ground state is 0 up
+    # to roundoff in both solvers
+    scale = np.maximum(np.abs(want.lam), 1.0)
+    assert np.max(np.abs(got.lam - want.lam) / scale) <= 1e-9
+    for key in ("beta", "gamma", "vecs"):
+        g, w = getattr(got, key), getattr(want, key)
+        assert np.max(np.abs(g - w)) <= 1e-9 * np.max(np.abs(w)), key
+
+
+@pytest.mark.parametrize("bc", [(1, 0, 1, 0), (0, 1, 0, 1), (1, 0.5, 2, 1)],
+                         ids=["dirichlet", "neumann", "robin"])
+@pytest.mark.parametrize("kind", ["gauss", "zero", "well"])
+def test_twisted_solver_matches_stein(monkeypatch, gauss, kind, bc):
+    p = {"gauss": gauss, "zero": ZeroPotential(),
+         "well": GaussianPotential(amplitude=-40.0, width=0.3)}[kind]
+    _check_against_stein(monkeypatch, p, bc, CUTOFF, MESH)
+
+
+def test_twisted_solver_matches_stein_default_size(monkeypatch, gauss):
+    _check_against_stein(monkeypatch, gauss, (1, 0, 1, 0), 400, 2048)
+
+
+def test_non_finite_eigendata_raises(monkeypatch):
+    with pytest.raises(SpectralError):
+        eigensolve(lambda x: np.full_like(x, np.inf), 4.0, (1, 0, 1, 0),
+                   20, 128)
+    monkeypatch.setattr(spectral, "dsterf",
+                        lambda d, e: (np.full(len(d), np.nan), 0))
+    with pytest.raises(SpectralError):
+        eigensolve(ZeroPotential(), 4.0, (1, 0, 1, 0), 20, 128)
+
+
+def test_non_finite_eigendata_fails_the_stage(monkeypatch, tmp_path):
+    monkeypatch.setattr(spectral, "dsterf",
+                        lambda d, e: (np.full(len(d), np.nan), 0))
+    cfg = parse_config(json.dumps({
+        "potential": {"kind": "gaussian"}, "T": 1.0, "n": 16,
+        "spectral": {"cutoff": 20, "mesh": 128},
+        "stages": ["kernels", "response", "spectral"],
+        "out": str(tmp_path)}))
+    report = run_pipeline(cfg)
+    status = {s["name"]: s["status"] for s in report["stages"]}
+    assert status == {"kernels": "ok", "response": "ok", "spectral": "failed"}
+    assert "non-finite" in report["stages"][2]["error"]
 
 
 def test_eigenvalues_strictly_increasing(measure_g):
