@@ -72,6 +72,7 @@ def _load_config(args) -> RunConfig:
             wanted = tuple(s for s in wanted if s in cfg.stages
                            or args.command != "run")
         cfg.stages = wanted
+        cfg.check_stages()
     if args.out:
         cfg.out = args.out
     if args.paper_sign:

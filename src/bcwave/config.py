@@ -61,9 +61,6 @@ class RunConfig:
                 "exactly one of 'potential' and 'response_csv' is required")
         if self.sign not in ("derived", "paper"):
             raise ConfigError("sign must be 'derived' or 'paper'")
-        for st in self.stages:
-            if st not in ALL_STAGES:
-                raise ConfigError("unknown stage '%s'" % st)
         if self.spectral is None:
             self.spectral = SpectralOptions(4.0 * self.T, (1.0, 0.0, 1.0, 0.0),
                                             400, 2048)
@@ -76,6 +73,15 @@ class RunConfig:
             raise ConfigError("spectral.mesh must be even")
         if spec.cutoff >= spec.mesh // 2:
             raise ConfigError("spectral.cutoff must be below spectral.mesh/2")
+        self.check_stages()
+
+    def check_stages(self):
+        """The checks that depend on ``stages``; run them again after
+        changing it.  On the response CSV route the forward stages are
+        dropped."""
+        for st in self.stages:
+            if st not in ALL_STAGES:
+                raise ConfigError("unknown stage '%s'" % st)
         if "spectral" in self.stages and self.spectral.half_length <= self.T:
             raise ConfigError("spectral.N must exceed T")
         if self.response_csv is not None:
@@ -88,36 +94,44 @@ class RunConfig:
                                 if s not in ("kernels", "response", "spectral"))
 
 
-def memory_estimate(cfg: RunConfig) -> int:
+def memory_estimate(cfg: RunConfig, n_inverse: int | None = None) -> int:
     """Rough peak bytes of the arrays the configured stages hold.
 
-    The kernels take two (2n+1)^2 cone stores, the inverse stages about
-    seven dense (2n+2)^2 matrices, and the spectral stage a few
-    (cutoff, mesh+1) arrays, all float64.  The kernels stay alive while
-    the later stages run, so the terms add.
+    The kernels take two (2n+1)^2 cone stores, the inverse stages seven
+    dense (2n+2)^2 matrices, and the spectral stage a few (cutoff, mesh+1)
+    arrays, all float64.  The kernels stay alive while the later stages
+    run, so the terms add.  The inverse stages share three such matrices
+    (C's four blocks, its reflected copy and the nested factor); the gl
+    stage adds its result m and its panel arrays, then, with the factor
+    freed, the identity residual's three buffers.  That peaks near 5.3
+    of them (traced at n = 320), and seven leave the allocator headroom.
+    ``n_inverse`` replaces ``cfg.n`` in the inverse term: on the response
+    CSV route the file, not the config, sets the size.
     """
     stages = set(cfg.stages)
     total = 0
     if "kernels" in stages:
         total += 2 * (2 * cfg.n + 1) ** 2 * 8
     if stages & {"connect", "krein", "gl"}:
-        total += 7 * (2 * cfg.n + 2) ** 2 * 8
+        n = cfg.n if n_inverse is None else n_inverse
+        total += 7 * (2 * n + 2) ** 2 * 8
     if "spectral" in stages:
         total += 4 * cfg.spectral.cutoff * (cfg.spectral.mesh + 1) * 8
     return total
 
 
-def check_memory(cfg: RunConfig) -> None:
+def check_memory(cfg: RunConfig, n_inverse: int | None = None) -> None:
     """ConfigError if :func:`memory_estimate` exceeds physical memory."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return  # no POSIX sysconf: nothing to compare against
-    need = memory_estimate(cfg)
+    need = memory_estimate(cfg, n_inverse)
     if need > physical:
+        n = cfg.n if n_inverse is None else n_inverse
         raise ConfigError("the stages need about %.3g GB (n = %d, "
                           "spectral.mesh = %d), more than the %.3g GB of "
-                          "physical memory" % (need / 1e9, cfg.n,
+                          "physical memory" % (need / 1e9, n,
                                                cfg.spectral.mesh,
                                                physical / 1e9))
 

@@ -30,6 +30,13 @@ reflected kernel), except that the trapezoid weight of node k is halved.
 :func:`nested_factor` factors B once and solves every horizon by
 bordering its leading Cholesky factor (Levinson 1947; the Krein
 equations of the boundary control method, Belishev 2007).
+
+:func:`assemble_matrix` builds that shared inverse state once per run:
+the kernel, its reflected node-major matrix and the nested factor.  The
+connect stage reports from it the assembly asymmetry (the factor's
+full-horizon asymmetry) and the smallest eigenvalue (Lanczos through the
+factor, Lehoucq, Sorensen and Yang 1998); krein and gl solve through it.
+The dense stacked matrix is formed only when asked for.
 """
 
 from __future__ import annotations
@@ -37,8 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsymm, dtrsm
+from scipy.linalg.blas import dsymm, dtrsm, dtrsv
 from scipy.linalg.lapack import dpotrf
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import DomainError, GridMismatchError, InternalConsistencyError
 from .grid import (Control, UniformGrid, cumulative_trapezoid,
@@ -49,6 +57,9 @@ from .response import ResponseMatrix
 #: Largest asymmetry of an assembled connecting matrix, in units of h^2,
 #: that its symmetrization may hide.
 ASYMMETRY_H2 = 100.0
+#: Rows and columns per block of :func:`nested_factor`'s asymmetry scan
+#: and symmetrization; even, so that a block holds whole nodes.
+_SCAN_BLOCK = 128
 
 
 def connecting_blocks(r: ResponseMatrix, n_half: int):
@@ -145,45 +156,22 @@ def connecting_form(ck: ConnectingKernel, f: Control, g: Control) -> float:
     return inner_outer(apply_connecting(ck, f), g)
 
 
-@dataclass(frozen=True)
-class AssembledConnecting:
-    """Weighted symmetric Nystrom discretization of C^T.
-
-    ``matrix`` is A = W/2 + W C W acting on stacked nodal values [f1; f2]
-    (W = diag of trapezoid weights), symmetrized as (A + A^T)/2; the
-    pre-symmetrization asymmetry is kept as a diagnostic.  Solving
-    A f = W rhs is equivalent to collocating C^T f = rhs at the nodes.
-    """
-
-    matrix: np.ndarray
-    weights: np.ndarray  # stacked per-node weights, length 2(n+1)
-    asymmetry: float
-
-    def solve(self, rhs_stacked: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.matrix, self.weights * rhs_stacked)
-
-
-def _block_matrix(blocks) -> np.ndarray:
-    c11, c12, c21, c22 = blocks
-    return np.block([[c11, c12], [c21, c22]])
-
-
-def assemble_matrix(ck: ConnectingKernel) -> AssembledConnecting:
-    return _assemble(ck.grid.n, ck.grid.h,
-                     (ck.c11, ck.c12, ck.c21, ck.c22))
-
-
-def _assemble(n_half: int, h: float, blocks) -> AssembledConnecting:
+def _assemble(n_half: int, h: float, blocks):
+    """Dense stacked Nystrom matrix of C^tau: (A + A^T)/2 with
+    A = W/2 + W C W acting on [f1; f2] (W = diag of trapezoid weights),
+    and the stacked weights.  InternalConsistencyError if A is more
+    asymmetric than the symmetrization may hide.  Solving A f = W rhs is
+    equivalent to collocating C^tau f = rhs at the nodes."""
     w = trapezoid_weights(n_half, h)
     wvec = np.concatenate([w, w])
-    A = 0.5 * np.diag(wvec) + (wvec[:, None] * _block_matrix(blocks)
-                               * wvec[None, :])
+    A = 0.5 * np.diag(wvec) + (wvec[:, None] * np.block(
+        [[blocks[0], blocks[1]], [blocks[2], blocks[3]]]) * wvec[None, :])
     asym = float(np.max(np.abs(A - A.T)))
     if asym > ASYMMETRY_H2 * h * h:
         raise InternalConsistencyError(
             "connecting matrix asymmetry %g exceeds %g h^2"
             % (asym, ASYMMETRY_H2))
-    return AssembledConnecting(0.5 * (A + A.T), wvec, asym)
+    return 0.5 * (A + A.T), wvec
 
 
 def reflect_kernel(ck: ConnectingKernel) -> ConnectingKernel:
@@ -235,37 +223,58 @@ class NestedFactor:
     triangle (Fortran order), ``b_diag`` the diagonal of B.
     K is n unless the factorization stops at node
     p, when K = p - 1, or the asymmetry of A_k, which the symmetrization
-    hides, exceeds ASYMMETRY_H2 h^2 (the bound :func:`assemble_matrix`
+    hides, exceeds ASYMMETRY_H2 h^2 (the bound the dense assembly
     enforces), when K = k - 1.  Callers solve the later horizons one by
-    one.
+    one.  A :meth:`panel` serves the horizons first..last only.
     """
 
     h: float
     factor: np.ndarray
     b_diag: np.ndarray
     node_weights: np.ndarray  # trapezoid weights of B, node-major
-    border: np.ndarray        # d, horizons 1..K
-    l_kk: np.ndarray          # the 2x2 diagonal blocks of L, nodes 1..K
-    s_inv: np.ndarray         # S^{-1}, horizons 1..K
+    border: np.ndarray        # d, horizons first..K
+    l_kk: np.ndarray          # the 2x2 diagonal blocks of L, nodes first..K
+    s_inv: np.ndarray         # S^{-1}, horizons first..K
+    asymmetry: np.ndarray     # max |A_k - A_k^T|, horizons first..n
+                              # (first..last in a panel)
+    first: int = 1
 
     @property
     def horizons(self) -> int:
         return len(self.border)
 
-    def _border(self, n_rows: int):
-        """Row and column indices of node k in horizon k's columns, and
-        the mask of the rows below node k, in the (N, K, r) view."""
-        k = np.arange(1, self.horizons + 1)
-        return (2 * k[:, None] + [0, 1], k[:, None] - 1,
-                np.arange(n_rows)[:, None] >= 2 * k + 2)
+    def panel(self, first: int, last: int) -> "NestedFactor":
+        """The factor of the horizons first..last (1 <= first <= last <= K)
+        on the leading 2 last + 2 rows, the only ones they use, so that
+        its solves run on that leading block alone.  The block is copied
+        to Fortran order unless it is the whole factor."""
+        rows = 2 * last + 2
+        own = slice(first - self.first, last - self.first + 1)
+        return NestedFactor(self.h,
+                            np.asfortranarray(self.factor[:rows, :rows]),
+                            self.b_diag[:rows], self.node_weights[:rows],
+                            self.border[own], self.l_kk[own], self.s_inv[own],
+                            self.asymmetry[own], first)
+
+    def _border(self):
+        """Row and column indices of node k in horizon k's columns, in
+        the (N, K, r) view."""
+        k = np.arange(self.first, self.first + self.horizons)
+        return 2 * k[:, None] + [0, 1], k[:, None] - self.first
+
+    def _zero_below(self, x3: np.ndarray) -> None:
+        """Zero, in the (N, K, r) view, the rows below node k in horizon
+        k's columns: node i's rows in the columns of the horizons < i."""
+        for i in range(self.first + 1, x3.shape[0] // 2):
+            x3[2 * i:2 * i + 2, :i - self.first] = 0.0
 
     def _cut(self, x: np.ndarray) -> np.ndarray:
         """D x in place: rows of node k times d, rows below it zeroed."""
         if not self.horizons:
             return x
-        rows, cols, below = self._border(x.shape[0])
+        rows, cols = self._border()
         x3 = x.reshape(x.shape[0], self.horizons, -1)
-        np.copyto(x3, 0.0, where=below[..., None])
+        self._zero_below(x3)
         x3[rows, cols] *= self.border[:, None, None]
         return x
 
@@ -278,10 +287,10 @@ class NestedFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A_k f = b for every horizon at once, overwriting b.
 
-        ``b`` is C-ordered (2(n+1), K r): r right-hand sides per
-        horizon, horizon k in the columns (k-1) r .. k r - 1, of which
-        the rows of the nodes 0..k are used.  Returns f in the same
-        layout, exactly zero below node k.
+        ``b`` is C-ordered (rows of ``factor``, K r): r right-hand sides
+        per horizon, horizon k in the columns (k-first) r .. (k-first+1)
+        r - 1, of which the rows of the nodes 0..k are used.  Returns f in
+        the same layout, exactly zero below node k.
 
         Both substitutions run with the full L: the rows of node k give
         X z = d (b_b - L_kk z_b), and back substitution from
@@ -291,12 +300,12 @@ class NestedFactor:
         if K == 0:
             b[:] = 0.0
             return b
-        rows, cols, below = self._border(N)
+        rows, cols = self._border()
         d = self.border[:, None, None]
         bb = b.reshape(N, K, -1)[rows, cols]                  # (K, 2, r)
         z3 = _tri_solve(self.factor, b, 0).reshape(N, K, -1)
         fb = self.s_inv @ (bb - d * (bb - self.l_kk @ z3[rows, cols]))
-        np.copyto(z3, 0.0, where=below[..., None])
+        self._zero_below(z3)
         z3[rows, cols] = d * (self.l_kk.transpose(0, 2, 1) @ fb)
         f = _tri_solve(self.factor, z3.reshape(N, -1), 1)
         f.reshape(N, K, -1)[rows, cols] = fb
@@ -316,33 +325,59 @@ class NestedFactor:
         finally:
             self.factor[diag] = l_diag
         N, K = f.shape[0], self.horizons
-        rows, cols, _ = self._border(N)
+        rows, cols = self._border()
         corner = 0.25 * self.h * (1.0 - self.border)[:, None, None]
         self._cut(p).reshape(N, K, -1)[rows, cols] += \
             corner * f.reshape(N, K, -1)[rows, cols]
         return p
 
 
+def _symmetrize(a: np.ndarray):
+    """a <- (a + a^T)/2 in place, one pair of _SCAN_BLOCK blocks at a
+    time.  Returns, per node, the largest |a - a^T| over its pairs with
+    the earlier nodes (``row``, 0 for node 0) and within its own 2x2
+    block (``own``), taken before the symmetrization."""
+    size = a.shape[0]
+    row, own = np.zeros(size // 2), np.empty(size // 2)
+    for i0 in range(0, size, _SCAN_BLOCK):
+        rows = slice(i0, i0 + _SCAN_BLOCK)
+        nodes = slice(i0 // 2, (i0 + _SCAN_BLOCK) // 2)
+        for j0 in range(0, i0 + 1, _SCAN_BLOCK):
+            cols = slice(j0, j0 + _SCAN_BLOCK)
+            x, y = a[rows, cols], a[cols, rows].T
+            gap = np.abs(x - y)
+            if j0 == i0:
+                pair = np.maximum(np.maximum(gap[0::2, 0::2], gap[0::2, 1::2]),
+                                  np.maximum(gap[1::2, 0::2], gap[1::2, 1::2]))
+                own[nodes] = np.diagonal(pair)
+                top = np.tril(pair, -1).max(axis=1)
+            else:
+                top = gap.max(axis=1)
+                top = np.maximum(top[0::2], top[1::2])
+            row[nodes] = np.maximum(row[nodes], top)
+            x += y
+            x *= 0.5
+            a[cols, rows] = x.T
+    return row, own
+
+
 def nested_factor(cr: np.ndarray, h: float) -> NestedFactor:
     """Form B = W/2 + W C~ W from the node-major reflected kernel ``cr``
-    (see :func:`reflected_nodes`), symmetrize it as :func:`assemble_matrix`
+    (see :func:`reflected_nodes`), symmetrize it as the dense assembly
     does and factor it in place.  B's entries equal those of the
-    reversed full-horizon assembled matrix bit for bit."""
+    reversed full-horizon assembled matrix bit for bit, and the asymmetry
+    of every horizon's matrix is recorded."""
     n = cr.shape[0] // 2 - 1
     w = np.repeat(trapezoid_weights(n, h), 2)
-    a = np.array(cr, order="F")
-    a *= w[:, None]
+    a = np.multiply(cr, w[:, None], order="F")
     a *= w[None, :]
     a[np.diag_indices_from(a)] += 0.5 * w
     # asymmetry of A_k: the node pairs within 0..k-1 as in B, node k's
     # pairs with them times d, its own block times d^2
-    pair = np.abs(a - a.T).reshape(n + 1, 2, n + 1, 2).max(axis=(1, 3))
-    row, own = np.tril(pair, -1).max(axis=1), np.diag(pair)
+    row, own = _symmetrize(a)
     d = 0.5 * h / w[0::2]
     inner = np.maximum.accumulate(np.maximum(row, own))[:-1]
     asym = np.maximum(inner, np.maximum(d[1:] * row[1:], d[1:] ** 2 * own[1:]))
-    a += a.T
-    a *= 0.5
     b_diag = np.diag(a).copy()
     a, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
     # Horizon k needs the factor down to node k.  On failure LAPACK leaves
@@ -358,4 +393,83 @@ def nested_factor(cr: np.ndarray, h: float) -> NestedFactor:
     l_kk[:, 1, 1] = a[2 * k + 1, 2 * k + 1]
     s = (border * border)[:, None, None] * (l_kk @ l_kk.transpose(0, 2, 1))
     s[:, [0, 1], [0, 1]] += (0.25 * h * (1.0 - border))[:, None]
-    return NestedFactor(h, a, b_diag, w, border, l_kk, np.linalg.inv(s))
+    return NestedFactor(h, a, b_diag, w, border, l_kk, np.linalg.inv(s),
+                        asym)
+
+
+@dataclass(frozen=True)
+class AssembledConnecting:
+    """The inverse state of one connecting kernel, shared by the connect,
+    krein and gl stages: the kernel, its reflected node-major matrix
+    (:func:`reflected_nodes`) and the nested factor of
+    B = W/2 + W C~ W (:func:`nested_factor`).
+
+    B is a symmetric permutation (time reversal, node-major order) of the
+    stacked matrix A = W/2 + W C W of C^T, so the two share their
+    asymmetry and their spectrum.  The dense symmetrized A is formed only
+    when ``matrix`` (or ``solve``) asks for it.
+    """
+
+    kernel: ConnectingKernel
+    reflected: np.ndarray
+    factor: NestedFactor
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Stacked per-node trapezoid weights, length 2(n+1)."""
+        w = trapezoid_weights(self.kernel.grid.n, self.kernel.grid.h)
+        return np.concatenate([w, w])
+
+    @property
+    def asymmetry(self) -> float:
+        """max |A - A^T| before symmetrization: the factor's asymmetry of
+        the full horizon, whose node weights are A's."""
+        return float(self.factor.asymmetry[-1])
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense symmetrized A (see :func:`_assemble`), formed anew on
+        each access."""
+        ck = self.kernel
+        return _assemble(ck.grid.n, ck.grid.h,
+                         (ck.c11, ck.c12, ck.c21, ck.c22))[0]
+
+    def solve(self, rhs_stacked: np.ndarray) -> np.ndarray:
+        """A f = W rhs by a dense solve, stacked [f1; f2]."""
+        return np.linalg.solve(self.matrix, self.weights * rhs_stacked)
+
+    def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the symmetrized A.
+
+        Where the factor reaches every horizon, B is positive definite and
+        this is the inverse of the largest eigenvalue of B^{-1}, found by
+        Lanczos (ARPACK) on an operator of two triangular solves
+        (``dtrsv``) with the factor.  Otherwise, or if Lanczos does not
+        converge, it comes from a dense ``eigvalsh`` of ``matrix``, which
+        raises where A is too asymmetric.
+        """
+        fac = self.factor
+        if fac.horizons == self.kernel.grid.n:
+            size = self.reflected.shape[0]
+
+            def b_inverse(x):
+                z = dtrsv(fac.factor, np.ravel(x), lower=1)
+                return dtrsv(fac.factor, z, lower=1, trans=1, overwrite_x=1)
+
+            op = LinearOperator((size, size), matvec=b_inverse, dtype=float)
+            # a fixed start vector keeps the result deterministic
+            v0 = np.random.default_rng(0).standard_normal(size)
+            try:
+                mu = eigsh(op, k=1, which="LA", v0=v0,
+                           return_eigenvectors=False)
+                return float(1.0 / mu[0])
+            except ArpackNoConvergence:
+                pass
+        return float(np.linalg.eigvalsh(self.matrix)[0])
+
+
+def assemble_matrix(ck: ConnectingKernel) -> AssembledConnecting:
+    """The shared inverse state of ``ck``: its reflected node-major
+    matrix and their nested factor, built once."""
+    cr = reflected_nodes(ck)
+    return AssembledConnecting(ck, cr, nested_factor(cr, ck.grid.h))

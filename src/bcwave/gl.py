@@ -11,9 +11,12 @@ Two independent constructions of m are provided:
 
 Scaled by W/2, the column system at s_j is the unsymmetrized matrix of
 the Krein horizon j, so :func:`solve_gl` shares the Krein route's nested
-Cholesky factor (:func:`~bcwave.connecting.nested_factor`): one O(n^3/3)
-factorization, then O(j^2) per column, with all columns going through
-two whole-matrix triangular solves.  The factor is of the symmetrized
+Cholesky factor (:func:`~bcwave.connecting.nested_factor`), built once
+per run with the reflected kernel
+(:func:`~bcwave.connecting.assemble_matrix`): O(n^3/3) once, then
+O(j^2) per column.  Column j uses only the rows of the nodes 0..j, so
+the columns go in GL_PANELS panels, each solved and refined on the
+leading rows of its last column.  The factor is of the symmetrized
 matrix, so two steps of iterative refinement against the unsymmetrized
 system I + C~ W follow, and m equals a dense per-column solve to
 roundoff.  Columns past the factor's reach (see the Krein route), and
@@ -31,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connecting import (ConnectingKernel, build_connecting, nested_factor,
-                         reflect_kernel, reflected_nodes)
+from .connecting import (AssembledConnecting, ConnectingKernel,
+                         NestedFactor, assemble_matrix, build_connecting,
+                         reflect_kernel)
 from .errors import GridMismatchError, ReconstructionError
 from .goursat import KernelField
 from .grid import (UniformGrid, differentiate, row_trapezoid_weights,
@@ -46,6 +50,10 @@ TIKHONOV_RELATIVE = 1e-10
 #: step, relative to the column, that counts as converged.
 REFINEMENT_STEPS = 2
 REFINEMENT_TOLERANCE = 1e-10
+#: Column panels of the factor's solves and refinement: panel p solves
+#: only the leading rows its last column uses, about half the flops of
+#: whole-height solves at 4 panels.
+GL_PANELS = 4
 
 
 @dataclass(frozen=True)
@@ -134,52 +142,45 @@ def gl_kernel(ck: ConnectingKernel) -> ConnectingKernel:
                             2.0 * rk.c21, 2.0 * rk.c22)
 
 
-def solve_gl(ck: ConnectingKernel) -> OperatorM:
+def solve_gl(ck: ConnectingKernel,
+             inverse: AssembledConnecting | None = None) -> OperatorM:
     """Solve the second-kind equation for m column by column.
 
     For fixed s_j the unknown column m(., s_j) lives on the x-nodes
     0..j and satisfies (I + C~|_{[0,s_j]^2} W) m = -C~(., s_j); both
     matrix columns share the system matrix.  The columns the nested
-    factor reaches are solved through it at once and refined; the others
-    are solved one by one (see the module docstring).  A non-finite m
-    (from non-finite kernel data) raises :class:`ReconstructionError`.
+    factor reaches are solved through it and refined, GL_PANELS panels
+    of them at a time on the panel's leading rows; the others are solved
+    one by one (see the module docstring).  ``inverse`` is the shared
+    state of ``ck`` (:func:`~bcwave.connecting.assemble_matrix`); without
+    it the solve builds its own.  A non-finite m (from non-finite kernel
+    data) raises :class:`ReconstructionError`.
     """
     n = ck.grid.n
     h = ck.grid.h
     # the result first, below the work arrays on the heap
     m11, m12, m21, m22 = (np.zeros((n + 1, n + 1)) for _ in range(4))
-    cr = reflected_nodes(ck)
-    fac = nested_factor(cr, h)
+    if inverse is None:
+        inverse = assemble_matrix(ck)
+    cr, fac = inverse.reflected, inverse.factor
+    del inverse
     K = fac.horizons
-    # A_j m = -W C~(., s_j)/2 with A_j = W/2 + W (C~/2) W: the residual of
-    # m is -W g with g = C~(., s_j)/2 + m/2 + (C~/2) W m.  Column 2j + b
-    # of m is m_ab(., s_j) in node-major rows 2i + a.
-    rhs = cr[:, 2:2 * K + 2]
-    m = fac.solve(fac.weigh(-rhs))
-    wm, g = np.empty_like(m), np.empty_like(m)
-    for _ in range(REFINEMENT_STEPS):
-        np.copyto(wm, m)
-        np.matmul(cr, fac.weigh(wm), out=g)
-        g += np.multiply(m, 0.5, out=wm)
-        g += rhs
-        g *= -1.0
-        step = fac.solve(fac.weigh(g))
-        m += step
-    del wm
-    # a column whose last step is not at roundoff level has not converged
-    # (too asymmetric a system) and is solved on its own
-    size = np.maximum(step.max(axis=0), -step.min(axis=0))
-    scale = np.maximum(m.max(axis=0), -m.min(axis=0))
-    converged = (size <= REFINEMENT_TOLERANCE * scale).reshape(K, 2).all(axis=1)
+    converged = np.zeros(K, dtype=bool)
+    for cols in np.array_split(np.arange(1, K + 1), GL_PANELS):
+        if len(cols):
+            first, last = int(cols[0]), int(cols[-1])
+            converged[first - 1:last] = _solve_panel(
+                cr, fac.panel(first, last), (m11, m12, m21, m22))
     for blk, a, b in ((m11, 0, 0), (m12, 0, 1), (m21, 1, 0), (m22, 1, 1)):
         blk[0, 0] = -2.0 * cr[a, b]   # s = 0: the system is the identity
-        blk[:, 1:K + 1] = m[a::2, b::2]
-    del fac, cr, m, g, step
-    ct = gl_kernel(ck)
+    del fac, cr
+    ct = None
     regularized = []
     for j in range(1, n + 1):
         if j <= K and converged[j - 1]:
             continue
+        if ct is None:
+            ct = gl_kernel(ck)
         k = j + 1
         sol, reg = _solve_column(ct, j, h)
         if reg:
@@ -191,6 +192,40 @@ def solve_gl(ck: ConnectingKernel) -> OperatorM:
     if not all(np.isfinite(blk).all() for blk in (m11, m12, m21, m22)):
         raise ReconstructionError("non-finite GL kernel m")
     return OperatorM(ck.grid, m11, m12, m21, m22, tuple(regularized))
+
+
+def _solve_panel(cr: np.ndarray, fac: NestedFactor, blocks) -> np.ndarray:
+    """Solve and refine the columns j = first..last of the panel factor
+    ``fac`` on its leading 2 last + 2 rows, the only ones they use, and
+    write them into ``blocks`` (m11, m12, m21, m22).  Returns, per
+    column, whether the refinement converged.
+
+    A_j m = -W C~(., s_j)/2 with A_j = W/2 + W (C~/2) W, and ``cr`` is
+    C~/2: the residual of m is -W g with
+    g = C~(., s_j)/2 + m/2 + (C~/2) W m.  Column 2(j - first) + b of m
+    is m_ab(., s_j) in node-major rows 2i + a.
+    """
+    first, rows = fac.first, fac.factor.shape[0]
+    c = cr[:rows, :rows]
+    rhs = cr[:rows, 2 * first:2 * (first + fac.horizons)]
+    m = fac.solve(fac.weigh(-rhs))
+    wm, g = np.empty_like(m), np.empty_like(m)
+    for _ in range(REFINEMENT_STEPS):
+        np.copyto(wm, m)
+        np.matmul(c, fac.weigh(wm), out=g)
+        g += np.multiply(m, 0.5, out=wm)
+        g += rhs
+        g *= -1.0
+        step = fac.solve(fac.weigh(g))
+        m += step
+    # a column whose last step is not at roundoff level has not converged
+    # (too asymmetric a system) and is solved on its own
+    size = np.maximum(step.max(axis=0), -step.min(axis=0))
+    scale = np.maximum(m.max(axis=0), -m.min(axis=0))
+    cols = slice(first, first + fac.horizons)
+    for blk, a, b in zip(blocks, (0, 0, 1, 1), (0, 1, 0, 1)):
+        blk[:rows // 2, cols] = m[a::2, b::2]
+    return (size <= REFINEMENT_TOLERANCE * scale).reshape(-1, 2).all(axis=1)
 
 
 def _solve_column(ct: ConnectingKernel, j: int, h: float):

@@ -6,17 +6,19 @@ Cauchy solution values y(+-tau) of -y'' + q y = 0, y(0) = 0, y'(0) = 1,
 and the potential follows as q = y''/y away from zeros of y.
 
 In reversed time every horizon's matrix is a leading block of one fixed
-matrix, so :func:`sweep_reconstruct` factors that matrix once
-(:func:`~bcwave.connecting.nested_factor`, O(n^3/3)) and borders the
-leading factor for each horizon: after one forward substitution y(+-tau_k)
-costs O(1), and the full solution, which the per-horizon residual needs,
-O(k^2).  The factor reaches every horizon unless its Cholesky stops at a
-node whose leading block is not positive definite, or a horizon's matrix
-is more asymmetric than the assembly accepts.  From there on each horizon
-is solved on its own by :func:`solve_krein`, which falls back from
-Cholesky to a Tikhonov shift (and is the test oracle of the sweep).  A
-horizon that fails even there keeps a NaN residual; none is dropped
-silently.
+matrix, so :func:`sweep_reconstruct` uses one Cholesky factor of that
+matrix (:func:`~bcwave.connecting.nested_factor`, O(n^3/3)) and borders
+the leading factor for each horizon: after one forward substitution
+y(+-tau_k) costs O(1), and the full solution, which the per-horizon
+residual needs, O(k^2).  In a pipeline run the factor is the one the
+connect and gl stages share (:func:`~bcwave.connecting.assemble_matrix`);
+called alone, the sweep builds its own.  The factor reaches every
+horizon unless its Cholesky stops at a node whose leading block is not
+positive definite, or a horizon's matrix is more asymmetric than the
+assembly accepts.  From there on each horizon is solved on its own by
+:func:`solve_krein`, which falls back from Cholesky to a Tikhonov shift
+(and is the test oracle of the sweep).  A horizon that fails even there
+keeps a NaN residual; none is dropped silently.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 from scipy.interpolate import make_smoothing_spline
 from scipy.linalg import cho_factor, cho_solve
 
-from .connecting import (_assemble, build_connecting, connecting_blocks,
-                         nested_factor, reflected_nodes)
+from .connecting import (NestedFactor, _assemble, build_connecting,
+                         connecting_blocks, nested_factor, reflected_nodes)
 from .errors import BCWaveError, ReconstructionError
 from .grid import write_csv
 from .response import ResponseMatrix
@@ -55,12 +57,11 @@ def solve_krein(r: ResponseMatrix, n_half: int) -> KreinSolution:
     h = r.grid.h
     tau = n_half * h
     blocks = connecting_blocks(r, n_half)
-    asm = _assemble(n_half, h, blocks)
+    A, weights = _assemble(n_half, h, blocks)
     t = h * np.arange(n_half + 1)
     rhs = np.concatenate([tau - t, np.zeros(n_half + 1)])  # sampled exactly
-    b = asm.weights * rhs
+    b = weights * rhs
     regularized = False
-    A = asm.matrix
     try:
         f = cho_solve(cho_factor(A), b)
     except np.linalg.LinAlgError:
@@ -104,14 +105,17 @@ class CauchyProfile:
 
 
 def sweep_reconstruct(r: ResponseMatrix, n_half: int | None = None,
-                      eps_frac: float = 0.05) -> CauchyProfile:
+                      eps_frac: float = 0.05,
+                      factor: NestedFactor | None = None) -> CauchyProfile:
     """Sweep horizons tau_k = k*h, k = 1..n, and assemble y on [-T, T];
     then recover q = y''/y on the valid band.
 
     The horizons the nested factor reaches are solved through it at
     once; each later horizon is solved on its own by :func:`solve_krein`.
     A horizon that fails there keeps a NaN residual and leaves y
-    unsolved at +-tau.
+    unsolved at +-tau.  ``factor`` is the nested factor of the same
+    response and n_half (see :func:`~bcwave.connecting.assemble_matrix`);
+    without it the sweep builds its own.
     """
     if n_half is None:
         if r.grid.n % 2:
@@ -127,7 +131,9 @@ def sweep_reconstruct(r: ResponseMatrix, n_half: int | None = None,
     regularized = np.zeros(n, dtype=bool)
     solved = np.ones(2 * n + 1, dtype=bool)
 
-    fac = nested_factor(reflected_nodes(build_connecting(r, n)), h)
+    fac = factor
+    if fac is None:
+        fac = nested_factor(reflected_nodes(build_connecting(r, n)), h)
     K = fac.horizons
     if K:
         # right-hand side (tau - t, 0) in reversed time: (t', 0) at node t'

@@ -4,7 +4,13 @@ spectral}, with a JSON report of per-stage metrics and output files.
 All stages run serially in a fixed order, so identical configs produce
 byte-identical outputs (no timestamps are written).  Inverse stages
 consume only the response matrix; when the config supplies an external
-response CSV the forward stages are skipped entirely.
+response CSV the forward stages are skipped entirely, and the memory
+budget is checked again at the file's size once it is read.
+
+The inverse stages share one state (:func:`_inverse_state`): the
+connecting kernel, its reflected matrix and one nested Cholesky factor,
+built by the first of them to run and let go by the last, so that it is
+freed before the spectral stage.
 """
 
 from __future__ import annotations
@@ -60,9 +66,14 @@ def run_pipeline(cfg: RunConfig) -> dict:
             entry["error"] = str(exc)
             report["ok"] = False
         report["stages"].append(entry)
+        if "response" in state:
+            # the inverse stages run at the file's size, not the config's
+            check_memory(cfg, state["response"].grid.n // 2)
 
     done = set(state)
-    for name in cfg.stages:
+    for i, name in enumerate(cfg.stages):
+        state["keep_inverse"] = any(s in INVERSE_STAGES
+                                    for s in cfg.stages[i + 1:])
         entry = {"name": name, "files": []}
         missing = [d for d in needs[name] if d not in done and d not in state]
         if missing:
@@ -108,18 +119,33 @@ def _stage_response(cfg, state, files):
     return {"compatibility_residual": r.compatibility_residual()}
 
 
+INVERSE_STAGES = ("connect", "krein", "gl")
+
+
+def _inverse_state(state):
+    """The inverse stages' shared state (connecting.AssembledConnecting),
+    built on first use.  The last inverse stage of the run takes it out
+    of ``state``, so it is freed once that stage lets go of it."""
+    inverse = state.pop("inverse", None)
+    if inverse is None:
+        ck = state.get("connect") or build_connecting(state["response"])
+        inverse = assemble_matrix(ck)
+    if state.get("keep_inverse"):
+        state["inverse"] = inverse
+    return inverse
+
+
 def _stage_connect(cfg, state, files):
     ck = build_connecting(state["response"])
     state["connect"] = ck
-    asm = assemble_matrix(ck)
     path = os.path.join(cfg.out, "connecting.csv")
     ck.dump_csv(path)
     files.append(path)
-    eigmin = float(np.linalg.eigvalsh(asm.matrix)[0])
+    inverse = _inverse_state(state)
     return {"symmetry_residual": ck.symmetry_residual(),
             "block_symmetry_residual": ck.block_symmetry_residual(),
-            "assembly_asymmetry": asm.asymmetry,
-            "min_eigenvalue": eigmin}
+            "assembly_asymmetry": inverse.asymmetry,
+            "min_eigenvalue": inverse.min_eigenvalue()}
 
 
 def _band_error(x, q, p, mask=None):
@@ -132,7 +158,8 @@ def _band_error(x, q, p, mask=None):
 
 
 def _stage_krein(cfg, state, files):
-    prof = sweep_reconstruct(state["response"])
+    prof = sweep_reconstruct(state["response"],
+                             factor=_inverse_state(state).factor)
     state["krein"] = prof
     path = os.path.join(cfg.out, "krein_q.csv")
     prof.write_csv(path)
@@ -151,8 +178,10 @@ def _stage_krein(cfg, state, files):
 
 
 def _stage_gl(cfg, state, files):
-    ck = state.get("connect") or build_connecting(state["response"])
-    M = solve_gl(ck)
+    inverse = _inverse_state(state)
+    ck = inverse.kernel
+    M = solve_gl(ck, inverse)
+    del inverse
     state["gl"] = M
     kpath = os.path.join(cfg.out, "gl_kernel.csv")
     M.dump_csv(kpath)
@@ -178,7 +207,8 @@ def _stage_gl(cfg, state, files):
 def _stage_spectral(cfg, state, files):
     p = state["potential"]
     opts = cfg.spectral
-    measure = eigensolve(p, opts.half_length, opts.bc, opts.cutoff, opts.mesh)
+    measure = eigensolve(p, opts.half_length, opts.bc, opts.cutoff, opts.mesh,
+                         vecs=False)
     reference = free_reference(measure)
     path = os.path.join(cfg.out, "measure.csv")
     measure.write_csv(path)

@@ -44,7 +44,8 @@ class SpectralMeasure:
     beta: np.ndarray    # y_n'(0)
     gamma: np.ndarray   # -y_n(0)
     nodes: np.ndarray   # mesh nodes on [-N, N]
-    vecs: np.ndarray    # (count, mesh+1) L2-normalized eigenfunctions
+    vecs: np.ndarray | None  # (count, mesh+1) L2-normalized eigenfunctions,
+                             # or None if not kept
 
     @property
     def count(self) -> int:
@@ -57,7 +58,8 @@ class SpectralMeasure:
 
 
 def eigensolve(p: Potential, half_length: float, bc=(1.0, 0.0, 1.0, 0.0),
-               count: int = 400, mesh: int = 2048) -> SpectralMeasure:
+               count: int = 400, mesh: int = 2048,
+               vecs: bool = True) -> SpectralMeasure:
     """Lowest ``count`` eigenpairs by 3-point finite differences.
 
     The discretization is the quadratic form on the mesh (stiffness
@@ -68,6 +70,9 @@ def eigensolve(p: Potential, half_length: float, bc=(1.0, 0.0, 1.0, 0.0),
     root-free QR (``dsterf``); the lowest ``count`` are then refined and
     given eigenvectors by a twisted factorisation, the core of MRRR
     (Dhillon and Parlett, LAA 387, 2004), see :func:`_twisted_eigenpairs`.
+    With ``vecs=False`` the eigenfunctions are not kept (``vecs`` is
+    None): beta and gamma need only their five samples around x = 0, and
+    come out bit for bit the same.
     """
     a1, b1, a2, b2 = (float(v) for v in bc)
     if (a1 == 0.0 and b1 == 0.0) or (a2 == 0.0 and b2 == 0.0):
@@ -106,20 +111,26 @@ def eigensolve(p: Potential, half_length: float, bc=(1.0, 0.0, 1.0, 0.0),
     et = e * scale[:-1] * scale[1:]
     w, z = _twisted_eigenpairs(dt, et, count)
 
-    y = np.zeros((count, mesh + 1))
-    np.multiply(z.T, scale, out=y[:, lo:hi])  # rows L2-normalized by trapezoid
-
+    # rows L2-normalized by trapezoid; the five central nodes give beta
+    # and gamma
     c = mesh // 2
-    beta = (-y[:, c + 2] + 8 * y[:, c + 1] - 8 * y[:, c - 1] + y[:, c - 2]) \
-        / (12 * step)
-    gamma = -y[:, c]
+    centre = np.arange(c - 2, c + 3)
+    inside = (centre >= lo) & (centre < hi)
+    yc = np.zeros((count, 5))
+    yc[:, inside] = z[centre[inside] - lo].T * scale[centre[inside] - lo]
+    beta = (-yc[:, 4] + 8 * yc[:, 3] - 8 * yc[:, 1] + yc[:, 0]) / (12 * step)
+    gamma = -yc[:, 2]
     # deterministic sign: make the dominant Cauchy component positive
     flip = np.where(np.abs(beta) >= np.abs(gamma), np.sign(beta),
                     np.sign(gamma))
     flip[flip == 0.0] = 1.0
-    y *= flip[:, None]
     beta *= flip
     gamma *= flip
+    y = None
+    if vecs:
+        y = np.zeros((count, mesh + 1))
+        np.multiply(z.T, scale, out=y[:, lo:hi])
+        y *= flip[:, None]
     return SpectralMeasure(N, (a1, b1, a2, b2), w, beta, gamma, x, y)
 
 
@@ -306,11 +317,13 @@ def spectral_response(measure: SpectralMeasure, f: Control,
 
 
 def free_reference(measure: SpectralMeasure) -> SpectralMeasure:
-    """The q = 0 measure with the same interval, bc, cutoff and mesh."""
+    """The q = 0 measure with the same interval, bc, cutoff and mesh,
+    without eigenfunctions (the reference sums read lam, beta and gamma
+    only)."""
     from .potentials import ZeroPotential
 
     return eigensolve(ZeroPotential(), measure.half_length, measure.bc,
-                      measure.count, len(measure.nodes) - 1)
+                      measure.count, len(measure.nodes) - 1, vecs=False)
 
 
 def smoothed_response_traces(measure: SpectralMeasure, f: Control,

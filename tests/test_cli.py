@@ -13,7 +13,11 @@ from bcwave.config import (
     write_config,
 )
 from bcwave.errors import ConfigError
+from bcwave.goursat import solve_kernels
+from bcwave.grid import UniformGrid
 from bcwave.pipeline import run_pipeline
+from bcwave.potentials import GaussianPotential
+from bcwave.response import response_matrix
 
 MINIMAL = '{"potential": {"kind": "gaussian", "amplitude": 1.0}, "T": 1.0, "n": 16}'
 
@@ -264,3 +268,38 @@ def test_linalg_error_becomes_failed_stage(tmp_path, monkeypatch):
     connect = saved["stages"][2]
     assert connect["error"] == "Matrix is singular"
     assert saved["stages"][3]["metrics"]["failed_horizons"] == 0
+
+
+def test_stage_commands_rerun_stage_checks(tmp_path, capsys):
+    # the config's own stages hold no spectral, the command adds it
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "potential": {"kind": "gaussian"}, "T": 1, "n": 16,
+        "spectral": {"N": 0.5, "cutoff": 20, "mesh": 128},
+        "stages": ["kernels"], "out": str(out)}))
+    assert main(["spectral", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "spectral.N must exceed T" in err
+    assert not out.exists()
+
+
+def test_memory_budget_uses_the_response_file(tmp_path, capsys, monkeypatch):
+    # a response CSV of n = 64 under a config of n = 16
+    r = response_matrix(solve_kernels(GaussianPotential(),
+                                      UniformGrid(2.0, 128)))
+    path = tmp_path / "response.csv"
+    r.write_csv(path)
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"response_csv": str(path), "T": 1, "n": 16,
+                               "out": str(out)}))
+    small, large = parse_config(cfg.read_text()), 7 * 130 ** 2 * 8
+    assert memory_estimate(small) < large // 2
+    assert memory_estimate(small, 64) == large
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": large // 2 // 4096}
+    monkeypatch.setattr("bcwave.config.os.sysconf", pages.__getitem__)
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n = 64" in err
+    assert not (out / "connecting.csv").exists()

@@ -1,0 +1,139 @@
+"""The inverse stages' shared state: one connecting kernel, its reflected
+matrix and one nested factor per run, GL solved on horizon panels."""
+
+import json
+import weakref
+
+import numpy as np
+import pytest
+
+from bcwave import krein, pipeline
+from bcwave.config import parse_config
+from bcwave.connecting import assemble_matrix, build_connecting
+from bcwave.gl import GL_PANELS, _solve_column, gl_kernel, solve_gl
+from bcwave.goursat import solve_kernels
+from bcwave.grid import UniformGrid, trapezoid_weights
+from bcwave.potentials import ZeroPotential
+from bcwave.response import response_matrix
+
+
+@pytest.mark.parametrize("resp", ["resp128", "resp_off", "resp_skew"])
+def test_panelled_gl_matches_column_solves(request, resp):
+    # 127 columns make panels of 32, 32, 32 and 31; resp_skew has columns
+    # past the factor's reach
+    ck = build_connecting(request.getfixturevalue(resp), 127)
+    assert ck.grid.n % GL_PANELS
+    inverse = assemble_matrix(ck)
+    M = solve_gl(ck, inverse)
+    if resp == "resp_skew":
+        assert inverse.factor.horizons < ck.grid.n
+    ct = gl_kernel(ck)
+    ref = np.zeros((4, ck.grid.n + 1, ck.grid.n + 1))
+    ref[:, 0, 0] = -ct.c11[0, 0], -ct.c12[0, 0], -ct.c21[0, 0], -ct.c22[0, 0]
+    for j in range(1, ck.grid.n + 1):
+        k = j + 1
+        sol, reg = _solve_column(ct, j, ck.grid.h)
+        assert not reg
+        ref[0, :k, j], ref[2, :k, j] = sol[:k, 0], sol[k:, 0]
+        ref[1, :k, j], ref[3, :k, j] = sol[:k, 1], sol[k:, 1]
+    for blk, r in zip((M.m11, M.m12, M.m21, M.m22), ref):
+        assert np.max(np.abs(blk - r)) <= 1e-12 * np.max(np.abs(r))
+    # the shared state gives the same bits as a solve that builds its own
+    alone = solve_gl(ck)
+    for a, b in zip((M.m11, M.m12, M.m21, M.m22),
+                    (alone.m11, alone.m12, alone.m21, alone.m22)):
+        assert np.array_equal(a, b)
+
+
+def test_stage_subsets_write_the_same_bytes(tmp_path, resp_off):
+    path = tmp_path / "response.csv"
+    resp_off.write_csv(path)
+    blobs = {}
+    for stages in (["krein"], ["gl"], ["krein", "gl"],
+                   ["connect", "krein", "gl"]):
+        out = tmp_path / "-".join(stages)
+        report = pipeline.run_pipeline(parse_config(json.dumps(
+            {"response_csv": str(path), "T": 1.0, "n": 128,
+             "stages": stages, "out": str(out)})))
+        assert report["ok"]
+        for name in ("krein_q.csv", "gl_kernel.csv", "q_gl.csv"):
+            if (out / name).exists():
+                blobs.setdefault(name, set()).add((out / name).read_bytes())
+    assert {name: len(b) for name, b in blobs.items()} == {
+        "krein_q.csv": 1, "gl_kernel.csv": 1, "q_gl.csv": 1}
+    connect = report["stages"][1]
+    assert connect["name"] == "connect"
+    asm = assemble_matrix(build_connecting(resp_off))
+    lam = np.linalg.eigvalsh(asm.matrix)[0]
+    assert abs(connect["metrics"]["min_eigenvalue"] - lam) <= 1e-12 * lam
+    assert connect["metrics"]["assembly_asymmetry"] == asm.asymmetry
+
+
+def _free_ck():
+    return build_connecting(response_matrix(
+        solve_kernels(ZeroPotential(), UniformGrid(2.0, 128))))
+
+
+@pytest.mark.parametrize("case", ["gauss", "zero"])
+def test_min_eigenvalue_by_lanczos(request, case):
+    ck = request.getfixturevalue("ck128") if case == "gauss" else _free_ck()
+    asm = assemble_matrix(ck)
+    assert asm.factor.horizons == ck.grid.n      # the Lanczos path
+    lam = np.linalg.eigvalsh(asm.matrix)
+    assert abs(asm.min_eigenvalue() - lam[0]) <= 1e-12 * lam[0]
+    if case == "zero":
+        # W/2: the end nodes' h/4, once per component and end
+        h = ck.grid.h
+        assert np.count_nonzero(lam == 0.25 * h) == 4
+        assert abs(asm.min_eigenvalue() - 0.25 * h) <= 1e-12 * h
+    assert asm.min_eigenvalue() == asm.min_eigenvalue()   # deterministic
+
+
+def test_min_eigenvalue_falls_back_past_the_factor(resp_broken):
+    asm = assemble_matrix(build_connecting(resp_broken))
+    assert asm.factor.horizons < asm.kernel.grid.n
+    assert asm.min_eigenvalue() == np.linalg.eigvalsh(asm.matrix)[0] < 0.0
+
+
+def test_assembly_asymmetry_from_the_factor(resp_off, resp_skew):
+    for r in (resp_off, resp_skew):
+        ck = build_connecting(r)
+        w = np.tile(trapezoid_weights(ck.grid.n, ck.grid.h), 2)
+        A = 0.5 * np.diag(w) + (w[:, None] * np.block(
+            [[ck.c11, ck.c12], [ck.c21, ck.c22]]) * w[None, :])
+        assert assemble_matrix(ck).asymmetry == np.max(np.abs(A - A.T))
+
+
+def test_one_state_per_run_freed_before_spectral(tmp_path, monkeypatch):
+    built = []
+    seen = {}
+
+    def counting(ck):
+        inverse = assemble_matrix(ck)
+        built.append(weakref.ref(inverse))
+        return inverse
+
+    def own_factor(*args):
+        raise AssertionError("the Krein sweep built its own factor")
+
+    def residual(ck, M):
+        seen["residual"] = [ref() is None for ref in built]
+        return 0.0
+
+    stage_spectral = pipeline._stage_spectral
+
+    def spectral(cfg, state, files):
+        seen["spectral"] = "inverse" in state
+        return stage_spectral(cfg, state, files)
+
+    monkeypatch.setattr(pipeline, "assemble_matrix", counting)
+    monkeypatch.setattr(krein, "nested_factor", own_factor)
+    monkeypatch.setattr(pipeline, "operator_identity_residual", residual)
+    monkeypatch.setattr(pipeline, "_stage_spectral", spectral)
+    cfg = {"potential": {"kind": "gaussian", "amplitude": 1.0, "width": 0.3},
+           "T": 1.0, "n": 32, "out": str(tmp_path / "out"),
+           "spectral": {"N": 4.0, "cutoff": 20, "mesh": 128}}
+    report = pipeline.run_pipeline(parse_config(json.dumps(cfg)))
+    assert report["ok"]
+    assert len(built) == 1
+    assert seen == {"residual": [True], "spectral": False}

@@ -346,3 +346,17 @@ def test_measure_csv(tmp_path, measure_g):
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "n,lambda,beta,gamma"
     assert len(rows) == measure_g.count + 1
+
+
+def test_reference_without_eigenfunctions(gauss, measure_g, reference):
+    assert reference.vecs is None and measure_g.vecs is not None
+    full = eigensolve(ZeroPotential(), 4.0, (1, 0, 1, 0), CUTOFF, MESH)
+    for key in ("lam", "beta", "gamma"):
+        assert np.array_equal(getattr(reference, key), getattr(full, key))
+    f = smooth_random_control(UniformGrid(1.0, 128), np.random.default_rng(2))
+    assert np.array_equal(smoothed_response_traces(measure_g, f, reference).value,
+                          smoothed_response_traces(measure_g, f, full).value)
+    bare = eigensolve(gauss, 4.0, (1, 0, 1, 0), CUTOFF, MESH, vecs=False)
+    assert bare.vecs is None
+    for key in ("lam", "beta", "gamma"):
+        assert np.array_equal(getattr(bare, key), getattr(measure_g, key))
