@@ -10,7 +10,6 @@ mutated afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -262,13 +261,226 @@ def smooth_random_control(grid: UniformGrid, rng, modes: int = 5) -> Control:
     return Control(grid, f1, f2, d1, d2)
 
 
+# ---------------------------------------------------------------------------
+# CSV output.  Every value is rendered as "%.17g" by numpy arithmetic, a
+# whole chunk of rows at a time.  A value occupies a 40-byte slot of five
+# little-endian words: byte 0 holds the field separator, byte 1 the sign,
+# bytes 2-6 the "0.000" prefix of a value below 1, byte 7 the leading
+# digit, and bytes 8-39 the other sixteen digits, each after a gap byte
+# that holds the decimal point or NUL.  The NUL bytes are dropped before
+# the chunk is written, so a row is its slots laid end to end.
+
+#: Rows formatted and written together by :func:`write_csv`.
+CSV_CHUNK_ROWS = 2048
+
+_WORD = np.dtype("<u8")
+_SLOT = 5                                  # words per formatted value
+
+#: 10^k for k = 0..20, each exact (5^k < 2^53), with Veltkamp's split of
+#: it into two 26-bit halves for Dekker's exact product.
+_SPLITTER = 134217729.0                    # 2^27 + 1
+_POW10 = 10.0 ** np.arange(21)
+_POW10_HI = _SPLITTER * _POW10 - (_SPLITTER * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _digit_tables():
+    """Per 4-digit group g = 0..9999: its ASCII digits spread over the odd
+    bytes of a word (gap bytes NUL) and its trailing zero count (4 for 0).
+    Both are built as outer combinations of the ten digits."""
+    d = np.arange(10)
+    pairs, zeros, run = 0, 0, 1
+    for i in (3, 2, 1, 0):                 # digit i of g, 0 leading
+        digit = d.reshape([10 if a == i else 1 for a in range(4)])
+        pairs = pairs + (digit + ord("0")) * 256 ** (2 * i + 1)
+        run = run * (digit == 0)           # digits i..3 all zero
+        zeros = zeros + run
+    return (pairs.reshape(-1).astype(np.uint64),
+            zeros.reshape(-1).astype(np.uint8))
+
+
+def _layout_table():
+    """XOR words that lay out the digits for %g in fixed notation, one row
+    per key (E + 4) * 17 + tz, where E = -4..16 is the decimal exponent and
+    tz = 0..16 counts the trailing zeros of the 17-digit significand.
+
+    The XOR writes the separator, the "0." prefix and zeros of E < 0 and
+    the decimal point of E >= 0, and turns stripped trailing zeros (always
+    ASCII "0") to NUL."""
+    key = np.arange(21 * 17)[:, None]
+    e, tz = key // 17 - 4, key % 17
+    b = np.arange(8 * _SLOT)
+    j = (b - 6) // 2                       # digit j at 7 + 2j, gap at 6 + 2j
+    digit, gap = (b >= 7) & (b % 2 == 1), (b >= 8) & (b % 2 == 0)
+    last = np.where(e < 0, 16 - tz, np.maximum(e, 16 - tz))
+    x = np.zeros((len(key), len(b)), np.uint8)
+    x[:, 0] = ord(",")
+    x[digit & (j > last)] = ord("0")
+    x[gap & (e >= 0) & (j == e + 1) & (j <= last)] = ord(".")
+    x[:, 2:4][e[:, 0] < 0] = (ord("0"), ord("."))
+    x[(e < 0) & (b >= 4) & (b < 3 - e)] = ord("0")
+    return np.ascontiguousarray(x.view(_WORD).T)
+
+
+_PAIRS, _TRAILING_ZEROS = _digit_tables()
+_LAYOUT = _layout_table()                  # (5, 357): word w of each key
+#: Word 0's sign and leading digit, indexed by digit + 10 * negative.
+_LEAD = np.array([(ord("0") + i % 10) << 56 | (i // 10) * ord("-") << 8
+                  for i in range(20)], dtype=np.uint64)
+
+
+def _decimal(v: np.ndarray):
+    """The 17-digit decimal form of the floats ``v`` in %g's fixed
+    notation: (fast, k, d), where d is |v| 10^k rounded half to even and
+    10^16 <= d < 10^17, valid where ``fast`` holds.
+
+    For 1e-4 <= |x| < 1e17 the exponent E = 16 - k is estimated from
+    log10, and Dekker's product by the exact, presplit 10^k gives
+    |x| 10^k = hi + lo exactly.  hi >= 2^53 is an even integer, so
+    hi + rint(lo) is the significand rounded half to even, as "%.17g"
+    rounds.  ``fast`` is false where the estimate was off at a power of
+    ten or the rounding carried into an 18th digit (d leaves its range),
+    and for 0, |x| < 1e-4, |x| >= 1e17, inf and nan, which %g writes in
+    exponent notation or as words."""
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e17)
+    np.copyto(a, 1.0, where=~fast)
+    k = (16.0 - np.floor(np.log10(a))).clip(0, 20).astype(np.intp)
+    hi = a * _POW10.take(k)
+    ah = _SPLITTER * a
+    ah -= ah - a
+    al = a - ah
+    ph, pl = _POW10_HI.take(k), _POW10_LO.take(k)
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    fast &= (d >= 10 ** 16) & (d < 10 ** 17)
+    return fast, k, d
+
+
+def _format_slots(v: np.ndarray, dst: np.ndarray) -> None:
+    """Write "," + "%.17g" % x for each x of the (r, m) floats ``v`` into
+    the (r, m, 5) word slots ``dst``, NUL-padded.
+
+    Values in fixed notation (see ``_decimal``) are laid out from their
+    digit groups and one layout row per (E, trailing zeros).  Every other
+    element, and only those, holds the string that "%.17g" % x makes."""
+    fast, k, d = _decimal(v)
+    groups = []
+    for _ in range(4):                     # last group first
+        q = d // 10_000
+        groups.append(d - q * 10_000)
+        d = q                              # ends as the leading digit
+    tz = _TRAILING_ZEROS.take(groups[0])
+    for i in (1, 2, 3):
+        tz += (tz == 4 * i) * _TRAILING_ZEROS.take(groups[i])
+    key = (20 - k) * 17 + tz
+    # d is 10 where rounding carried into an 18th digit: clip, such
+    # elements are overwritten below
+    np.bitwise_or(_LEAD.take(d + 10 * np.signbit(v), mode="clip"),
+                  _LAYOUT[0].take(key), out=dst[..., 0])
+    for w in range(1, _SLOT):
+        np.bitwise_xor(_PAIRS.take(groups[4 - w]), _LAYOUT[w].take(key),
+                       out=dst[..., w])
+    rows, cols = np.nonzero(~fast)
+    if len(rows):
+        text = b"".join(b"," + (b"%.17g" % x).ljust(8 * _SLOT - 1, b"\0")
+                        for x in v[rows, cols].tolist())
+        dst[rows, cols] = np.frombuffer(text, _WORD).reshape(-1, _SLOT)
+
+
+def _label_words(coords: np.ndarray) -> np.ndarray:
+    """Row i is "," + "%.17g" % coords[i], NUL-padded to whole words."""
+    if not len(coords):
+        return np.zeros((0, 1), _WORD)
+    slots = np.empty((len(coords), 1, _SLOT), _WORD)
+    _format_slots(coords[:, None], slots)
+    b = slots.view(np.uint8).reshape(len(coords), 8 * _SLOT)
+    b = np.take_along_axis(b, np.argsort(b == 0, axis=1, kind="stable"),
+                           axis=1)
+    width = -(-np.count_nonzero(b, axis=1).max() // 8) * 8
+    return np.ascontiguousarray(b[:, :width]).view(_WORD)
+
+
 def _csv_text(value: str) -> str:
     """A constant text field quoted as the standard ``csv`` module quotes
-    it (only when it holds a comma, quote or line break), escaped for use
-    inside a %-format."""
+    it: only when it holds a comma, quote or line break."""
     if any(c in value for c in ',"\r\n'):
         value = '"%s"' % value.replace('"', '""')
-    return value.replace("%", "%%")
+    return value
+
+
+class _Chunk:
+    """Buffers for CSV_CHUNK_ROWS rows of one column layout, reused from
+    chunk to chunk: the data values, the label index of each coordinate
+    column, and the rows' words (a view of a bytearray)."""
+
+    def __init__(self, kinds: tuple, labels: np.ndarray, suffix: bytes):
+        self.kinds, self.labels, self.fill = kinds, labels, 0
+        self.rows = rows = CSV_CHUNK_ROWS
+        self.data_cols = [i for i, kind in enumerate(kinds) if kind is None]
+        self.coord_cols = [i for i, kind in enumerate(kinds)
+                           if kind is not None]
+        self.values = np.empty((rows, len(self.data_cols)))
+        self.index = np.empty((rows, len(self.coord_cols)), np.intp)
+        widths = [_SLOT if kind is None else labels.shape[1]
+                  for kind in kinds]
+        offsets = np.concatenate([[0], np.cumsum(widths)]).astype(int)
+        # maximal runs of adjacent data columns, each formatted in one pass
+        self.runs = []
+        for j, i in enumerate(self.data_cols):
+            if j and self.data_cols[j - 1] == i - 1:
+                self.runs[-1][1] = j + 1
+            else:
+                self.runs.append([j, j + 1, offsets[i]])
+        self.label_offsets = offsets[self.coord_cols]
+        suffix = np.frombuffer(suffix.ljust(-(-len(suffix) // 8) * 8, b"\0"),
+                               _WORD)
+        width = offsets[-1] + len(suffix)
+        self.buf = bytearray(8 * width * rows)
+        self.words = np.frombuffer(self.buf, _WORD).reshape(rows, width)
+        self.words[:, offsets[-1]:] = suffix
+
+    def add(self, columns, fh) -> None:
+        """Queue one block's rows, writing each chunk as it fills."""
+        parts = [np.arange(len(self.labels))[c] if kind is slice else c
+                 for kind, c in zip(self.kinds, columns)]
+        sized = [p for kind, p in zip(self.kinds, parts) if kind is not int]
+        n = len(sized[0])
+        if any(len(p) != n for p in sized):
+            raise ValueError("CSV block columns differ in length")
+        done = 0
+        while done < n:
+            take = min(n - done, self.rows - self.fill)
+            rows, part = (slice(self.fill, self.fill + take),
+                          slice(done, done + take))
+            for j, i in enumerate(self.data_cols):
+                self.values[rows, j] = parts[i][part]
+            for j, i in enumerate(self.coord_cols):
+                self.index[rows, j] = (parts[i] if self.kinds[i] is int
+                                       else parts[i][part])
+            self.fill += take
+            done += take
+            if self.fill == self.rows:
+                self.flush(fh)
+
+    def flush(self, fh) -> None:
+        """Format and write the queued rows."""
+        r = self.fill
+        if not r:
+            return
+        words = self.words[:r]
+        for j0, j1, off in self.runs:
+            _format_slots(self.values[:r, j0:j1],
+                          words[:, off:off + _SLOT * (j1 - j0)]
+                          .reshape(r, j1 - j0, _SLOT))
+        width = self.labels.shape[1]
+        for j, off in enumerate(self.label_offsets):
+            words[:, off:off + width] = self.labels.take(self.index[:r, j],
+                                                         axis=0)
+        words[:, 0] &= ~np.uint64(0xff)    # no separator before field 1
+        buf = self.buf if r == self.rows else self.buf[:8 * words.size]
+        fh.write(buf.translate(None, b"\0"))
+        self.fill = 0
 
 
 def write_csv(path, header, blocks, text=(), coords=()) -> None:
@@ -278,48 +490,42 @@ def write_csv(path, header, blocks, text=(), coords=()) -> None:
     of columns, one per header field before the ``text`` fields; every
     value is written as ``%.17g``, fields are comma-separated and rows
     end in CRLF, byte for byte the standard ``csv`` module's rendering.
-    Integer-valued columns render as plain integers.  ``text`` holds
-    constant text fields appended to every row.
+    Integer and boolean columns are converted to float, so they render
+    as plain integers.  ``text`` holds constant text fields appended to
+    every row; they must not contain NUL.
 
     A column is either a 1-D array of data values or a reference into
     ``coords``, the file's grid coordinates: an ``int`` i puts coords[i]
     on every row of the block, a ``slice`` puts one entry of
-    ``coords[slice]`` on each row (at most one slice per block).  Each
-    coordinate is formatted once per file and spliced into the block's
-    row template, so ``%`` runs over the data columns only.  Coordinates
-    are taken by index, not looked up by value, so every row gets the
-    string of exactly the float the grid holds: a memo keyed by value
-    would merge -0.0 with 0.0 and never find a NaN.
+    ``coords[slice]`` on each row.  Each coordinate is formatted once per
+    file and copied into the rows by index, not looked up by value, so
+    every row gets the string of exactly the float the grid holds: a memo
+    keyed by value would merge -0.0 with 0.0 and never find a NaN.
 
-    Each block (one time level or kernel row of a large file) is
-    formatted with a single ``%``.  Data columns are interleaved as
-    Python lists rather than stacked into a new array per block: those
-    temporaries fragmented the heap above the kernel storage, so a
-    process that runs the forward stages repeatedly did not return its
-    memory and its peak RSS grew.
+    Blocks are gathered into chunks of CSV_CHUNK_ROWS rows (a block may
+    straddle two chunks), and each chunk is formatted by numpy in one
+    pass over its data columns and written with one call.  Values with
+    1e-4 <= |x| < 1e17 are formatted exactly by integer arithmetic (see
+    ``_format_slots``); 0, smaller or larger magnitudes, inf and nan take
+    ``"%.17g" % x``, element by element.  The chunk's buffers are reused
+    for the whole file, so the writer's memory does not grow with it.
     """
-    labels = ["%.17g" % v for v in np.asarray(coords, dtype=float).tolist()]
-    text = [_csv_text(f) for f in text]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    coords = np.asarray(coords, dtype=float).reshape(-1)
+    labels = _label_words(coords)
+    suffix = ("".join("," + _csv_text(f) for f in text) + "\r\n").encode()
+    if b"\0" in suffix:
+        raise ValueError("CSV text fields must not contain NUL")
+    chunk = None
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for columns in blocks:
-            fields, data, spread, rows = [], [], None, None
-            for c in columns:
-                if isinstance(c, slice):
-                    spread, rows = len(fields), labels[c]
-                    fields.append("")
-                elif isinstance(c, int):
-                    fields.append(labels[c])
-                else:
-                    fields.append("%.17g")
-                    data.append(c.tolist())
-            fields += text
-            if spread is None:
-                template = (",".join(fields) + "\r\n") * len(data[0])
-            else:
-                # row r is before + rows[r] + after
-                before = ",".join(fields[:spread + 1])
-                after = ",".join(fields[spread:]) + "\r\n"
-                template = (before + (after + before).join(rows) + after
-                            if rows else "")
-            fh.write(template % tuple(chain.from_iterable(zip(*data))))
+            kinds = tuple(slice if isinstance(c, slice)
+                          else int if isinstance(c, int) else None
+                          for c in columns)
+            if chunk is None or chunk.kinds != kinds:
+                if chunk is not None:
+                    chunk.flush(fh)
+                chunk = _Chunk(kinds, labels, suffix)
+            chunk.add(columns, fh)
+        if chunk is not None:
+            chunk.flush(fh)

@@ -23,7 +23,7 @@ import numpy as np
 from . import BACKEND
 from .config import RunConfig, check_memory, config_to_dict
 from .connecting import assemble_matrix, build_connecting, connecting_form
-from .errors import BCWaveError
+from .errors import BCWaveError, ReconstructionError
 from .gl import (operator_identity_residual, recover_q_from_m, solve_gl,
                  write_q_csv)
 from .goursat import solve_kernels
@@ -135,6 +135,13 @@ def _inverse_state(state):
     return inverse
 
 
+#: Largest ``operator_identity_residual`` the gl stage accepts.  GL
+#: solutions of responses of real potentials give at most 0.03 (Gaussians
+#: of amplitude up to 3, n = 8-256); a response that belongs to no
+#: potential gives 4 and more.
+MAX_IDENTITY_RESIDUAL = 0.5
+
+
 def _stage_connect(cfg, state, files):
     ck = build_connecting(state["response"])
     state["connect"] = ck
@@ -142,10 +149,16 @@ def _stage_connect(cfg, state, files):
     ck.dump_csv(path)
     files.append(path)
     inverse = _inverse_state(state)
+    lam = inverse.min_eigenvalue()
+    if not lam > 0.0:
+        # the connecting operator of a potential is positive definite
+        raise ReconstructionError(
+            "connecting matrix is not positive definite (min eigenvalue "
+            "%.3g): the response belongs to no potential" % lam)
     return {"symmetry_residual": ck.symmetry_residual(),
             "block_symmetry_residual": ck.block_symmetry_residual(),
             "assembly_asymmetry": inverse.asymmetry,
-            "min_eigenvalue": inverse.min_eigenvalue()}
+            "min_eigenvalue": lam}
 
 
 def _band_error(x, q, p, mask=None):
@@ -189,8 +202,13 @@ def _stage_gl(cfg, state, files):
     qpath = os.path.join(cfg.out, "q_gl.csv")
     write_q_csv(qpath, x, q, "GL")
     files.extend([kpath, qpath])
+    residual = operator_identity_residual(ck, M)
+    if not residual <= MAX_IDENTITY_RESIDUAL:
+        raise ReconstructionError(
+            "GL operator identity residual %.3g exceeds %g: the response "
+            "belongs to no potential" % (residual, MAX_IDENTITY_RESIDUAL))
     metrics = {
-        "operator_identity_residual": operator_identity_residual(ck, M),
+        "operator_identity_residual": residual,
         "regularized_columns": len(M.regularized),
     }
     if "potential" in state:

@@ -2,16 +2,22 @@
 ``%.17g`` (integer columns as plain integers), comma-separated, CRLF line
 ends -- the rendering ``csv.writer`` gave these files."""
 
+import tempfile
+from decimal import Decimal
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bcwave import grid
 from bcwave.connecting import ConnectingKernel, build_connecting
-from bcwave.gl import OperatorM, solve_gl, write_q_csv
+from bcwave.gl import OperatorM, recover_q_from_m, solve_gl, write_q_csv
 from bcwave.goursat import KernelField, solve_kernels
-from bcwave.grid import UniformGrid
-from bcwave.krein import CauchyProfile
+from bcwave.grid import UniformGrid, write_csv
+from bcwave.krein import CauchyProfile, sweep_reconstruct
 from bcwave.potentials import GaussianPotential
 from bcwave.response import ResponseMatrix, response_matrix
 from bcwave.spectral import SpectralMeasure
@@ -215,3 +221,132 @@ def test_coordinate_columns_match_per_field_format(tmp_path, solved, which,
     if poison:
         fields = data.decode().replace("\r\n", ",").split(",")
         assert "nan" in fields and "-0" in fields
+
+
+# Every value goes through the chunked numpy formatter; whichever of its
+# paths a value takes (the exact integer layout for 1e-4 <= |v| < 1e17, or
+# "%" for the rest), the bytes must be those of "%.17g" % v.
+
+
+def _one_column(values, directory):
+    """(written, expected) bytes of a one-column file of ``values``."""
+    v = np.asarray(values)
+    path = Path(directory) / "column.csv"
+    write_csv(path, ["v"], [(v,)])
+    expected = "v\r\n" + "".join("%.17g\r\n" % x for x in v.tolist())
+    return path.read_bytes(), expected.encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+def test_formatter_matches_percent_on_bit_patterns(bits):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, expected = _one_column(
+            np.array(bits, dtype=np.uint64).view(np.float64), tmp)
+    assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-5, 1e18) | st.floats(-1e18, -1e-5),
+                min_size=1, max_size=40))
+def test_formatter_matches_percent_in_fixed_notation(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, expected = _one_column(values, tmp)
+    assert got == expected
+
+
+def _halfway_ties():
+    """Floats exactly halfway between two 17-digit decimals: n / 2^(k+1)
+    with n odd and n 5^k = 2d + 1 for a 17-digit d."""
+    ties = []
+    for k in range(1, 21):
+        lo, hi = 2 * 10 ** 16 // 5 ** k + 1, min(2 * 10 ** 17 // 5 ** k,
+                                                  2 ** 53)
+        for n in np.linspace(lo, hi - 2, 9).astype(np.int64).tolist():
+            ties.append((n | 1) / 2 ** (k + 1))
+    return ties
+
+
+def _edge_values():
+    p = 10.0 ** np.arange(-8, 19)
+    ulps = [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    bounds = [np.nextafter(b, 0.0) for b in (1e-4, 1e17)] + [1e-4, 1e17]
+    bounds += [np.nextafter(b, np.inf) for b in (1e-4, 1e17)]
+    dyadic = [np.ldexp(np.arange(1.0, 200.0, 2.0), -j) for j in range(1, 70)]
+    subnormal = [5e-324, 1e-310, 2.2250738585072009e-308,
+                 2.2250738585072014e-308]
+    integers = [np.arange(0.0, 1001.0), 2.0 ** np.arange(54),
+                2.0 ** 53 - np.arange(1.0, 20.0), [1e16 - 2, 1e16, 1e16 + 2]]
+    v = np.concatenate([np.ravel(a) for a in ulps + [bounds] + dyadic
+                        + [_halfway_ties(), subnormal] + integers])
+    return np.concatenate([v, -v, [0.0, -0.0, NAN, -NAN, INF, -INF]])
+
+
+def test_halfway_ties_are_ties():
+    for x in _halfway_ties():
+        digits = format(Decimal(x), "f").replace(".", "").strip("0")
+        assert len(digits) == 18 and digits.endswith("5")
+
+
+def test_formatter_matches_percent_on_edge_sets(tmp_path):
+    got, expected = _one_column(_edge_values(), tmp_path)
+    assert got == expected
+
+
+@pytest.mark.parametrize("values", [
+    np.array([True, False, True]),
+    np.arange(-5, 6),
+    np.array([2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 62, -2 ** 63,
+              10 ** 17, 10 ** 16 + 1], dtype=np.int64),
+    np.array([2 ** 64 - 1, 12345678901234567], dtype=np.uint64),
+], ids=["bool", "small_int", "int64", "uint64"])
+def test_integer_and_bool_columns(tmp_path, values):
+    got, expected = _one_column(values, tmp_path)
+    assert got == expected
+
+
+def test_mixed_layouts_and_coordinate_positions(tmp_path):
+    # a data column after a coordinate splits the data into two runs, and
+    # a block may change which columns are coordinates
+    coords = np.array([0.5, -0.0, NAN])
+    a, b = np.array([1.0 / 3.0, 2e-5]), np.array([-7.0, 1e20])
+    path = tmp_path / "mixed.csv"
+    write_csv(path, ["p", "q", "r"],
+              [(a, 1, b), (slice(1, None), a, 0), (a, b, a)], coords=coords)
+    rows = [(a[0], -0.0, b[0]), (a[1], -0.0, b[1]),
+            (-0.0, a[0], 0.5), (NAN, a[1], 0.5),
+            (a[0], b[0], a[0]), (a[1], b[1], a[1])]
+    assert path.read_bytes() == _reference(["p", "q", "r"], rows)
+    with pytest.raises(ValueError):
+        write_csv(path, ["p", "q"], [(a, b[:1])])
+
+
+@pytest.fixture(scope="module")
+def writers(solved):
+    """Each of the seven writers on data of many rows and blocks."""
+    field, ck, M = solved
+    r = response_matrix(field)
+    prof = sweep_reconstruct(r)
+    x, q = recover_q_from_m(M)
+    rng = np.random.default_rng(3)
+    measure = SpectralMeasure(4.0, (1.0, 0.0, 1.0, 0.0),
+                              np.cumsum(rng.random(40)),
+                              rng.standard_normal(40) * 1e-3,
+                              rng.standard_normal(40), None, None)
+    return {"kernels": field.dump_csv, "response": r.write_csv,
+            "connecting": ck.dump_csv, "krein": prof.write_csv,
+            "gl_kernel": M.dump_csv,
+            "q_gl": lambda path: write_q_csv(path, x, q, "GL"),
+            "spectral": measure.write_csv}
+
+
+@pytest.mark.parametrize("name", ["kernels", "response", "connecting",
+                                  "krein", "gl_kernel", "q_gl", "spectral"])
+def test_chunk_boundaries_leave_bytes_unchanged(tmp_path, monkeypatch,
+                                                writers, name):
+    writers[name](tmp_path / "whole.csv")
+    monkeypatch.setattr(grid, "CSV_CHUNK_ROWS", 7)
+    writers[name](tmp_path / "chunked.csv")
+    whole = (tmp_path / "whole.csv").read_bytes()
+    assert whole.count(b"\r\n") > 3 * 7
+    assert (tmp_path / "chunked.csv").read_bytes() == whole

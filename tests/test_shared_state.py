@@ -95,6 +95,26 @@ def test_min_eigenvalue_falls_back_past_the_factor(resp_broken):
     assert asm.min_eigenvalue() == np.linalg.eigvalsh(asm.matrix)[0] < 0.0
 
 
+def test_response_of_no_potential_fails_connect_and_gl(tmp_path,
+                                                       resp_broken):
+    # r22 = -c alone is no potential's response: the connecting matrix has
+    # a negative eigenvalue and the GL operator identity fails by O(1)
+    path = tmp_path / "response.csv"
+    resp_broken.write_csv(path)
+    report = pipeline.run_pipeline(parse_config(json.dumps(
+        {"response_csv": str(path), "T": 1.0, "n": 96,
+         "out": str(tmp_path / "out")})))
+    stages = {s["name"]: s for s in report["stages"]}
+    assert not report["ok"]
+    assert stages["connect"]["status"] == "failed"
+    assert "not positive definite" in stages["connect"]["error"]
+    assert stages["connect"]["files"] == [str(tmp_path / "out"
+                                              / "connecting.csv")]
+    assert stages["gl"]["status"] == "failed"
+    assert "identity residual" in stages["gl"]["error"]
+    assert stages["ingest"]["status"] == "ok"
+
+
 def test_assembly_asymmetry_from_the_factor(resp_off, resp_skew):
     for r in (resp_off, resp_skew):
         ck = build_connecting(r)
