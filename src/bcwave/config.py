@@ -67,6 +67,10 @@ class RunConfig:
         spec = self.spectral
         if spec.half_length <= 0:
             raise ConfigError("spectral.N must be positive")
+        a1, b1, a2, b2 = spec.bc
+        if (a1 == 0.0 and b1 == 0.0) or (a2 == 0.0 and b2 == 0.0):
+            raise ConfigError("spectral.bc with a = b = 0 at an end is not "
+                              "self-adjoint")
         if spec.cutoff < 1:
             raise ConfigError("spectral.cutoff must be at least 1")
         if spec.mesh % 2:
@@ -170,11 +174,17 @@ def finite_number(value, key: str) -> float:
 
 
 def _integer(value, key: str) -> int:
+    """``int(value)``, which must be an integer; ConfigError names the
+    key.  An integral float such as 64.0 counts; 64.7 is never truncated.
+    """
     finite_number(value, key)
     try:
-        return int(value)
+        integer = int(value)
     except ValueError:
+        integer = None
+    if integer is None or (isinstance(value, float) and integer != value):
         raise ConfigError("'%s' must be an integer, got %.40r" % (key, value))
+    return integer
 
 
 def parse_config(text: str) -> RunConfig:

@@ -54,6 +54,9 @@ from .grid import (Control, UniformGrid, cumulative_trapezoid,
 from .response import ResponseMatrix
 
 
+#: Tikhonov shift, relative to trace/size, of the Krein and GL dense
+#: solves when the factorization of their system fails.
+TIKHONOV_RELATIVE = 1e-10
 #: Largest asymmetry of an assembled connecting matrix, in units of h^2,
 #: that its symmetrization may hide.
 ASYMMETRY_H2 = 100.0

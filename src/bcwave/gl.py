@@ -34,17 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connecting import (AssembledConnecting, ConnectingKernel,
-                         NestedFactor, assemble_matrix, build_connecting,
-                         reflect_kernel)
+from .connecting import (TIKHONOV_RELATIVE, AssembledConnecting,
+                         ConnectingKernel, NestedFactor, assemble_matrix,
+                         build_connecting, reflect_kernel)
 from .errors import GridMismatchError, ReconstructionError
 from .goursat import KernelField
 from .grid import (UniformGrid, differentiate, row_trapezoid_weights,
                    trapezoid_weights, write_csv)
 from .response import ResponseMatrix, operator_k_matrix
 
-#: Tikhonov shift, relative to trace/size, for near-singular column systems.
-TIKHONOV_RELATIVE = 1e-10
 #: Refinement steps against the unsymmetrized column systems after the
 #: solve through the symmetrized factor, and the largest size of the last
 #: step, relative to the column, that counts as converged.

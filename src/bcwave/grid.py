@@ -390,15 +390,10 @@ def _format_slots(v: np.ndarray, dst: np.ndarray) -> None:
 
 def _label_words(coords: np.ndarray) -> np.ndarray:
     """Row i is "," + "%.17g" % coords[i], NUL-padded to whole words."""
-    if not len(coords):
-        return np.zeros((0, 1), _WORD)
-    slots = np.empty((len(coords), 1, _SLOT), _WORD)
-    _format_slots(coords[:, None], slots)
-    b = slots.view(np.uint8).reshape(len(coords), 8 * _SLOT)
-    b = np.take_along_axis(b, np.argsort(b == 0, axis=1, kind="stable"),
-                           axis=1)
-    width = -(-np.count_nonzero(b, axis=1).max() // 8) * 8
-    return np.ascontiguousarray(b[:, :width]).view(_WORD)
+    text = [b",%.17g" % x for x in coords.tolist()]
+    width = -(-max(map(len, text)) // 8) * 8
+    return np.frombuffer(b"".join(s.ljust(width, b"\0") for s in text),
+                         _WORD).reshape(len(text), width // 8)
 
 
 def _csv_text(value: str) -> str:
@@ -409,123 +404,94 @@ def _csv_text(value: str) -> str:
     return value
 
 
-class _Chunk:
-    """Buffers for CSV_CHUNK_ROWS rows of one column layout, reused from
-    chunk to chunk: the data values, the label index of each coordinate
-    column, and the rows' words (a view of a bytearray)."""
-
-    def __init__(self, kinds: tuple, labels: np.ndarray, suffix: bytes):
-        self.kinds, self.labels, self.fill = kinds, labels, 0
-        self.rows = rows = CSV_CHUNK_ROWS
-        self.data_cols = [i for i, kind in enumerate(kinds) if kind is None]
-        self.coord_cols = [i for i, kind in enumerate(kinds)
-                           if kind is not None]
-        self.values = np.empty((rows, len(self.data_cols)))
-        self.index = np.empty((rows, len(self.coord_cols)), np.intp)
-        widths = [_SLOT if kind is None else labels.shape[1]
-                  for kind in kinds]
-        offsets = np.concatenate([[0], np.cumsum(widths)]).astype(int)
-        # maximal runs of adjacent data columns, each formatted in one pass
-        self.runs = []
-        for j, i in enumerate(self.data_cols):
-            if j and self.data_cols[j - 1] == i - 1:
-                self.runs[-1][1] = j + 1
-            else:
-                self.runs.append([j, j + 1, offsets[i]])
-        self.label_offsets = offsets[self.coord_cols]
-        suffix = np.frombuffer(suffix.ljust(-(-len(suffix) // 8) * 8, b"\0"),
-                               _WORD)
-        width = offsets[-1] + len(suffix)
-        self.buf = bytearray(8 * width * rows)
-        self.words = np.frombuffer(self.buf, _WORD).reshape(rows, width)
-        self.words[:, offsets[-1]:] = suffix
-
-    def add(self, columns, fh) -> None:
-        """Queue one block's rows, writing each chunk as it fills."""
-        parts = [np.arange(len(self.labels))[c] if kind is slice else c
-                 for kind, c in zip(self.kinds, columns)]
-        sized = [p for kind, p in zip(self.kinds, parts) if kind is not int]
-        n = len(sized[0])
-        if any(len(p) != n for p in sized):
-            raise ValueError("CSV block columns differ in length")
-        done = 0
-        while done < n:
-            take = min(n - done, self.rows - self.fill)
-            rows, part = (slice(self.fill, self.fill + take),
-                          slice(done, done + take))
-            for j, i in enumerate(self.data_cols):
-                self.values[rows, j] = parts[i][part]
-            for j, i in enumerate(self.coord_cols):
-                self.index[rows, j] = (parts[i] if self.kinds[i] is int
-                                       else parts[i][part])
-            self.fill += take
-            done += take
-            if self.fill == self.rows:
-                self.flush(fh)
-
-    def flush(self, fh) -> None:
-        """Format and write the queued rows."""
-        r = self.fill
-        if not r:
-            return
-        words = self.words[:r]
-        for j0, j1, off in self.runs:
-            _format_slots(self.values[:r, j0:j1],
-                          words[:, off:off + _SLOT * (j1 - j0)]
-                          .reshape(r, j1 - j0, _SLOT))
-        width = self.labels.shape[1]
-        for j, off in enumerate(self.label_offsets):
-            words[:, off:off + width] = self.labels.take(self.index[:r, j],
-                                                         axis=0)
-        words[:, 0] &= ~np.uint64(0xff)    # no separator before field 1
-        buf = self.buf if r == self.rows else self.buf[:8 * words.size]
-        fh.write(buf.translate(None, b"\0"))
-        self.fill = 0
-
-
 def write_csv(path, header, blocks, text=(), coords=()) -> None:
     """Write a CSV in the one output format every stage uses.
 
-    The header row comes first.  Each element of ``blocks`` is a sequence
-    of columns, one per header field before the ``text`` fields; every
-    value is written as ``%.17g``, fields are comma-separated and rows
-    end in CRLF, byte for byte the standard ``csv`` module's rendering.
-    Integer and boolean columns are converted to float, so they render
-    as plain integers.  ``text`` holds constant text fields appended to
-    every row; they must not contain NUL.
+    The header row comes first, then the rows of each element of
+    ``blocks``.  Every row of a file has the same fixed layout:
 
-    A column is either a 1-D array of data values or a reference into
-    ``coords``, the file's grid coordinates: an ``int`` i puts coords[i]
-    on every row of the block, a ``slice`` puts one entry of
-    ``coords[slice]`` on each row.  Each coordinate is formatted once per
-    file and copied into the rows by index, not looked up by value, so
-    every row gets the string of exactly the float the grid holds: a memo
-    keyed by value would merge -0.0 with 0.0 and never find a NaN.
+    - Without ``coords``, a block is a tuple of 1-D data columns, one per
+      header field before the ``text`` fields, and row j holds their
+      j-th entries.
+    - With ``coords``, the file's grid coordinates, a block is
+      ``(i, span, *data)`` with an ``int`` i and a ``slice`` span; row j
+      holds coords[i], coords[span][j], then the j-th entries of the
+      data columns.  Each coordinate is formatted once per file with
+      ``"%.17g" %`` and copied into the rows by index, not looked up by
+      value, so every row gets the string of exactly the float the grid
+      holds: a memo keyed by value would merge -0.0 with 0.0 and never
+      find a NaN.
+
+    A block with the wrong number of columns, or whose columns differ in
+    length (from each other or from its span), raises ValueError.
+    ``text`` holds constant text fields appended to every row; they must
+    not contain NUL.  Every value is written as ``%.17g``, fields are
+    comma-separated and rows end in CRLF, byte for byte the standard
+    ``csv`` module's rendering.  Integer and boolean columns are
+    converted to float, so they render as plain integers.
 
     Blocks are gathered into chunks of CSV_CHUNK_ROWS rows (a block may
     straddle two chunks), and each chunk is formatted by numpy in one
-    pass over its data columns and written with one call.  Values with
+    pass over its data values and written with one call.  Values with
     1e-4 <= |x| < 1e17 are formatted exactly by integer arithmetic (see
     ``_format_slots``); 0, smaller or larger magnitudes, inf and nan take
     ``"%.17g" % x``, element by element.  The chunk's buffers are reused
     for the whole file, so the writer's memory does not grow with it.
     """
     coords = np.asarray(coords, dtype=float).reshape(-1)
-    labels = _label_words(coords)
+    labelled = len(coords) > 0
+    labels = _label_words(coords) if labelled else np.empty((0, 0), _WORD)
+    lw = labels.shape[1]                   # words per coordinate label
+    ncols = len(header) - len(text)
+    m = ncols - 2 * labelled               # data columns
     suffix = ("".join("," + _csv_text(f) for f in text) + "\r\n").encode()
     if b"\0" in suffix:
         raise ValueError("CSV text fields must not contain NUL")
-    chunk = None
+    suffix = np.frombuffer(suffix.ljust(-(-len(suffix) // 8) * 8, b"\0"),
+                           _WORD)
+    rows = CSV_CHUNK_ROWS
+    data = slice(2 * lw, 2 * lw + _SLOT * m)
+    buf = bytearray(8 * rows * (data.stop + len(suffix)))
+    words = np.frombuffer(buf, _WORD).reshape(rows, -1)
+    words[:, data.stop:] = suffix
+    values = np.empty((rows, m))
+
+    def flush(fh, r):
+        """Format the first r queued rows and write them."""
+        chunk = words[:r]
+        _format_slots(values[:r], chunk[:, data].reshape(r, m, _SLOT))
+        chunk[:, 0] &= ~np.uint64(0xff)    # no separator before field 1
+        fh.write((buf if r == rows else buf[:8 * chunk.size])
+                 .translate(None, b"\0"))
+
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for columns in blocks:
-            kinds = tuple(slice if isinstance(c, slice)
-                          else int if isinstance(c, int) else None
-                          for c in columns)
-            if chunk is None or chunk.kinds != kinds:
-                if chunk is not None:
-                    chunk.flush(fh)
-                chunk = _Chunk(kinds, labels, suffix)
-            chunk.add(columns, fh)
-        if chunk is not None:
-            chunk.flush(fh)
+        fill = 0
+        for block in blocks:
+            if len(block) != ncols:
+                raise ValueError("CSV block has %d columns, expected %d"
+                                 % (len(block), ncols))
+            if labelled:
+                i, span, *columns = block
+                spanned = labels[span]
+                n = len(spanned)
+            else:
+                columns, n = block, len(block[0])
+            if any(len(c) != n for c in columns):
+                raise ValueError("CSV block columns differ in length")
+            done = 0
+            while done < n:
+                take = min(n - done, rows - fill)
+                dst, src = slice(fill, fill + take), slice(done, done + take)
+                for j, c in enumerate(columns):
+                    values[dst, j] = c[src]
+                if labelled:
+                    words[dst, :lw] = labels[i]
+                    words[dst, lw:2 * lw] = spanned[src]
+                fill += take
+                done += take
+                if fill == rows:
+                    flush(fh, rows)
+                    fill = 0
+        if fill:
+            flush(fh, fill)

@@ -29,15 +29,15 @@ import numpy as np
 from scipy.interpolate import make_smoothing_spline
 from scipy.linalg import cho_factor, cho_solve
 
-from .connecting import (NestedFactor, _assemble, build_connecting,
-                         connecting_blocks, nested_factor, reflected_nodes)
+from .connecting import (TIKHONOV_RELATIVE, NestedFactor, _assemble,
+                         build_connecting, connecting_blocks, nested_factor,
+                         reflected_nodes)
 from .errors import BCWaveError, ReconstructionError
 from .grid import write_csv
 from .response import ResponseMatrix
 
-#: Tikhonov shift, relative to trace/size, applied when the Cholesky
-#: factorization of the connecting matrix fails.
-TIKHONOV_RELATIVE = 1e-10
+#: q = y''/y is recovered only where |y| >= EPS_FRAC * max|y|.
+EPS_FRAC = 0.05
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,6 @@ class CauchyProfile:
 
 
 def sweep_reconstruct(r: ResponseMatrix, n_half: int | None = None,
-                      eps_frac: float = 0.05,
                       factor: NestedFactor | None = None) -> CauchyProfile:
     """Sweep horizons tau_k = k*h, k = 1..n, and assemble y on [-T, T];
     then recover q = y''/y on the valid band.
@@ -160,7 +159,7 @@ def sweep_reconstruct(r: ResponseMatrix, n_half: int | None = None,
         y[n + k] = y_plus
         y[n - k] = y_minus
     x = h * np.arange(-n, n + 1)
-    q, valid = recover_q_from_y(x, y, solved, eps_frac)
+    q, valid = recover_q_from_y(x, y, solved)
     return CauchyProfile(x, y, q, valid, residuals, regularized)
 
 
@@ -177,9 +176,8 @@ def second_derivative(y: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def recover_q_from_y(x: np.ndarray, y: np.ndarray, solved: np.ndarray,
-                     eps_frac: float = 0.05):
-    """q = y''/y where |y| >= eps_frac * max|y|; y'' is taken on a light
+def recover_q_from_y(x: np.ndarray, y: np.ndarray, solved: np.ndarray):
+    """q = y''/y where |y| >= EPS_FRAC * max|y|; y'' is taken on a light
     cubic smoothing-spline fit (penalty ~ h^4) to stabilize the double
     differentiation of solver output."""
     good = solved & np.isfinite(y)
@@ -189,7 +187,7 @@ def recover_q_from_y(x: np.ndarray, y: np.ndarray, solved: np.ndarray,
     spl = make_smoothing_spline(x[good], y[good], lam=h ** 4)
     ys = spl(x)
     ypp = second_derivative(ys, h)
-    eps = eps_frac * np.max(np.abs(y[good]))
+    eps = EPS_FRAC * np.max(np.abs(y[good]))
     valid = good & (np.abs(ys) >= eps)
     q = np.where(valid, ypp / np.where(valid, ys, 1.0), np.nan)
     return q, valid

@@ -102,14 +102,27 @@ def test_non_finite_numbers_rejected(text, token):
      '"spectral": {"cutoff": "-inf"}}', "'spectral.cutoff'"),
     ('{"potential": {"kind": "tabulated", "x": [-1, 0, 1, "nan"], '
      '"q": [0, 0, 0, 0]}, "T": 1, "n": 16}', "'potential.x'"),
+    ('{"potential": {"kind": "gaussian"}, "T": 1, "n": 64.7}', "'n'"),
+    ('{"potential": {"kind": "gaussian"}, "T": 1, "n": 16, "seed": 2.5}',
+     "'seed'"),
+    ('{"potential": {"kind": "gaussian"}, "T": 1, "n": 16, '
+     '"spectral": {"cutoff": 40.9}}', "'spectral.cutoff'"),
 ], ids=["T_nan_string", "T_big_int", "amplitude_inf_string", "n_nan_string",
-        "seed_big_int", "cutoff_inf_string", "tabulated_nan_string"])
+        "seed_big_int", "cutoff_inf_string", "tabulated_nan_string",
+        "n_fraction", "seed_fraction", "cutoff_fraction"])
 def test_coerced_numbers_must_be_finite(tmp_path, capsys, text, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text[:-1] + ', "out": %s}' % json.dumps(str(tmp_path)))
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+def test_integral_floats_accepted_as_integers():
+    cfg = parse_config('{"potential": {}, "T": 1, "n": 64.0, "seed": 2.0, '
+                       '"spectral": {"cutoff": 40.0}}')
+    values = (cfg.n, cfg.seed, cfg.spectral.cutoff)
+    assert values == (64, 2, 40) and all(type(v) is int for v in values)
 
 
 @pytest.mark.parametrize("spectral,needle", [
@@ -119,8 +132,10 @@ def test_coerced_numbers_must_be_finite(tmp_path, capsys, text, key):
     ('{"mesh": 512, "cutoff": 256}', "mesh/2"),
     ('{"N": 0}', "spectral.N"),
     ('{"N": -4}', "spectral.N"),
+    ('{"bc": [0, 0, 1, 0]}', "spectral.bc"),
+    ('{"bc": [1, 0, 0.0, -0.0]}', "spectral.bc"),
 ], ids=["cutoff_zero", "cutoff_negative", "mesh_odd", "cutoff_half_mesh",
-        "N_zero", "N_negative"])
+        "N_zero", "N_negative", "bc_left_zero", "bc_right_zero"])
 def test_spectral_options_rejected_at_parse(tmp_path, capsys, spectral,
                                             needle):
     text = ('{"potential": {"kind": "gaussian"}, "T": 1, "n": 16, '
@@ -282,6 +297,28 @@ def test_stage_commands_rerun_stage_checks(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "spectral.N must exceed T" in err
     assert not out.exists()
+
+
+def test_response_csv_sets_the_inverse_grid(tmp_path):
+    # a horizon-4, 128-step response file under a config of T = 1, n = 32:
+    # the inverse stages run on the file's [0, 4] and step 1/32, and the
+    # config's T only bounds the horizon from below
+    r = response_matrix(solve_kernels(GaussianPotential(),
+                                      UniformGrid(4.0, 128)))
+    path = tmp_path / "response.csv"
+    r.write_csv(path)
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"response_csv": str(path), "T": 1, "n": 32,
+                               "out": str(out)}))
+    assert main(["run", "--config", str(cfg)]) == 0
+    x_expected = np.arange(-64, 65) / 32.0
+    for name in ("krein_q.csv", "q_gl.csv"):
+        x = np.loadtxt(out / name, delimiter=",", skiprows=1, usecols=0)
+        np.testing.assert_array_equal(x, x_expected)
+    t = np.loadtxt(out / "connecting.csv", delimiter=",", skiprows=1,
+                   usecols=0)
+    assert len(t) == 65 ** 2 and t[-1] == 2.0
 
 
 def test_memory_budget_uses_the_response_file(tmp_path, capsys, monkeypatch):

@@ -305,20 +305,34 @@ def test_integer_and_bool_columns(tmp_path, values):
     assert got == expected
 
 
-def test_mixed_layouts_and_coordinate_positions(tmp_path):
-    # a data column after a coordinate splits the data into two runs, and
-    # a block may change which columns are coordinates
+def test_coordinate_labels_keep_negative_zero_and_nan(tmp_path):
+    # (i, span, *data) blocks: labels are copied by index, never by value
     coords = np.array([0.5, -0.0, NAN])
     a, b = np.array([1.0 / 3.0, 2e-5]), np.array([-7.0, 1e20])
-    path = tmp_path / "mixed.csv"
-    write_csv(path, ["p", "q", "r"],
-              [(a, 1, b), (slice(1, None), a, 0), (a, b, a)], coords=coords)
-    rows = [(a[0], -0.0, b[0]), (a[1], -0.0, b[1]),
-            (-0.0, a[0], 0.5), (NAN, a[1], 0.5),
-            (a[0], b[0], a[0]), (a[1], b[1], a[1])]
-    assert path.read_bytes() == _reference(["p", "q", "r"], rows)
+    path = tmp_path / "labelled.csv"
+    write_csv(path, ["t", "s", "p", "q"],
+              [(2, slice(1, None), a, b), (1, slice(None, 2), b, a)],
+              coords=coords)
+    rows = [(NAN, -0.0, a[0], b[0]), (NAN, NAN, a[1], b[1]),
+            (-0.0, 0.5, b[0], a[0]), (-0.0, -0.0, b[1], a[1])]
+    assert path.read_bytes() == _reference(["t", "s", "p", "q"], rows)
+
+
+@pytest.mark.parametrize("labelled,block", [
+    (False, (np.ones(2), np.ones(1))),
+    (True, (0, slice(None), np.ones(2), np.ones(1))),
+    (True, (0, slice(1, None), np.ones(2), np.ones(2))),
+    (False, (np.ones(2),)),
+    (False, (np.ones(2),) * 3),
+    (True, (np.ones(2), np.ones(2))),
+], ids=["data_lengths", "labelled_data_lengths", "span_length",
+        "too_few_columns", "too_many_columns", "no_coordinates"])
+def test_block_shape_mismatch_raises(tmp_path, labelled, block):
+    # a block must fill the header's fixed row layout exactly
+    coords = [0.0, 0.5] if labelled else ()
+    header = ["t", "s", "p", "q"] if labelled else ["p", "q"]
     with pytest.raises(ValueError):
-        write_csv(path, ["p", "q"], [(a, b[:1])])
+        write_csv(tmp_path / "bad.csv", header, [block], coords=coords)
 
 
 @pytest.fixture(scope="module")
