@@ -5,6 +5,9 @@ Forward side: Goursat kernels, forward solution, response matrix and
 connecting operator.  Inverse side: Krein and Gelfand-Levitan potential
 reconstruction from response data alone, plus a finite-interval spectral
 bridge cross-validating the dynamic representations.
+
+Importing the package loads numpy only; each scipy submodule is imported
+by the function that first calls it.
 """
 
 from .grid import Control, StateVector, UniformGrid

@@ -162,7 +162,12 @@ def finite_number(value, key: str) -> float:
 
     JSON strings and integers beyond float range reach this coercion as
     well as number tokens, so it is checked here, not only in the parser.
+    JSON ``true`` and ``false`` are not numbers, although Python's bool
+    converts.
     """
+    if isinstance(value, bool):
+        raise ConfigError("'%s' must be a number, got %s"
+                          % (key, json.dumps(value)))
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):

@@ -44,9 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsymm, dtrsm, dtrsv
-from scipy.linalg.lapack import dpotrf
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import DomainError, GridMismatchError, InternalConsistencyError
 from .grid import (Control, UniformGrid, cumulative_trapezoid,
@@ -201,6 +198,8 @@ def _tri_solve(factor: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
     """Solve L x = b (trans 0) or L^T x = b (trans 1) in place for a
     C-ordered b.  Its transpose is Fortran-ordered, so BLAS solves
     x^T op(L)^T = b^T from the right without copying b."""
+    from scipy.linalg.blas import dtrsm
+
     return dtrsm(1.0, factor, b.T, side=1, lower=1, trans_a=1 - trans,
                  overwrite_b=1).T
 
@@ -319,6 +318,8 @@ class NestedFactor:
         below node k), from the stored triangle of B:
         A_k f = D B D f + (h/4)(1 - D) f with D = 1 on the nodes 0..k-1,
         d on node k and 0 below."""
+        from scipy.linalg.blas import dsymm
+
         # dsymm reads the diagonal, where the factor keeps L's; swap B's in
         diag = np.diag_indices_from(self.factor)
         l_diag = self.factor[diag]
@@ -370,6 +371,8 @@ def nested_factor(cr: np.ndarray, h: float) -> NestedFactor:
     does and factor it in place.  B's entries equal those of the
     reversed full-horizon assembled matrix bit for bit, and the asymmetry
     of every horizon's matrix is recorded."""
+    from scipy.linalg.lapack import dpotrf
+
     n = cr.shape[0] // 2 - 1
     w = np.repeat(trapezoid_weights(n, h), 2)
     a = np.multiply(cr, w[:, None], order="F")
@@ -453,6 +456,10 @@ class AssembledConnecting:
         """
         fac = self.factor
         if fac.horizons == self.kernel.grid.n:
+            from scipy.linalg.blas import dtrsv
+            from scipy.sparse.linalg import (ArpackNoConvergence,
+                                             LinearOperator, eigsh)
+
             size = self.reflected.shape[0]
 
             def b_inverse(x):

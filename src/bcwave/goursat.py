@@ -19,10 +19,9 @@ import mmap
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid as _cumtrap
 
 from .errors import DomainError
-from .grid import UniformGrid, write_csv
+from .grid import UniformGrid, cumulative_trapezoid, write_csv
 from .potentials import Potential
 
 
@@ -224,8 +223,7 @@ def picard_oracle(p: Potential, grid: UniformGrid, iterations: int) -> KernelFie
     Q = np.asarray(p(0.5 * h * (a_idx - b_idx)), dtype=float)
 
     def cum2d(F):
-        out = _cumtrap(F, dx=h, axis=0, initial=0.0)
-        return _cumtrap(out, dx=h, axis=1, initial=0.0)
+        return cumulative_trapezoid(cumulative_trapezoid(F, h), h, axis=1)
 
     levels = np.arange(grid.n + 1)
     k = np.repeat(levels, 2 * levels + 1)

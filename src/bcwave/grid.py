@@ -72,12 +72,14 @@ def row_trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def cumulative_trapezoid(y: np.ndarray, h: float) -> np.ndarray:
-    """Antiderivative samples: out[k] = int_0^{t_k} y, out[0] = 0."""
+def cumulative_trapezoid(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+    """Antiderivative samples along ``axis``: out[k] = int_0^{t_k} y,
+    out[0] = 0."""
+    y = np.moveaxis(y, axis, 0)
     out = np.empty_like(y, dtype=float)
     out[0] = 0.0
-    np.cumsum(0.5 * h * (y[1:] + y[:-1]), out=out[1:])
-    return out
+    np.cumsum(0.5 * h * (y[1:] + y[:-1]), axis=0, out=out[1:])
+    return np.moveaxis(out, 0, axis)
 
 
 def conv_trapezoid(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:

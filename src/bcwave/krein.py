@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_smoothing_spline
-from scipy.linalg import cho_factor, cho_solve
 
 from .connecting import (TIKHONOV_RELATIVE, NestedFactor, _assemble,
                          build_connecting, connecting_blocks, nested_factor,
@@ -54,6 +52,8 @@ class KreinSolution:
 
 def solve_krein(r: ResponseMatrix, n_half: int) -> KreinSolution:
     """Solve (C^tau F)(t) = (tau - t)(1,0)^T on [0, tau], tau = n_half*h."""
+    from scipy.linalg import cho_factor, cho_solve
+
     h = r.grid.h
     tau = n_half * h
     blocks = connecting_blocks(r, n_half)
@@ -180,6 +180,8 @@ def recover_q_from_y(x: np.ndarray, y: np.ndarray, solved: np.ndarray):
     """q = y''/y where |y| >= EPS_FRAC * max|y|; y'' is taken on a light
     cubic smoothing-spline fit (penalty ~ h^4) to stabilize the double
     differentiation of solver output."""
+    from scipy.interpolate import make_smoothing_spline
+
     good = solved & np.isfinite(y)
     if np.count_nonzero(good) < 5:
         raise ReconstructionError("fewer than 5 valid y samples")

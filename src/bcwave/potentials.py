@@ -10,8 +10,6 @@ spline; its cumulative integral is the exact antiderivative of the spline
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import erf
 
 from .config import finite_number
 from .errors import ConfigError, DomainError
@@ -22,6 +20,8 @@ def _finite_samples(values, key: str) -> np.ndarray:
         a = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
         a = np.array(np.nan)
+    if isinstance(values, list) and any(isinstance(v, bool) for v in values):
+        a = np.array(np.nan)   # JSON true/false where a number is due
     if not np.all(np.isfinite(a)):
         raise ConfigError("'%s' must hold finite numbers" % key)
     return a
@@ -97,6 +97,10 @@ class GaussianPotential(Potential):
         return self.amplitude * np.exp(-u * u)
 
     def _cumint(self, x):
+        # math.erf differs from scipy's in the last bits, and Q feeds the
+        # kernels' bytes
+        from scipy.special import erf
+
         a, w, c = self.amplitude, self.width, self.center
         s = 0.5 * np.sqrt(np.pi) * a * w
         return s * (erf((x - c) / w) - erf(-c / w))
@@ -160,6 +164,8 @@ class TabulatedPotential(Potential):
     kind = "tabulated"
 
     def __init__(self, x, q):
+        from scipy.interpolate import CubicSpline
+
         x = _finite_samples(x, "potential.x")
         q = _finite_samples(q, "potential.q")
         if x.ndim != 1 or x.shape != q.shape or len(x) < 4:

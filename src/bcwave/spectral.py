@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import interp1d
-from scipy.linalg.lapack import dsterf
 
 from .errors import ConfigError, DomainError, SpectralError
 from .grid import (Control, StateVector, conv_trapezoid, cumulative_trapezoid,
@@ -134,6 +132,14 @@ def eigensolve(p: Potential, half_length: float, bc=(1.0, 0.0, 1.0, 0.0),
     return SpectralMeasure(N, (a1, b1, a2, b2), w, beta, gamma, x, y)
 
 
+def dsterf(d: np.ndarray, e: np.ndarray):
+    """LAPACK ``dsterf``: every eigenvalue of the symmetric tridiagonal
+    (d, e), and its info code.  scipy.linalg is loaded on the first call."""
+    from scipy.linalg.lapack import dsterf as lapack_dsterf
+
+    return lapack_dsterf(d, e)
+
+
 def _twisted_eigenpairs(a: np.ndarray, b: np.ndarray, count: int):
     """Lowest ``count`` eigenpairs of the symmetric tridiagonal (a, b).
 
@@ -196,15 +202,19 @@ def _twisted_vectors(a, b, lam, fwd, bwd):
             bwd[i] -= b2[i] / bwd[i + 1]
         # Lift the zero pivots that feed z and recompute their neighbour;
         # past that the recurrence already is the limit of the lifted one.
+        # They are rare, so each side is scanned only if it holds one.
         tiny = np.finfo(float).eps * np.max(np.abs(a))
-        k, j = np.nonzero(fwd[:-1] == 0.0)
-        fwd[k, j] = -tiny
-        fwd[k + 1, j] = (a[k + 1] - lam[j]) + b2[k] / tiny
-        lifted = np.isin(cols, j)
-        k, j = np.nonzero(bwd[1:] == 0.0)
-        bwd[k + 1, j] = -tiny
-        bwd[k, j] = (a[k] - lam[j]) + b2[k] / tiny
-        lifted |= np.isin(cols, j)
+        lifted = np.zeros(count, dtype=bool)
+        if not fwd[:-1].all():
+            k, j = np.nonzero(fwd[:-1] == 0.0)
+            fwd[k, j] = -tiny
+            fwd[k + 1, j] = (a[k + 1] - lam[j]) + b2[k] / tiny
+            lifted |= np.isin(cols, j)
+        if not bwd[1:].all():
+            k, j = np.nonzero(bwd[1:] == 0.0)
+            bwd[k + 1, j] = -tiny
+            bwd[k, j] = (a[k] - lam[j]) + b2[k] / tiny
+            lifted |= np.isin(cols, j)
         for s in range(0, m, _TWIST_BLOCK):
             g = fwd[s:s + _TWIST_BLOCK] + bwd[s:s + _TWIST_BLOCK] \
                 - (a[s:s + _TWIST_BLOCK, None] - lam)
@@ -405,6 +415,8 @@ def spectral_forward(measure: SpectralMeasure, f: Control,
     t < N - T; eigenfunctions are sampled on the dynamic nodes by linear
     interpolation from the eigensolver mesh.
     """
+    from scipy.interpolate import interp1d
+
     h = f.grid.h
     k = int(round(t / h))
     if abs(k * h - t) > 1e-9 * h or k > f.grid.n:

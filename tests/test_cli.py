@@ -107,9 +107,23 @@ def test_non_finite_numbers_rejected(text, token):
      "'seed'"),
     ('{"potential": {"kind": "gaussian"}, "T": 1, "n": 16, '
      '"spectral": {"cutoff": 40.9}}', "'spectral.cutoff'"),
+    ('{"potential": {"kind": "gaussian"}, "T": true, "n": 16}', "'T'"),
+    ('{"potential": {"kind": "gaussian"}, "T": 1, "n": false}', "'n'"),
+    ('{"potential": {"kind": "gaussian"}, "T": 1, "n": 16, "seed": true}',
+     "'seed'"),
+    ('{"potential": {"kind": "gaussian"}, "T": 1, "n": 16, '
+     '"spectral": {"bc": [true, false, 1, 0]}}', "'spectral.bc'"),
+    ('{"potential": {"kind": "gaussian"}, "T": 1, "n": 16, '
+     '"spectral": {"cutoff": true}}', "'spectral.cutoff'"),
+    ('{"potential": {"kind": "gaussian", "amplitude": true}, "T": 1, '
+     '"n": 16}', "'potential.amplitude'"),
+    ('{"potential": {"kind": "tabulated", "x": [-1, 0, 1, 2], '
+     '"q": [0, true, 0, 0]}, "T": 1, "n": 16}', "'potential.q'"),
 ], ids=["T_nan_string", "T_big_int", "amplitude_inf_string", "n_nan_string",
         "seed_big_int", "cutoff_inf_string", "tabulated_nan_string",
-        "n_fraction", "seed_fraction", "cutoff_fraction"])
+        "n_fraction", "seed_fraction", "cutoff_fraction", "T_bool", "n_bool",
+        "seed_bool", "bc_bool", "cutoff_bool", "amplitude_bool",
+        "tabulated_bool"])
 def test_coerced_numbers_must_be_finite(tmp_path, capsys, text, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text[:-1] + ', "out": %s}' % json.dumps(str(tmp_path)))
