@@ -202,19 +202,15 @@ def _twisted_vectors(a, b, lam, fwd, bwd):
             bwd[i] -= b2[i] / bwd[i + 1]
         # Lift the zero pivots that feed z and recompute their neighbour;
         # past that the recurrence already is the limit of the lifted one.
-        # They are rare, so each side is scanned only if it holds one.
         tiny = np.finfo(float).eps * np.max(np.abs(a))
-        lifted = np.zeros(count, dtype=bool)
-        if not fwd[:-1].all():
-            k, j = np.nonzero(fwd[:-1] == 0.0)
-            fwd[k, j] = -tiny
-            fwd[k + 1, j] = (a[k + 1] - lam[j]) + b2[k] / tiny
-            lifted |= np.isin(cols, j)
-        if not bwd[1:].all():
-            k, j = np.nonzero(bwd[1:] == 0.0)
-            bwd[k + 1, j] = -tiny
-            bwd[k, j] = (a[k] - lam[j]) + b2[k] / tiny
-            lifted |= np.isin(cols, j)
+        k, j = np.nonzero(fwd[:-1] == 0.0)
+        fwd[k, j] = -tiny
+        fwd[k + 1, j] = (a[k + 1] - lam[j]) + b2[k] / tiny
+        lifted = np.isin(cols, j)
+        k, j = np.nonzero(bwd[1:] == 0.0)
+        bwd[k + 1, j] = -tiny
+        bwd[k, j] = (a[k] - lam[j]) + b2[k] / tiny
+        lifted |= np.isin(cols, j)
         for s in range(0, m, _TWIST_BLOCK):
             g = fwd[s:s + _TWIST_BLOCK] + bwd[s:s + _TWIST_BLOCK] \
                 - (a[s:s + _TWIST_BLOCK, None] - lam)
