@@ -104,11 +104,12 @@ def memory_estimate(cfg: RunConfig, n_inverse: int | None = None) -> int:
     The kernels take two (2n+1)^2 cone stores, the inverse stages seven
     dense (2n+2)^2 matrices, and the spectral stage a few (cutoff, mesh+1)
     arrays, all float64.  The kernels stay alive while the later stages
-    run, so the terms add.  The inverse stages share three such matrices
-    (C's four blocks, its reflected copy and the nested factor); the gl
-    stage adds its result m and its panel arrays, then, with the factor
-    freed, the identity residual's three buffers.  That peaks near 5.3
-    of them (traced at n = 320), and seven leave the allocator headroom.
+    run, so the terms add.  The inverse stages share two such matrices
+    (C, held once, and the nested factor); the gl stage adds its result
+    m and its panel arrays, then, with the factor freed, the identity
+    residual's three buffers.  That peak (C, m and the three buffers) is
+    near 5.3 of them (traced at n = 320), and seven leave the allocator
+    headroom.
     ``n_inverse`` replaces ``cfg.n`` in the inverse term: on the response
     CSV route the file, not the config, sets the size.
     """

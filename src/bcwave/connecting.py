@@ -4,7 +4,7 @@ Kernel formulas (antiderivatives p1, p2 of r11, r12; odd extensions
 carry the sign flip for negative arguments):
 
     C11(t,s) = [p1(2T-t-s) - p1(|t-s|)] / 2
-    C12(t,s) = [p~1(2T-t-s) - p~1(t-s)] / 2
+    C12(t,s) = [p2(2T-t-s) - p~2(t-s)] / 2
     C21(t,s) = [r~21(t-s) + r21(2T-t-s)] / 2
     C22(t,s) = [r22(|t-s|) + r22(2T-t-s)] / 2
 
@@ -22,17 +22,20 @@ formulas; their mismatch is a reported consistency diagnostic for the
 response data, never silently averaged.  For an even potential r12 and
 r21 vanish identically and C12 = C21 = 0 pointwise.
 
-Both inverse routes solve, for every horizon k = 1..n, the Nystrom system
-of C^{tau_k} in reversed time.  Reversal makes the kernel depend only on
+The kernel is held once, as the node-major, time-reflected array of
+C~(t, s) = C(T - t, T - s) (:func:`connecting_nodes`); the forward-time
+blocks C11..C22 are views of it, and every consumer reads it.  Both
+inverse routes solve, for every horizon k = 1..n, the Nystrom system of
+C^{tau_k} in reversed time.  Reversal makes the kernel depend only on
 t' + s' and |t' - s'|, so every such matrix is the leading block, on the
-nodes 0..k, of one fixed matrix B = W/2 + W C~ W (node-major, C~ the
-reflected kernel), except that the trapezoid weight of node k is halved.
+nodes 0..k, of one fixed matrix B = W/2 + W C~ W, except that the
+trapezoid weight of node k is halved.
 :func:`nested_factor` factors B once and solves every horizon by
 bordering its leading Cholesky factor (Levinson 1947; the Krein
 equations of the boundary control method, Belishev 2007).
 
 :func:`assemble_matrix` builds that shared inverse state once per run:
-the kernel, its reflected node-major matrix and the nested factor.  The
+the kernel and the nested factor of its array.  The
 connect stage reports from it the assembly asymmetry (the factor's
 full-horizon asymmetry) and the smallest eigenvalue (Lanczos through the
 factor, Lehoucq, Sorensen and Yang 1998); krein and gl solve through it.
@@ -62,11 +65,15 @@ ASYMMETRY_H2 = 100.0
 _SCAN_BLOCK = 128
 
 
-def connecting_blocks(r: ResponseMatrix, n_half: int):
-    """The four kernel blocks of C^tau on [0, tau]^2, tau = n_half * h.
+def connecting_nodes(r: ResponseMatrix, n_half: int) -> np.ndarray:
+    """C^tau on [0, tau]^2, tau = n_half * h, as one node-major,
+    time-reflected (2 n_half + 2)^2 array: entry (2i + a, 2j + b) is
+    C_ab(tau - t_i, tau - t_j).
 
-    Returns (C11, C12, C21, C22) as (n_half+1)^2 arrays.  Low-level form
-    used by the horizon sweep; :func:`build_connecting` wraps it.
+    In reflected time 2 tau - t - s is node i + j and t - s is j - i, so
+    no entry depends on tau: the array of a shorter horizon k is the
+    leading (2k + 2)^2 block of this one.  :func:`build_connecting`
+    wraps it.
     """
     if 2 * n_half > r.grid.n:
         raise DomainError(
@@ -79,27 +86,35 @@ def connecting_blocks(r: ResponseMatrix, n_half: int):
 
     i, j = np.meshgrid(np.arange(n_half + 1), np.arange(n_half + 1),
                        indexing="ij")
-    refl = 2 * n_half - i - j          # index of 2*tau - t - s  (>= 0)
-    diff = i - j                       # index of t - s (signed)
+    refl = i + j                       # index of 2*tau - t - s
+    diff = j - i                       # index of t - s (signed)
     adiff = np.abs(diff)
     sgn = np.sign(diff)
 
-    c11 = 0.5 * (p1[refl] - p1[adiff])
-    c12 = 0.5 * (p2[refl] - sgn * p2[adiff])
-    c21 = 0.5 * (sgn * r.r21[adiff] + r.r21[refl])
-    c22 = 0.5 * (r.r22[adiff] + r.r22[refl])
-    return c11, c12, c21, c22
+    nodes = np.empty((2 * n_half + 2, 2 * n_half + 2))
+    nodes[0::2, 0::2] = 0.5 * (p1[refl] - p1[adiff])
+    nodes[0::2, 1::2] = 0.5 * (p2[refl] - sgn * p2[adiff])
+    nodes[1::2, 0::2] = 0.5 * (sgn * r.r21[adiff] + r.r21[refl])
+    nodes[1::2, 1::2] = 0.5 * (r.r22[adiff] + r.r22[refl])
+    return nodes
 
 
 @dataclass(frozen=True)
 class ConnectingKernel:
-    """2x2 block kernel of C^T - I/2 on [0, T]^2."""
+    """2x2 block kernel of C^T - I/2 on [0, T]^2, held once in ``nodes``
+    (see :func:`connecting_nodes`); ``c11`` .. ``c22`` are its
+    forward-time blocks, as views."""
 
     grid: UniformGrid
-    c11: np.ndarray
-    c12: np.ndarray
-    c21: np.ndarray
-    c22: np.ndarray
+    nodes: np.ndarray
+
+    def _block(self, a: int, b: int) -> np.ndarray:
+        return self.nodes[a::2, b::2][::-1, ::-1]
+
+    c11 = property(lambda self: self._block(0, 0))
+    c12 = property(lambda self: self._block(0, 1))
+    c21 = property(lambda self: self._block(1, 0))
+    c22 = property(lambda self: self._block(1, 1))
 
     def symmetry_residual(self) -> float:
         """max |C21 - C12|; vanishes (to O(h^2)) for response data of an
@@ -112,14 +127,14 @@ class ConnectingKernel:
         return float(np.max(np.abs(self.c12 - self.c21.T)))
 
     def scale(self) -> float:
-        return float(max(np.max(np.abs(self.c11)), np.max(np.abs(self.c12)),
-                         np.max(np.abs(self.c21)), np.max(np.abs(self.c22))))
+        return float(np.max(np.abs(self.nodes)))
 
     def dump_csv(self, path) -> None:
         """Columns t, s, C11, C12, C21, C22, one block per t row."""
         t = self.grid.t
-        rows = ((i, slice(None), self.c11[i], self.c12[i], self.c21[i],
-                 self.c22[i]) for i in range(len(t)))
+        c11, c12, c21, c22 = self.c11, self.c12, self.c21, self.c22
+        rows = ((i, slice(None), c11[i], c12[i], c21[i], c22[i])
+                for i in range(len(t)))
         write_csv(path, ["t", "s", "C11", "C12", "C21", "C22"], rows,
                   coords=t)
 
@@ -132,7 +147,7 @@ def build_connecting(r: ResponseMatrix, n_half: int | None = None) -> Connecting
             raise DomainError("response grid has an odd number of steps")
         n_half = r.grid.n // 2
     grid = UniformGrid(n_half * r.grid.h, n_half)
-    return ConnectingKernel(grid, *connecting_blocks(r, n_half))
+    return ConnectingKernel(grid, connecting_nodes(r, n_half))
 
 
 def apply_connecting(ck: ConnectingKernel, f: Control) -> Control:
@@ -144,8 +159,12 @@ def apply_connecting(ck: ConnectingKernel, f: Control) -> Control:
     if f.grid != ck.grid:
         raise GridMismatchError("control and connecting kernel grids differ")
     w = trapezoid_weights(ck.grid.n, ck.grid.h)
-    g1 = 0.5 * f.f1 + ck.c11 @ (w * f.f1) + ck.c12 @ (w * f.f2)
-    g2 = 0.5 * f.f2 + ck.c21 @ (w * f.f1) + ck.c22 @ (w * f.f2)
+    # numpy's matmul does not pass the negative-stride views to BLAS and
+    # sums in another order; contiguous copies keep the BLAS sums
+    c11, c12, c21, c22 = (np.ascontiguousarray(c) for c in
+                          (ck.c11, ck.c12, ck.c21, ck.c22))
+    g1 = 0.5 * f.f1 + c11 @ (w * f.f1) + c12 @ (w * f.f2)
+    g2 = 0.5 * f.f2 + c21 @ (w * f.f1) + c22 @ (w * f.f2)
     return Control(ck.grid, g1, g2)
 
 
@@ -156,42 +175,27 @@ def connecting_form(ck: ConnectingKernel, f: Control, g: Control) -> float:
     return inner_outer(apply_connecting(ck, f), g)
 
 
-def _assemble(n_half: int, h: float, blocks):
-    """Dense stacked Nystrom matrix of C^tau: (A + A^T)/2 with
-    A = W/2 + W C W acting on [f1; f2] (W = diag of trapezoid weights),
-    and the stacked weights.  InternalConsistencyError if A is more
-    asymmetric than the symmetrization may hide.  Solving A f = W rhs is
-    equivalent to collocating C^tau f = rhs at the nodes."""
-    w = trapezoid_weights(n_half, h)
-    wvec = np.concatenate([w, w])
-    A = 0.5 * np.diag(wvec) + (wvec[:, None] * np.block(
-        [[blocks[0], blocks[1]], [blocks[2], blocks[3]]]) * wvec[None, :])
+def _assemble(cr: np.ndarray, h: float):
+    """Dense stacked Nystrom matrix of C^tau from its node-major array
+    ``cr`` (see :func:`connecting_nodes`): (A + A^T)/2 with
+    A = W/2 + W C W acting on [f1; f2] in forward time (W = diag of
+    trapezoid weights), and the stacked weights.
+    InternalConsistencyError if A is more asymmetric than the
+    symmetrization may hide.  Solving A f = W rhs is equivalent to
+    collocating C^tau f = rhs at the nodes."""
+    size = cr.shape[0]
+    # stacked forward-time row (a, i) is node-major row size - 2 - 2i + a
+    order = np.concatenate([np.arange(size - 2, -1, -2),
+                            np.arange(size - 1, 0, -2)])
+    wvec = np.tile(trapezoid_weights(size // 2 - 1, h), 2)
+    A = 0.5 * np.diag(wvec) + (wvec[:, None] * cr[np.ix_(order, order)]
+                               * wvec[None, :])
     asym = float(np.max(np.abs(A - A.T)))
     if asym > ASYMMETRY_H2 * h * h:
         raise InternalConsistencyError(
             "connecting matrix asymmetry %g exceeds %g h^2"
             % (asym, ASYMMETRY_H2))
     return 0.5 * (A + A.T), wvec
-
-
-def reflect_kernel(ck: ConnectingKernel) -> ConnectingKernel:
-    """C~(t, s) = C(T - t, T - s); an exact index reversal (involution)."""
-    return ConnectingKernel(ck.grid,
-                            ck.c11[::-1, ::-1], ck.c12[::-1, ::-1],
-                            ck.c21[::-1, ::-1], ck.c22[::-1, ::-1])
-
-
-def reflected_nodes(ck: ConnectingKernel) -> np.ndarray:
-    """C~(t, s) = C(T - t, T - s) as one node-major matrix: entry
-    (2i + a, 2j + b) is C~_ab(t_i, t_j)."""
-    rk = reflect_kernel(ck)
-    m = ck.grid.n + 1
-    cr = np.empty((2 * m, 2 * m))
-    cr[0::2, 0::2] = rk.c11
-    cr[0::2, 1::2] = rk.c12
-    cr[1::2, 0::2] = rk.c21
-    cr[1::2, 1::2] = rk.c22
-    return cr
 
 
 def _tri_solve(factor: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
@@ -367,7 +371,7 @@ def _symmetrize(a: np.ndarray):
 
 def nested_factor(cr: np.ndarray, h: float) -> NestedFactor:
     """Form B = W/2 + W C~ W from the node-major reflected kernel ``cr``
-    (see :func:`reflected_nodes`), symmetrize it as the dense assembly
+    (``ConnectingKernel.nodes``), symmetrize it as the dense assembly
     does and factor it in place.  B's entries equal those of the
     reversed full-horizon assembled matrix bit for bit, and the asymmetry
     of every horizon's matrix is recorded."""
@@ -406,25 +410,17 @@ def nested_factor(cr: np.ndarray, h: float) -> NestedFactor:
 @dataclass(frozen=True)
 class AssembledConnecting:
     """The inverse state of one connecting kernel, shared by the connect,
-    krein and gl stages: the kernel, its reflected node-major matrix
-    (:func:`reflected_nodes`) and the nested factor of
-    B = W/2 + W C~ W (:func:`nested_factor`).
+    krein and gl stages: the kernel, whose node-major array is C~, and
+    the nested factor of B = W/2 + W C~ W (:func:`nested_factor`).
 
     B is a symmetric permutation (time reversal, node-major order) of the
     stacked matrix A = W/2 + W C W of C^T, so the two share their
     asymmetry and their spectrum.  The dense symmetrized A is formed only
-    when ``matrix`` (or ``solve``) asks for it.
+    when ``matrix`` asks for it.
     """
 
     kernel: ConnectingKernel
-    reflected: np.ndarray
     factor: NestedFactor
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Stacked per-node trapezoid weights, length 2(n+1)."""
-        w = trapezoid_weights(self.kernel.grid.n, self.kernel.grid.h)
-        return np.concatenate([w, w])
 
     @property
     def asymmetry(self) -> float:
@@ -436,13 +432,7 @@ class AssembledConnecting:
     def matrix(self) -> np.ndarray:
         """The dense symmetrized A (see :func:`_assemble`), formed anew on
         each access."""
-        ck = self.kernel
-        return _assemble(ck.grid.n, ck.grid.h,
-                         (ck.c11, ck.c12, ck.c21, ck.c22))[0]
-
-    def solve(self, rhs_stacked: np.ndarray) -> np.ndarray:
-        """A f = W rhs by a dense solve, stacked [f1; f2]."""
-        return np.linalg.solve(self.matrix, self.weights * rhs_stacked)
+        return _assemble(self.kernel.nodes, self.kernel.grid.h)[0]
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the symmetrized A.
@@ -460,7 +450,7 @@ class AssembledConnecting:
             from scipy.sparse.linalg import (ArpackNoConvergence,
                                              LinearOperator, eigsh)
 
-            size = self.reflected.shape[0]
+            size = fac.factor.shape[0]
 
             def b_inverse(x):
                 z = dtrsv(fac.factor, np.ravel(x), lower=1)
@@ -479,7 +469,6 @@ class AssembledConnecting:
 
 
 def assemble_matrix(ck: ConnectingKernel) -> AssembledConnecting:
-    """The shared inverse state of ``ck``: its reflected node-major
-    matrix and their nested factor, built once."""
-    cr = reflected_nodes(ck)
-    return AssembledConnecting(ck, cr, nested_factor(cr, ck.grid.h))
+    """The shared inverse state of ``ck``: the nested factor of its
+    node-major array, built once."""
+    return AssembledConnecting(ck, nested_factor(ck.nodes, ck.grid.h))

@@ -6,13 +6,13 @@ Two independent constructions of m are provided:
   back-substitution of (I+K)(I+M) = I (test-support path);
 * :func:`solve_gl` -- from response data alone, solving the second-kind
   equation m(x,s) + C~(x,s) + int_0^s C~(x,a) m(a,s) da = 0 column by
-  column, where C~(t,s) = 2 C(T-t, T-s) is the doubled time-reflected
-  connecting kernel (the kernel of J (2 C^T) J^T - I = K + K* + K*K).
+  column, where C~(t,s) = 2 C(T-t, T-s) is twice the connecting kernel's
+  node-major array (the kernel of J (2 C^T) J^T - I = K + K* + K*K).
 
 Scaled by W/2, the column system at s_j is the unsymmetrized matrix of
 the Krein horizon j, so :func:`solve_gl` shares the Krein route's nested
 Cholesky factor (:func:`~bcwave.connecting.nested_factor`), built once
-per run with the reflected kernel
+per run from the kernel's array
 (:func:`~bcwave.connecting.assemble_matrix`): O(n^3/3) once, then
 O(j^2) per column.  Column j uses only the rows of the nodes 0..j, so
 the columns go in GL_PANELS panels, each solved and refined on the
@@ -36,7 +36,7 @@ import numpy as np
 
 from .connecting import (TIKHONOV_RELATIVE, AssembledConnecting,
                          ConnectingKernel, NestedFactor, assemble_matrix,
-                         build_connecting, reflect_kernel)
+                         build_connecting)
 from .errors import GridMismatchError, ReconstructionError
 from .goursat import KernelField
 from .grid import (UniformGrid, differentiate, row_trapezoid_weights,
@@ -133,13 +133,6 @@ def invert_volterra(field: KernelField, n_half: int) -> OperatorM:
     return OperatorM(grid, *_kernel_from_nystrom(M, n_half, h))
 
 
-def gl_kernel(ck: ConnectingKernel) -> ConnectingKernel:
-    """C~ = twice the time-reflected connecting kernel."""
-    rk = reflect_kernel(ck)
-    return ConnectingKernel(rk.grid, 2.0 * rk.c11, 2.0 * rk.c12,
-                            2.0 * rk.c21, 2.0 * rk.c22)
-
-
 def solve_gl(ck: ConnectingKernel,
              inverse: AssembledConnecting | None = None) -> OperatorM:
     """Solve the second-kind equation for m column by column.
@@ -160,7 +153,7 @@ def solve_gl(ck: ConnectingKernel,
     m11, m12, m21, m22 = (np.zeros((n + 1, n + 1)) for _ in range(4))
     if inverse is None:
         inverse = assemble_matrix(ck)
-    cr, fac = inverse.reflected, inverse.factor
+    cr, fac = inverse.kernel.nodes, inverse.factor
     del inverse
     K = fac.horizons
     converged = np.zeros(K, dtype=bool)
@@ -171,16 +164,13 @@ def solve_gl(ck: ConnectingKernel,
                 cr, fac.panel(first, last), (m11, m12, m21, m22))
     for blk, a, b in ((m11, 0, 0), (m12, 0, 1), (m21, 1, 0), (m22, 1, 1)):
         blk[0, 0] = -2.0 * cr[a, b]   # s = 0: the system is the identity
-    del fac, cr
-    ct = None
+    del fac
     regularized = []
     for j in range(1, n + 1):
         if j <= K and converged[j - 1]:
             continue
-        if ct is None:
-            ct = gl_kernel(ck)
         k = j + 1
-        sol, reg = _solve_column(ct, j, h)
+        sol, reg = _solve_column(cr, j, h)
         if reg:
             regularized.append(j)
         m11[:k, j] = sol[:k, 0]
@@ -226,18 +216,17 @@ def _solve_panel(cr: np.ndarray, fac: NestedFactor, blocks) -> np.ndarray:
     return (size <= REFINEMENT_TOLERANCE * scale).reshape(-1, 2).all(axis=1)
 
 
-def _solve_column(ct: ConnectingKernel, j: int, h: float):
+def _solve_column(cr: np.ndarray, j: int, h: float):
     """Dense solve of the column system at s_j (j >= 1), stacked
     [m1; m2] by two right-hand sides, with a Tikhonov shift when the
-    matrix is singular.  Returns (solution, regularized)."""
+    matrix is singular; ``cr`` is the node-major array C~/2.  Returns
+    (solution, regularized)."""
     k = j + 1
-    w = trapezoid_weights(j, h)
-    A = np.eye(2 * k) + np.block(
-        [[ct.c11[:k, :k] * w, ct.c12[:k, :k] * w],
-         [ct.c21[:k, :k] * w, ct.c22[:k, :k] * w]])
-    rhs = -np.stack([np.concatenate([ct.c11[:k, j], ct.c21[:k, j]]),
-                     np.concatenate([ct.c12[:k, j], ct.c22[:k, j]])],
-                    axis=1)
+    stacked = np.concatenate([np.arange(0, 2 * k, 2),
+                              np.arange(1, 2 * k, 2)])
+    ct = 2.0 * cr[np.ix_(stacked, stacked)]
+    A = np.eye(2 * k) + ct * np.tile(trapezoid_weights(j, h), 2)
+    rhs = -ct[:, [k - 1, 2 * k - 1]]
     try:
         return np.linalg.solve(A, rhs), False
     except np.linalg.LinAlgError:
@@ -272,12 +261,12 @@ def operator_identity_residual(ck: ConnectingKernel, M: OperatorM) -> float:
     rows = row_trapezoid_weights(n, h)
     p = np.empty((2 * m, 2 * m))
     c = np.empty((2 * m, 2 * m))
-    for a, b, mb, cb in ((0, 0, M.m11, ck.c11), (0, 1, M.m12, ck.c12),
-                         (1, 0, M.m21, ck.c21), (1, 1, M.m22, ck.c22)):
+    for a, b, mb in ((0, 0, M.m11), (0, 1, M.m12), (1, 0, M.m21),
+                     (1, 1, M.m22)):
         block = np.s_[a * m:(a + 1) * m, b * m:(b + 1) * m]
         np.multiply(mb, rows, out=p[block])
-        # C~ = twice the time-reflected kernel, as in gl_kernel
-        np.multiply(cb[::-1, ::-1], 2.0, out=c[block])
+        # C~ = 2 ck.nodes, in the stacked layout of p
+        np.multiply(ck.nodes[a::2, b::2], 2.0, out=c[block])
         c[block] *= w
     diag = np.diag_indices(2 * m)
     p[diag] += 1.0

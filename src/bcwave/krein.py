@@ -10,15 +10,17 @@ matrix, so :func:`sweep_reconstruct` uses one Cholesky factor of that
 matrix (:func:`~bcwave.connecting.nested_factor`, O(n^3/3)) and borders
 the leading factor for each horizon: after one forward substitution
 y(+-tau_k) costs O(1), and the full solution, which the per-horizon
-residual needs, O(k^2).  In a pipeline run the factor is the one the
-connect and gl stages share (:func:`~bcwave.connecting.assemble_matrix`);
-called alone, the sweep builds its own.  The factor reaches every
-horizon unless its Cholesky stops at a node whose leading block is not
-positive definite, or a horizon's matrix is more asymmetric than the
-assembly accepts.  From there on each horizon is solved on its own by
-:func:`solve_krein`, which falls back from Cholesky to a Tikhonov shift
-(and is the test oracle of the sweep).  A horizon that fails even there
-keeps a NaN residual; none is dropped silently.
+residual needs, O(k^2).  In a pipeline run the kernel and factor are
+the ones the connect and gl stages share
+(:func:`~bcwave.connecting.assemble_matrix`); called alone, the sweep
+builds its own.  The factor reaches every horizon unless its Cholesky
+stops at a node whose leading block is not positive definite, or a
+horizon's matrix is more asymmetric than the assembly accepts.  From
+there on each horizon k is solved on its own by :func:`solve_krein` on
+the leading block of the kernel's array, which is C^{tau_k}; it falls
+back from Cholesky to a Tikhonov shift (and is the test oracle of the
+sweep).  A horizon that fails even there keeps a NaN residual; none is
+dropped silently.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connecting import (TIKHONOV_RELATIVE, NestedFactor, _assemble,
-                         build_connecting, connecting_blocks, nested_factor,
-                         reflected_nodes)
+from .connecting import (TIKHONOV_RELATIVE, AssembledConnecting, _assemble,
+                         assemble_matrix, build_connecting)
 from .errors import BCWaveError, ReconstructionError
 from .grid import write_csv
 from .response import ResponseMatrix
@@ -50,14 +51,16 @@ class KreinSolution:
     regularized: bool
 
 
-def solve_krein(r: ResponseMatrix, n_half: int) -> KreinSolution:
-    """Solve (C^tau F)(t) = (tau - t)(1,0)^T on [0, tau], tau = n_half*h."""
+def solve_krein(cr: np.ndarray, h: float) -> KreinSolution:
+    """Solve (C^tau F)(t) = (tau - t)(1,0)^T on [0, tau] from the
+    node-major array ``cr`` of C^tau
+    (:func:`~bcwave.connecting.connecting_nodes`), tau = n_half * h with
+    2 n_half + 2 rows."""
     from scipy.linalg import cho_factor, cho_solve
 
-    h = r.grid.h
+    n_half = cr.shape[0] // 2 - 1
     tau = n_half * h
-    blocks = connecting_blocks(r, n_half)
-    A, weights = _assemble(n_half, h, blocks)
+    A, weights = _assemble(cr, h)
     t = h * np.arange(n_half + 1)
     rhs = np.concatenate([tau - t, np.zeros(n_half + 1)])  # sampled exactly
     b = weights * rhs
@@ -104,25 +107,29 @@ class CauchyProfile:
                   [(self.x, self.y, self.q, self.valid, res)])
 
 
-def sweep_reconstruct(r: ResponseMatrix, n_half: int | None = None,
-                      factor: NestedFactor | None = None) -> CauchyProfile:
+def sweep_reconstruct(r: ResponseMatrix,
+                      inverse: AssembledConnecting | None = None
+                      ) -> CauchyProfile:
     """Sweep horizons tau_k = k*h, k = 1..n, and assemble y on [-T, T];
     then recover q = y''/y on the valid band.
 
     The horizons the nested factor reaches are solved through it at
-    once; each later horizon is solved on its own by :func:`solve_krein`.
-    A horizon that fails there keeps a NaN residual and leaves y
-    unsolved at +-tau.  ``factor`` is the nested factor of the same
-    response and n_half (see :func:`~bcwave.connecting.assemble_matrix`);
-    without it the sweep builds its own.
+    once; each later horizon is solved on its own by :func:`solve_krein`
+    on the leading block of the kernel's node-major array.  A horizon
+    that fails there keeps a NaN residual and leaves y unsolved at
+    +-tau.  ``inverse`` is the shared state of the connecting kernel of
+    ``r`` (:func:`~bcwave.connecting.assemble_matrix`); without it the
+    sweep builds its own.
     """
-    if n_half is None:
-        if r.grid.n % 2:
-            raise ReconstructionError("response grid has an odd step count")
-        n_half = r.grid.n // 2
+    if r.grid.n % 2:
+        raise ReconstructionError("response grid has an odd step count")
     if not all(np.isfinite(a).all() for a in (r.r11, r.r12, r.r21, r.r22)):
         raise ReconstructionError("non-finite response data")
-    n = n_half
+    if inverse is None:
+        inverse = assemble_matrix(build_connecting(r))
+    cr, fac = inverse.kernel.nodes, inverse.factor
+    del inverse
+    n = r.grid.n // 2
     h = r.grid.h
     y = np.full(2 * n + 1, np.nan)
     y[n] = 0.0
@@ -130,9 +137,6 @@ def sweep_reconstruct(r: ResponseMatrix, n_half: int | None = None,
     regularized = np.zeros(n, dtype=bool)
     solved = np.ones(2 * n + 1, dtype=bool)
 
-    fac = factor
-    if fac is None:
-        fac = nested_factor(reflected_nodes(build_connecting(r, n)), h)
     K = fac.horizons
     if K:
         # right-hand side (tau - t, 0) in reversed time: (t', 0) at node t'
@@ -149,7 +153,7 @@ def sweep_reconstruct(r: ResponseMatrix, n_half: int | None = None,
     del fac
     for k in range(K + 1, n + 1):
         try:
-            sol = solve_krein(r, k)
+            sol = solve_krein(cr[:2 * k + 2, :2 * k + 2], h)
         except (np.linalg.LinAlgError, BCWaveError):
             solved[n + k] = solved[n - k] = False
             continue

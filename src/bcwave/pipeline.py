@@ -8,9 +8,9 @@ response CSV the forward stages are skipped entirely, and the memory
 budget is checked again at the file's size once it is read.
 
 The inverse stages share one state (:func:`_inverse_state`): the
-connecting kernel, its reflected matrix and one nested Cholesky factor,
-built by the first of them to run and let go by the last, so that it is
-freed before the spectral stage.
+connecting kernel, held once as one node-major array, and one nested
+Cholesky factor, built by the first of them to run and let go by the
+last, so that the factor is freed before the spectral stage.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import BACKEND
 from .config import RunConfig, check_memory, config_to_dict
 from .connecting import assemble_matrix, build_connecting, connecting_form
-from .errors import BCWaveError, ReconstructionError
+from .errors import BCWaveError, ConfigError, ReconstructionError
 from .gl import (operator_identity_residual, recover_q_from_m, solve_gl,
                  write_q_csv)
 from .goursat import solve_kernels
@@ -37,12 +37,19 @@ from .spectral import (eigensolve, free_reference, smoothed_response_traces,
 
 def run_pipeline(cfg: RunConfig) -> dict:
     check_memory(cfg)
+    state = {}
+    if cfg.potential is not None:
+        p = potential_from_config(cfg.potential)
+        # the spectral stage evaluates q on [-N, N]; the tolerance is
+        # Potential._check's
+        N = cfg.spectral.half_length
+        if "spectral" in cfg.stages and N > p.support * (1.0 + 1e-12):
+            raise ConfigError("potential support radius %g is narrower "
+                              "than spectral.N = %g" % (p.support, N))
+        state["potential"] = p
     os.makedirs(cfg.out, exist_ok=True)
     report = {"backend": BACKEND, "config": config_to_dict(cfg),
               "stages": [], "ok": True}
-    state = {}
-    if cfg.potential is not None:
-        state["potential"] = potential_from_config(cfg.potential)
 
     runners = {"kernels": _stage_kernels, "response": _stage_response,
                "connect": _stage_connect, "krein": _stage_krein,
@@ -171,8 +178,7 @@ def _band_error(x, q, p, mask=None):
 
 
 def _stage_krein(cfg, state, files):
-    prof = sweep_reconstruct(state["response"],
-                             factor=_inverse_state(state).factor)
+    prof = sweep_reconstruct(state["response"], _inverse_state(state))
     state["krein"] = prof
     path = os.path.join(cfg.out, "krein_q.csv")
     prof.write_csv(path)
@@ -234,7 +240,6 @@ def _stage_spectral(cfg, state, files):
 
     r = state["response"]
     grid2 = r.grid
-    gridT = UniformGrid(cfg.T, cfg.n)
     ck = state.get("connect") or build_connecting(r)
     resp_errors = []
     tails = []
@@ -251,8 +256,9 @@ def _stage_spectral(cfg, state, files):
         tails.append(sp.tail)
 
         rng = np.random.default_rng(1000 + cfg.seed + i)
-        F = smooth_random_control(gridT, rng)
-        G = smooth_random_control(gridT, rng)
+        # on the kernel's grid: its horizon n h may miss cfg.T by an ulp
+        F = smooth_random_control(ck.grid, rng)
+        G = smooth_random_control(ck.grid, rng)
         dynf = connecting_form(ck, F, G)
         spf = spectral_connecting_form(measure, F, G)
         form_errors.append(float(abs(spf.value - dynf) / abs(dynf)))

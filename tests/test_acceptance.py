@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from bcwave.config import parse_config
-from bcwave.connecting import assemble_matrix, build_connecting, connecting_form
+from bcwave.connecting import (assemble_matrix, build_connecting,
+                               connecting_form, connecting_nodes)
 from bcwave.gl import (
     gl_from_response,
     invert_volterra,
@@ -63,7 +64,7 @@ def test_criterion_1_free_space_exact():
     kmax = max(np.max(np.abs(field.W1)), np.max(np.abs(field.W2)))
     rmax = max(np.max(np.abs(a)) for a in (r.r11, r.r12, r.r21, r.r22))
     cmax = max(np.max(np.abs(a)) for a in (ck.c11, ck.c12, ck.c21, ck.c22))
-    sol = solve_krein(r, 64)
+    sol = solve_krein(connecting_nodes(r, 64), r.grid.h)
     t = sol.h * np.arange(65)
     ferr = max(np.max(np.abs(sol.f1 - 2.0 * (sol.tau - t))),
                np.max(np.abs(sol.f2)))

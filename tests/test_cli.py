@@ -313,6 +313,40 @@ def test_stage_commands_rerun_stage_checks(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tabulated_support_narrower_than_spectral_N_exits_2(tmp_path,
+                                                           capsys):
+    # a table of radius 2 under the default spectral.N = 4T = 4 is
+    # rejected before any stage runs
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "potential": {"kind": "tabulated",
+                      "x": [-2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2],
+                      "q": [0, 0.1, 0.5, 1.2, 1.5, 0.9, 0.4, 0.1, 0]},
+        "T": 1, "n": 96,
+        "spectral": {"bc": [0, 1, 1, 2], "cutoff": 200, "mesh": 1024},
+        "out": str(out)}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "spectral.N" in err
+    assert not out.exists()
+    # the stages that do not evaluate q on [-N, N] still run
+    assert main(["kernels", "--config", str(cfg)]) == 0
+
+
+def test_spectral_stage_on_the_kernel_grid(tmp_path):
+    # at T = 1, n = 49 the connecting kernel's horizon n h misses T by an
+    # ulp; the spectral controls live on the kernel's grid
+    assert 49 * UniformGrid(2.0, 98).h != 1.0
+    report = run_pipeline(parse_config(json.dumps({
+        "potential": {"kind": "gaussian", "amplitude": 1.0, "width": 0.3},
+        "T": 1.0, "n": 49, "spectral": {"cutoff": 40, "mesh": 256},
+        "out": str(tmp_path)})))
+    stages = {s["name"]: s for s in report["stages"]}
+    assert stages["spectral"]["status"] == "ok"
+    assert report["ok"]
+
+
 def test_response_csv_sets_the_inverse_grid(tmp_path):
     # a horizon-4, 128-step response file under a config of T = 1, n = 32:
     # the inverse stages run on the file's [0, 4] and step 1/32, and the

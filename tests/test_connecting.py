@@ -6,7 +6,7 @@ from bcwave.connecting import (
     assemble_matrix,
     build_connecting,
     connecting_form,
-    reflect_kernel,
+    connecting_nodes,
 )
 from bcwave.errors import DomainError, GridMismatchError
 from bcwave.goursat import solve_kernels
@@ -34,7 +34,8 @@ def test_free_space_half_identity(free_ck):
     assert np.max(np.abs(g.f1 - 0.5 * f.f1)) < 1e-14
     assert np.max(np.abs(g.f2 - 0.5 * f.f2)) < 1e-14
     asm = assemble_matrix(free_ck)
-    assert np.array_equal(asm.matrix, 0.5 * np.diag(asm.weights))
+    w = np.tile(trapezoid_weights(grid.n, grid.h), 2)
+    assert np.array_equal(asm.matrix, 0.5 * np.diag(w))
     assert asm.asymmetry == 0.0
 
 
@@ -97,18 +98,43 @@ def test_assembled_solve_round_trip(ck128):
     f = smooth_random_control(grid, np.random.default_rng(9))
     g = apply_connecting(ck128, f)
     asm = assemble_matrix(ck128)
-    sol = asm.solve(g.stacked())
+    w = np.tile(trapezoid_weights(grid.n, grid.h), 2)
+    sol = np.linalg.solve(asm.matrix, w * g.stacked())
     m = grid.n + 1
     assert np.max(np.abs(sol[:m] - f.f1)) < 1e-8
     assert np.max(np.abs(sol[m:] - f.f2)) < 1e-8
 
 
-def test_reflect_involution(ck128):
-    twice = reflect_kernel(reflect_kernel(ck128))
-    assert np.array_equal(twice.c11, ck128.c11)
-    assert np.array_equal(twice.c21, ck128.c21)
-    once = reflect_kernel(ck128)
-    assert once.c11[0, 0] == ck128.c11[-1, -1]
+def test_blocks_are_views_of_the_nodes(resp_off):
+    # C is held once: the forward-time blocks are views of the node-major
+    # array and follow the module docstring's formulas
+    ck = build_connecting(resp_off)
+    blocks = (ck.c11, ck.c12, ck.c21, ck.c22)
+    for blk in blocks:
+        assert np.shares_memory(blk, ck.nodes)
+    r, h, n = resp_off, ck.grid.h, ck.grid.n
+    p1 = np.concatenate([[0.0], np.cumsum(0.5 * h * (r.r11[1:] + r.r11[:-1]))])
+    p2 = np.concatenate([[0.0], np.cumsum(0.5 * h * (r.r12[1:] + r.r12[:-1]))])
+
+    def odd(f, k):
+        return np.sign(k) * f[abs(k)]
+
+    for i, j in ((0, 0), (3, 17), (17, 3), (n, 5), (40, n), (n, n)):
+        refl, diff = 2 * n - i - j, i - j
+        expect = (0.5 * (p1[refl] - p1[abs(diff)]),
+                  0.5 * (p2[refl] - odd(p2, diff)),
+                  0.5 * (odd(r.r21, diff) + r.r21[refl]),
+                  0.5 * (r.r22[abs(diff)] + r.r22[refl]))
+        for blk, e in zip(blocks, expect):
+            assert blk[i, j] == pytest.approx(e, rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 63, None])
+def test_shorter_horizon_is_the_leading_block(resp_off, k):
+    full = build_connecting(resp_off).nodes
+    k = full.shape[0] // 2 - 1 if k is None else k
+    assert np.array_equal(connecting_nodes(resp_off, k),
+                          full[:2 * k + 2, :2 * k + 2])
 
 
 def test_horizon_and_grid_guards(resp128, ck128):
@@ -122,4 +148,5 @@ def test_horizon_and_grid_guards(resp128, ck128):
 def test_quadrature_weights_in_assembly(ck128):
     asm = assemble_matrix(ck128)
     w = trapezoid_weights(ck128.grid.n, ck128.grid.h)
-    assert np.allclose(asm.weights[: len(w)], w)
+    assert np.allclose(asm.factor.node_weights[0::2], w)
+    assert np.allclose(asm.factor.node_weights[1::2], w)

@@ -43,12 +43,22 @@ def _response(path):
                    np.array([1.0 / 3.0, -2.5])).write_csv(path)
 
 
+def kernel_from_blocks(grid, *blocks):
+    """A ConnectingKernel whose forward-time blocks c11, c12, c21, c22 are
+    ``blocks``."""
+    m = blocks[0].shape[0]
+    nodes = np.empty((2 * m, 2 * m))
+    for (a, b), blk in zip(((0, 0), (0, 1), (1, 0), (1, 1)), blocks):
+        nodes[a::2, b::2] = blk[::-1, ::-1]
+    return ConnectingKernel(grid, nodes)
+
+
 def _connecting(path):
-    ConnectingKernel(_grid([0.0, 0.1]), np.array([[NAN, INF], [-INF, -0.0]]),
-                     np.array([[TINY, HUGE], [0.1, 1.0]]),
-                     np.array([[2.0, -3.0], [1e-300, 7.0]]),
-                     np.array([[0.5, -0.5], [1.0 / 3.0, 2e16]])
-                     ).dump_csv(path)
+    kernel_from_blocks(_grid([0.0, 0.1]), np.array([[NAN, INF], [-INF, -0.0]]),
+                       np.array([[TINY, HUGE], [0.1, 1.0]]),
+                       np.array([[2.0, -3.0], [1e-300, 7.0]]),
+                       np.array([[0.5, -0.5], [1.0 / 3.0, 2e16]])
+                       ).dump_csv(path)
 
 
 def _krein(path):
@@ -190,7 +200,7 @@ def _connecting_file(ck, poison):
     t = ck.grid.t
     rows = [(t[i], t[j]) + tuple(b[i, j] for b in c)
             for i in range(len(t)) for j in range(len(t))]
-    return (ConnectingKernel(ck.grid, *c),
+    return (kernel_from_blocks(ck.grid, *c),
             _reference(["t", "s", "C11", "C12", "C21", "C22"], rows))
 
 

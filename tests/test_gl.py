@@ -11,7 +11,6 @@ from bcwave.errors import ReconstructionError
 from bcwave.gl import (
     OperatorM,
     gl_from_response,
-    gl_kernel,
     invert_volterra,
     m_action_matrix,
     operator_identity_residual,
@@ -106,14 +105,20 @@ def test_operator_identity(ck128, gl128):
     assert operator_identity_residual(ck128, gl128) <= 50.0 * h * h
 
 
+def _reflected_twice(ck):
+    """The blocks of C~(t, s) = 2 C(T - t, T - s), from the forward-time
+    blocks."""
+    return [2.0 * b[::-1, ::-1] for b in (ck.c11, ck.c12, ck.c21, ck.c22)]
+
+
 def _dense_identity_residual(ck, M):
     """operator_identity_residual as first written: every operator formed
     as a dense block matrix."""
     n, h = ck.grid.n, ck.grid.h
-    ct = gl_kernel(ck)
+    ct = _reflected_twice(ck)
     w = trapezoid_weights(n, h)
     wvec = np.concatenate([w, w])
-    Ct = np.block([[ct.c11, ct.c12], [ct.c21, ct.c22]]) * wvec
+    Ct = np.block([ct[:2], ct[2:]]) * wvec
     IM = np.eye(2 * (n + 1)) + m_action_matrix(M)
     IM_star = (IM.T * wvec) / wvec[:, None]
     R = IM_star @ (np.eye(2 * (n + 1)) + Ct) @ IM - np.eye(2 * (n + 1))
@@ -128,9 +133,12 @@ def test_operator_identity_residual_matches_dense_formula(request, resp):
     assert abs(res - _dense_identity_residual(ck, M)) <= 1e-12
 
 
-def test_gl_kernel_doubles_reflection(ck128):
-    ct = gl_kernel(ck128)
-    assert np.array_equal(ct.c11, 2.0 * ck128.c11[::-1, ::-1])
+def test_gl_kernel_doubles_reflection(ck128, gl128):
+    # at s = 0 the column system is the identity: m(0, 0) = -C~(0, 0)
+    # = -2 C(T, T)
+    for mb, cb in zip((gl128.m11, gl128.m12, gl128.m21, gl128.m22),
+                      (ck128.c11, ck128.c12, ck128.c21, ck128.c22)):
+        assert mb[0, 0] == -2.0 * cb[-1, -1]
 
 
 def test_strict_triangularity(gl128):
@@ -190,7 +198,7 @@ def _oracle_gl(ck):
     """One dense solve of (I + C~ W) m = -C~(., s_j) per column, as
     solve_gl did before it shared one factor: (m11, m12, m21, m22,
     regularized columns)."""
-    ct = gl_kernel(ck)
+    c11, c12, c21, c22 = _reflected_twice(ck)
     n, h = ck.grid.n, ck.grid.h
     m = np.zeros((4, n + 1, n + 1))
     regularized = []
@@ -198,10 +206,10 @@ def _oracle_gl(ck):
         k = j + 1
         w = trapezoid_weights(j, h) if j else np.zeros(1)
         A = np.eye(2 * k) + np.block(
-            [[ct.c11[:k, :k] * w, ct.c12[:k, :k] * w],
-             [ct.c21[:k, :k] * w, ct.c22[:k, :k] * w]])
-        rhs = -np.stack([np.concatenate([ct.c11[:k, j], ct.c21[:k, j]]),
-                         np.concatenate([ct.c12[:k, j], ct.c22[:k, j]])],
+            [[c11[:k, :k] * w, c12[:k, :k] * w],
+             [c21[:k, :k] * w, c22[:k, :k] * w]])
+        rhs = -np.stack([np.concatenate([c11[:k, j], c21[:k, j]]),
+                         np.concatenate([c12[:k, j], c22[:k, j]])],
                         axis=1)
         try:
             sol = np.linalg.solve(A, rhs)
@@ -240,9 +248,9 @@ def test_solve_gl_falls_back_past_the_factor(resp_broken):
 
 
 def _nan_kernel(n=16):
-    c = [np.zeros((n + 1, n + 1)) for _ in range(4)]
-    c[0][3, 5] = np.nan
-    return ConnectingKernel(UniformGrid(1.0, n), *c)
+    nodes = np.zeros((2 * n + 2, 2 * n + 2))
+    nodes[6, 10] = np.nan
+    return ConnectingKernel(UniformGrid(1.0, n), nodes)
 
 
 def test_non_finite_kernel_rejected():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from bcwave.connecting import build_connecting, nested_factor, reflected_nodes
+from bcwave.connecting import (assemble_matrix, build_connecting,
+                               connecting_nodes)
 from bcwave.config import parse_config
 from bcwave.errors import BCWaveError, ReconstructionError
 from bcwave.goursat import solve_kernels
@@ -42,7 +43,7 @@ def _cauchy_oracle(p, T):
 
 def test_free_space_control_and_profile():
     r = response_matrix(solve_kernels(ZeroPotential(), UniformGrid(2.0, 128)))
-    sol = solve_krein(r, 64)
+    sol = solve_krein(connecting_nodes(r, 64), r.grid.h)
     t = sol.h * np.arange(65)
     assert np.max(np.abs(sol.f1 - 2.0 * (sol.tau - t))) < 1e-8
     assert np.max(np.abs(sol.f2)) < 1e-8
@@ -135,7 +136,7 @@ def _oracle_sweep(r):
     regularized = np.zeros(n, dtype=bool)
     residuals = np.zeros(n)
     for k in range(1, n + 1):
-        sol = solve_krein(r, k)
+        sol = solve_krein(connecting_nodes(r, k), r.grid.h)
         y[n + k], y[n - k] = endpoint_values(sol)
         regularized[k - 1] = sol.regularized
         residuals[k - 1] = sol.residual
@@ -169,7 +170,7 @@ def test_sweep_falls_back_past_the_factor(resp_broken):
     n = r.grid.n // 2
     p, j = _break_nodes(r)
     # horizons 1..p-1 use the factor, p and later are solved one by one
-    fac = nested_factor(reflected_nodes(build_connecting(r)), r.grid.h)
+    fac = assemble_matrix(build_connecting(r)).factor
     assert fac.horizons == max(p - 1, 0)
     prof = sweep_reconstruct(r)
     y, regularized, residuals, valid = _oracle_sweep(r)
@@ -191,12 +192,12 @@ def test_failed_horizons_counted(tmp_path, resp_skew):
     failed = []
     for k in range(1, n + 1):
         try:
-            solve_krein(r, k)
+            solve_krein(connecting_nodes(r, k), r.grid.h)
         except BCWaveError:
             failed.append(k)
     assert failed and failed == list(range(failed[0], n + 1))
     # the factor stops where the asymmetry check would reject the horizon
-    fac = nested_factor(reflected_nodes(build_connecting(r)), r.grid.h)
+    fac = assemble_matrix(build_connecting(r)).factor
     assert fac.horizons == failed[0] - 1
     prof = sweep_reconstruct(r)
     assert np.array_equal(np.flatnonzero(np.isnan(prof.residuals)) + 1, failed)

@@ -1,7 +1,9 @@
-"""The inverse stages' shared state: one connecting kernel, its reflected
-matrix and one nested factor per run, GL solved on horizon panels."""
+"""The inverse stages' shared state: one connecting kernel, held as one
+node-major array, and one nested factor per run, GL solved on horizon
+panels."""
 
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from bcwave import krein, pipeline
 from bcwave.config import parse_config
 from bcwave.connecting import assemble_matrix, build_connecting
-from bcwave.gl import GL_PANELS, _solve_column, gl_kernel, solve_gl
+from bcwave.gl import GL_PANELS, _solve_column, solve_gl
 from bcwave.goursat import solve_kernels
 from bcwave.grid import UniformGrid, trapezoid_weights
 from bcwave.potentials import ZeroPotential
@@ -27,12 +29,11 @@ def test_panelled_gl_matches_column_solves(request, resp):
     M = solve_gl(ck, inverse)
     if resp == "resp_skew":
         assert inverse.factor.horizons < ck.grid.n
-    ct = gl_kernel(ck)
     ref = np.zeros((4, ck.grid.n + 1, ck.grid.n + 1))
-    ref[:, 0, 0] = -ct.c11[0, 0], -ct.c12[0, 0], -ct.c21[0, 0], -ct.c22[0, 0]
+    ref[:, 0, 0] = -2.0 * ck.nodes[:2, :2].ravel()
     for j in range(1, ck.grid.n + 1):
         k = j + 1
-        sol, reg = _solve_column(ct, j, ck.grid.h)
+        sol, reg = _solve_column(ck.nodes, j, ck.grid.h)
         assert not reg
         ref[0, :k, j], ref[2, :k, j] = sol[:k, 0], sol[k:, 0]
         ref[1, :k, j], ref[3, :k, j] = sol[:k, 1], sol[k:, 1]
@@ -133,8 +134,8 @@ def test_one_state_per_run_freed_before_spectral(tmp_path, monkeypatch):
         built.append(weakref.ref(inverse))
         return inverse
 
-    def own_factor(*args):
-        raise AssertionError("the Krein sweep built its own factor")
+    def own_state(*args):
+        raise AssertionError("the Krein sweep built its own state")
 
     def residual(ck, M):
         seen["residual"] = [ref() is None for ref in built]
@@ -147,7 +148,7 @@ def test_one_state_per_run_freed_before_spectral(tmp_path, monkeypatch):
         return stage_spectral(cfg, state, files)
 
     monkeypatch.setattr(pipeline, "assemble_matrix", counting)
-    monkeypatch.setattr(krein, "nested_factor", own_factor)
+    monkeypatch.setattr(krein, "assemble_matrix", own_state)
     monkeypatch.setattr(pipeline, "operator_identity_residual", residual)
     monkeypatch.setattr(pipeline, "_stage_spectral", spectral)
     cfg = {"potential": {"kind": "gaussian", "amplitude": 1.0, "width": 0.3},
@@ -157,3 +158,19 @@ def test_one_state_per_run_freed_before_spectral(tmp_path, monkeypatch):
     assert report["ok"]
     assert len(built) == 1
     assert seen == {"residual": [True], "spectral": False}
+
+
+def test_inverse_state_holds_one_matrix(ck128):
+    # beyond the kernel, whose node-major array is the only copy of C, the
+    # shared state holds the factor and a few vectors
+    assemble_matrix(ck128)           # loads scipy.linalg first
+    size = 8 * (2 * ck128.grid.n + 2) ** 2
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inverse = assemble_matrix(ck128)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert inverse.factor.factor.nbytes == size
+    assert held <= 1.1 * size
