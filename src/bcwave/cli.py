@@ -12,7 +12,7 @@ import json
 import sys
 
 from .config import ALL_STAGES, RunConfig, parse_config
-from .errors import BCWaveError
+from .errors import BCWaveError, ConfigError
 from .pipeline import run_pipeline
 
 _STAGE_SETS = {
@@ -78,6 +78,8 @@ def _load_config(args) -> RunConfig:
     if args.paper_sign:
         cfg.sign = "paper"
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("seed must be non-negative")
         cfg.seed = args.seed
     return cfg
 

@@ -61,6 +61,8 @@ class RunConfig:
                 "exactly one of 'potential' and 'response_csv' is required")
         if self.sign not in ("derived", "paper"):
             raise ConfigError("sign must be 'derived' or 'paper'")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.spectral is None:
             self.spectral = SpectralOptions(4.0 * self.T, (1.0, 0.0, 1.0, 0.0),
                                             400, 2048)

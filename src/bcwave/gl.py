@@ -23,6 +23,12 @@ roundoff.  Columns past the factor's reach (see the Krein route), and
 columns whose refinement has not converged, get that dense solve, with a
 Tikhonov shift if the matrix is singular.
 
+m is held once (:class:`OperatorM`), as one node-major (2n+2)^2 array
+laid out as the connecting kernel's, without its time reflection: entry
+(2i + a, 2j + b) is m_ab(x_i, s_j).  The panel solves write into it
+directly, the identity residual multiplies it as it is, and
+:func:`invert_volterra` builds it in that order; m11..m22 are views.
+
 On the diagonal m(x,x) = -k(x,x), and the potential follows from
 q(x) = 2 d/dx [m11(x,x) - m12(x,x)] with the left half-line recovered
 from the sum diagonal (sign convention selectable, see recover_q_from_m).
@@ -35,13 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connecting import (TIKHONOV_RELATIVE, AssembledConnecting,
-                         ConnectingKernel, NestedFactor, assemble_matrix,
-                         build_connecting)
+                         ConnectingKernel, NestedFactor, assemble_matrix)
 from .errors import GridMismatchError, ReconstructionError
 from .goursat import KernelField
 from .grid import (UniformGrid, differentiate, row_trapezoid_weights,
                    trapezoid_weights, write_csv)
-from .response import ResponseMatrix, operator_k_matrix
+from .response import operator_k_matrix
 
 #: Refinement steps against the unsymmetrized column systems after the
 #: solve through the symmetrized factor, and the largest size of the last
@@ -56,18 +61,22 @@ GL_PANELS = 4
 
 @dataclass(frozen=True)
 class OperatorM:
-    """Block kernel m_ij(x, s) on [0, T]^2, zero for s < x (Volterra).
-
-    Row index is x, column index is s; ``regularized`` flags the columns
-    (if any) whose solve needed a Tikhonov shift.
+    """Block kernel m_ab(x, s) on [0, T]^2, zero for s < x (Volterra),
+    held once in ``nodes``: a node-major (2n+2)^2 array whose entry
+    (2i + a, 2j + b) is m_ab(x_i, s_j), row index x, column index s.
+    ``m11`` .. ``m22`` are its blocks ``nodes[a::2, b::2]``, as views;
+    ``regularized`` flags the columns (if any) whose solve needed a
+    Tikhonov shift.
     """
 
     grid: UniformGrid
-    m11: np.ndarray
-    m12: np.ndarray
-    m21: np.ndarray
-    m22: np.ndarray
+    nodes: np.ndarray
     regularized: tuple = ()
+
+    m11 = property(lambda self: self.nodes[0::2, 0::2])
+    m12 = property(lambda self: self.nodes[0::2, 1::2])
+    m21 = property(lambda self: self.nodes[1::2, 0::2])
+    m22 = property(lambda self: self.nodes[1::2, 1::2])
 
     def diagonals(self):
         """(m11(x,x), m12(x,x), m21(x,x), m22(x,x)) as node arrays."""
@@ -77,29 +86,11 @@ class OperatorM:
     def dump_csv(self, path) -> None:
         """Columns x, s, m11, m12, m21, m22 on s >= x, one block per x row."""
         t = self.grid.t
-        rows = ((i, slice(i, None), self.m11[i, i:], self.m12[i, i:],
-                 self.m21[i, i:], self.m22[i, i:]) for i in range(len(t)))
+        m11, m12, m21, m22 = self.m11, self.m12, self.m21, self.m22
+        rows = ((i, slice(i, None), m11[i, i:], m12[i, i:], m21[i, i:],
+                 m22[i, i:]) for i in range(len(t)))
         write_csv(path, ["x", "s", "m11", "m12", "m21", "m22"], rows,
                   coords=t)
-
-
-def _kernel_from_nystrom(A: np.ndarray, n_half: int, h: float):
-    """Divide out the per-row quadrature weights of a Volterra Nystrom
-    matrix; the weightless corner (n, n) is filled by quadratic
-    extrapolation along the diagonal."""
-    m = n_half + 1
-    w = row_trapezoid_weights(n_half, h)
-    safe = np.where(w > 0.0, w, 1.0)
-    blocks = []
-    for bi in (0, 1):
-        for bj in (0, 1):
-            k = np.where(w > 0.0, A[bi * m:(bi + 1) * m, bj * m:(bj + 1) * m]
-                         / safe, 0.0)
-            d = np.diag(k)
-            k[n_half, n_half] = 3.0 * d[n_half - 1] - 3.0 * d[n_half - 2] \
-                + d[n_half - 3]
-            blocks.append(k)
-    return blocks
 
 
 def invert_volterra(field: KernelField, n_half: int) -> OperatorM:
@@ -108,7 +99,7 @@ def invert_volterra(field: KernelField, n_half: int) -> OperatorM:
 
     In node-major ordering I+K is block upper triangular with 2x2
     diagonal blocks, so the inverse is computed exactly (up to roundoff)
-    bottom-up; no dense solve is involved.
+    bottom-up; no dense solve is involved, and M stays node-major.
     """
     K = operator_k_matrix(field, n_half)
     m = n_half + 1
@@ -127,10 +118,17 @@ def invert_volterra(field: KernelField, n_half: int) -> OperatorM:
         rhs[:, 2 * i:2 * i + 2] = eye2
         rhs -= A[r, t] @ X[t]
         X[r] = np.linalg.solve(A[r, r], rhs)
-    inv = np.argsort(perm)
-    M = X[np.ix_(inv, inv)] - np.eye(2 * m)
-    grid = UniformGrid(n_half * h, n_half)
-    return OperatorM(grid, *_kernel_from_nystrom(M, n_half, h))
+    X -= np.eye(2 * m)
+    # divide out the per-row quadrature weights of the Nystrom matrix; the
+    # weightless corner (n, n) is extrapolated quadratically along the
+    # diagonal
+    w = row_trapezoid_weights(n_half, h)[:, None, :, None]
+    x4 = X.reshape(m, 2, m, 2)
+    x4[...] = np.where(w > 0.0, x4 / np.where(w > 0.0, w, 1.0), 0.0)
+    n = n_half
+    x4[n, :, n] = 3.0 * x4[n - 1, :, n - 1] - 3.0 * x4[n - 2, :, n - 2] \
+        + x4[n - 3, :, n - 3]
+    return OperatorM(UniformGrid(n_half * h, n_half), X)
 
 
 def solve_gl(ck: ConnectingKernel,
@@ -150,7 +148,7 @@ def solve_gl(ck: ConnectingKernel,
     n = ck.grid.n
     h = ck.grid.h
     # the result first, below the work arrays on the heap
-    m11, m12, m21, m22 = (np.zeros((n + 1, n + 1)) for _ in range(4))
+    m = np.zeros((2 * n + 2, 2 * n + 2))
     if inverse is None:
         inverse = assemble_matrix(ck)
     cr, fac = inverse.kernel.nodes, inverse.factor
@@ -161,9 +159,8 @@ def solve_gl(ck: ConnectingKernel,
         if len(cols):
             first, last = int(cols[0]), int(cols[-1])
             converged[first - 1:last] = _solve_panel(
-                cr, fac.panel(first, last), (m11, m12, m21, m22))
-    for blk, a, b in ((m11, 0, 0), (m12, 0, 1), (m21, 1, 0), (m22, 1, 1)):
-        blk[0, 0] = -2.0 * cr[a, b]   # s = 0: the system is the identity
+                cr, fac.panel(first, last), m)
+    m[:2, :2] = -2.0 * cr[:2, :2]   # s = 0: the system is the identity
     del fac
     regularized = []
     for j in range(1, n + 1):
@@ -173,20 +170,19 @@ def solve_gl(ck: ConnectingKernel,
         sol, reg = _solve_column(cr, j, h)
         if reg:
             regularized.append(j)
-        m11[:k, j] = sol[:k, 0]
-        m21[:k, j] = sol[k:, 0]
-        m12[:k, j] = sol[:k, 1]
-        m22[:k, j] = sol[k:, 1]
-    if not all(np.isfinite(blk).all() for blk in (m11, m12, m21, m22)):
+        m[:2 * k:2, 2 * j:2 * j + 2] = sol[:k]
+        m[1:2 * k:2, 2 * j:2 * j + 2] = sol[k:]
+    if not np.isfinite(m).all():
         raise ReconstructionError("non-finite GL kernel m")
-    return OperatorM(ck.grid, m11, m12, m21, m22, tuple(regularized))
+    return OperatorM(ck.grid, m, tuple(regularized))
 
 
-def _solve_panel(cr: np.ndarray, fac: NestedFactor, blocks) -> np.ndarray:
+def _solve_panel(cr: np.ndarray, fac: NestedFactor,
+                 out: np.ndarray) -> np.ndarray:
     """Solve and refine the columns j = first..last of the panel factor
     ``fac`` on its leading 2 last + 2 rows, the only ones they use, and
-    write them into ``blocks`` (m11, m12, m21, m22).  Returns, per
-    column, whether the refinement converged.
+    write them into the node-major m ``out``.  Returns, per column,
+    whether the refinement converged.
 
     A_j m = -W C~(., s_j)/2 with A_j = W/2 + W (C~/2) W, and ``cr`` is
     C~/2: the residual of m is -W g with
@@ -210,9 +206,7 @@ def _solve_panel(cr: np.ndarray, fac: NestedFactor, blocks) -> np.ndarray:
     # (too asymmetric a system) and is solved on its own
     size = np.maximum(step.max(axis=0), -step.min(axis=0))
     scale = np.maximum(m.max(axis=0), -m.min(axis=0))
-    cols = slice(first, first + fac.horizons)
-    for blk, a, b in zip(blocks, (0, 0, 1, 1), (0, 1, 0, 1)):
-        blk[:rows // 2, cols] = m[a::2, b::2]
+    out[:rows, 2 * first:2 * (first + fac.horizons)] = m
     return (size <= REFINEMENT_TOLERANCE * scale).reshape(-1, 2).all(axis=1)
 
 
@@ -234,11 +228,6 @@ def _solve_column(cr: np.ndarray, j: int, h: float):
         return np.linalg.solve(A + shift * np.eye(2 * k), rhs), True
 
 
-def gl_from_response(r: ResponseMatrix, n_half: int | None = None) -> OperatorM:
-    """Response CSV/matrix -> connecting kernel -> GL solve."""
-    return solve_gl(build_connecting(r, n_half))
-
-
 def m_action_matrix(M: OperatorM) -> np.ndarray:
     """Nystrom action matrix of M on stacked nodal controls (per-row
     trapezoid weights over [x, T], mirroring the K discretization)."""
@@ -250,32 +239,25 @@ def operator_identity_residual(ck: ConnectingKernel, M: OperatorM) -> float:
     """max-norm residual of (I+M)* (I+C~) (I+M) = I with the quadrature-
     weighted discrete adjoint (A* = W^{-1} A^T W).
 
-    Evaluated as W^{-1} P^T W ((I + C~ W) P) - I with P = I + M in three
-    2(n+1) x 2(n+1) buffers: P, I + C~ W (which then takes the result)
-    and the right-hand product."""
+    Evaluated node-major as W^{-1} P^T W ((I + C~ W) P) - I with
+    P = I + M in three 2(n+1) x 2(n+1) buffers: P, I + C~ W (which then
+    takes the result) and the right-hand product."""
     if M.grid != ck.grid:
         raise GridMismatchError("kernel grids differ")
     n, h = ck.grid.n, ck.grid.h
     m = n + 1
-    w = trapezoid_weights(n, h)
-    rows = row_trapezoid_weights(n, h)
-    p = np.empty((2 * m, 2 * m))
-    c = np.empty((2 * m, 2 * m))
-    for a, b, mb in ((0, 0, M.m11), (0, 1, M.m12), (1, 0, M.m21),
-                     (1, 1, M.m22)):
-        block = np.s_[a * m:(a + 1) * m, b * m:(b + 1) * m]
-        np.multiply(mb, rows, out=p[block])
-        # C~ = 2 ck.nodes, in the stacked layout of p
-        np.multiply(ck.nodes[a::2, b::2], 2.0, out=c[block])
-        c[block] *= w
+    w = np.repeat(trapezoid_weights(n, h), 2)
+    rows = row_trapezoid_weights(n, h)[:, None, :, None]
+    p = (M.nodes.reshape(m, 2, m, 2) * rows).reshape(2 * m, 2 * m)
+    c = 2.0 * ck.nodes     # C~
+    c *= w
     diag = np.diag_indices(2 * m)
     p[diag] += 1.0
     c[diag] += 1.0
     right = np.matmul(c, p)
-    wvec = np.concatenate([w, w])[:, None]
-    right *= wvec
+    right *= w[:, None]
     np.matmul(p.T, right, out=c)
-    c /= wvec
+    c /= w[:, None]
     c[diag] -= 1.0
     return float(np.max(np.abs(c, out=c)))
 

@@ -169,9 +169,13 @@ def _stage_connect(cfg, state, files):
 
 
 def _band_error(x, q, p, mask=None):
+    """max |q - p| on |x| <= 0.8 (and ``mask``), relative to max |p|;
+    None when that band holds no sample."""
     band = np.abs(x) <= 0.8
     if mask is not None:
         band &= mask
+    if not band.any():
+        return None
     qex = p(x)
     scale = max(float(np.max(np.abs(qex))), 1e-30)
     return float(np.max(np.abs(q[band] - qex[band])) / scale)
@@ -191,8 +195,9 @@ def _stage_krein(cfg, state, files):
     }
     if "potential" in state:
         inner = prof.valid & (np.abs(prof.x) >= 0.1)
-        metrics["q_rel_error"] = _band_error(prof.x, prof.q,
-                                             state["potential"], inner)
+        err = _band_error(prof.x, prof.q, state["potential"], inner)
+        if err is not None:   # T < 0.1 leaves no sample in the band
+            metrics["q_rel_error"] = err
     return metrics
 
 

@@ -14,7 +14,6 @@ from bcwave.config import parse_config
 from bcwave.connecting import (assemble_matrix, build_connecting,
                                connecting_form, connecting_nodes)
 from bcwave.gl import (
-    gl_from_response,
     invert_volterra,
     m_action_matrix,
     operator_identity_residual,
@@ -70,7 +69,7 @@ def test_criterion_1_free_space_exact():
                np.max(np.abs(sol.f2)))
     prof = sweep_reconstruct(r)
     yerr = np.max(np.abs(prof.y - prof.x))
-    M = gl_from_response(r)
+    M = solve_gl(ck)
     x, q = recover_q_from_m(M)
     mmax = max(np.max(np.abs(b)) for b in (M.m11, M.m12, M.m21, M.m22))
     qmax = np.max(np.abs(q))
@@ -213,7 +212,7 @@ def test_criterion_7_gl_round_trip(gauss, offcenter, resp_off, krein_gauss,
     prof = krein_gauss
     both = prof.valid & band
     agree = np.max(np.abs(q[both] - prof.q[both])) / qref
-    Moff = gl_from_response(resp_off)
+    Moff = solve_gl(build_connecting(resp_off))
     xo, qo = recover_q_from_m(Moff, "derived")
     bo = np.abs(xo) <= 0.8
     err_off = np.max(np.abs(qo[bo] - offcenter(xo[bo]))) / np.max(

@@ -347,6 +347,39 @@ def test_spectral_stage_on_the_kernel_grid(tmp_path):
     assert report["ok"]
 
 
+def test_krein_stage_with_an_empty_error_band(tmp_path):
+    # at T = 0.08 no Krein sample lies in 0.1 <= |x| <= 0.8: the stage
+    # runs and leaves q_rel_error out of its metrics
+    report = run_pipeline(parse_config(json.dumps({
+        "potential": {"kind": "gaussian", "amplitude": 1, "width": 0.03},
+        "T": 0.08, "n": 16, "stages": ["kernels", "response", "krein"],
+        "out": str(tmp_path)})))
+    krein = report["stages"][2]
+    assert krein["name"] == "krein" and krein["status"] == "ok"
+    assert "q_rel_error" not in krein["metrics"] and report["ok"]
+    assert json.loads((tmp_path / "report.json").read_text()) == report
+
+
+@pytest.mark.parametrize("where", ["config", "override"])
+def test_negative_seed_exits_2(tmp_path, capsys, where):
+    out = tmp_path / "out"
+    raw = {"potential": {"kind": "gaussian"}, "T": 1, "n": 16,
+           "spectral": {"cutoff": 40, "mesh": 256}, "out": str(out)}
+    args = []
+    if where == "config":
+        raw["seed"] = -3
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(json.dumps(raw))
+    else:
+        args = ["--seed", "-3"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
+    assert not out.exists()
+
+
 def test_response_csv_sets_the_inverse_grid(tmp_path):
     # a horizon-4, 128-step response file under a config of T = 1, n = 32:
     # the inverse stages run on the file's [0, 4] and step 1/32, and the

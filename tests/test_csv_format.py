@@ -53,6 +53,15 @@ def kernel_from_blocks(grid, *blocks):
     return ConnectingKernel(grid, nodes)
 
 
+def m_from_blocks(grid, *blocks):
+    """An OperatorM whose blocks m11, m12, m21, m22 are ``blocks``."""
+    m = blocks[0].shape[0]
+    nodes = np.empty((2 * m, 2 * m))
+    for (a, b), blk in zip(((0, 0), (0, 1), (1, 0), (1, 1)), blocks):
+        nodes[a::2, b::2] = blk
+    return OperatorM(grid, nodes)
+
+
 def _connecting(path):
     kernel_from_blocks(_grid([0.0, 0.1]), np.array([[NAN, INF], [-INF, -0.0]]),
                        np.array([[TINY, HUGE], [0.1, 1.0]]),
@@ -71,10 +80,10 @@ def _krein(path):
 
 
 def _gl_kernel(path):
-    OperatorM(_grid([0.0, 0.1]), np.array([[NAN, INF], [9.0, -0.0]]),
-              np.array([[TINY, HUGE], [9.0, -INF]]),
-              np.array([[1.0, 2.0], [9.0, 3.0]]),
-              np.array([[0.1, 0.2], [9.0, 0.3]])).dump_csv(path)
+    m_from_blocks(_grid([0.0, 0.1]), np.array([[NAN, INF], [9.0, -0.0]]),
+                  np.array([[TINY, HUGE], [9.0, -INF]]),
+                  np.array([[1.0, 2.0], [9.0, 3.0]]),
+                  np.array([[0.1, 0.2], [9.0, 0.3]])).dump_csv(path)
 
 
 def _q_gl(path):
@@ -211,7 +220,7 @@ def _gl_file(M, poison):
     t = M.grid.t
     rows = [(t[i], t[j]) + tuple(b[i, j] for b in m)
             for i in range(len(t)) for j in range(i, len(t))]
-    return (OperatorM(M.grid, *m),
+    return (m_from_blocks(M.grid, *m),
             _reference(["x", "s", "m11", "m12", "m21", "m22"], rows))
 
 

@@ -10,7 +10,6 @@ from bcwave.connecting import ConnectingKernel, build_connecting
 from bcwave.errors import ReconstructionError
 from bcwave.gl import (
     OperatorM,
-    gl_from_response,
     invert_volterra,
     m_action_matrix,
     operator_identity_residual,
@@ -72,7 +71,7 @@ def test_neumann_series_small_amplitude():
 
 def test_solve_gl_zero_potential():
     r = response_matrix(solve_kernels(ZeroPotential(), UniformGrid(2.0, 64)))
-    M = gl_from_response(r)
+    M = solve_gl(build_connecting(r))
     for blk in (M.m11, M.m12, M.m21, M.m22):
         assert np.max(np.abs(blk)) == 0.0
     x, q = recover_q_from_m(M)
@@ -83,7 +82,7 @@ def test_perturbative_constant_m11():
     c = 0.01
     n = 64
     r = response_matrix(solve_kernels(ConstantPotential(c), UniformGrid(2.0, 2 * n)))
-    M = gl_from_response(r)
+    M = solve_gl(build_connecting(r))
     xs = M.grid.t
     expect = np.triu(0.5 * c * np.broadcast_to(xs[:, None], (n + 1, n + 1)))
     h = M.grid.h
@@ -141,6 +140,21 @@ def test_gl_kernel_doubles_reflection(ck128, gl128):
         assert mb[0, 0] == -2.0 * cb[-1, -1]
 
 
+def test_operator_m_holds_one_array(resp_off):
+    # solve_gl returns m as one node-major array; the blocks are views
+    M = solve_gl(build_connecting(resp_off))
+    n = M.grid.n
+    arrays = [v for v in vars(M).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is M.nodes
+    assert M.nodes.shape == (2 * n + 2, 2 * n + 2)
+    assert M.nodes.dtype == np.float64
+    blocks = {(0, 0): M.m11, (0, 1): M.m12, (1, 0): M.m21, (1, 1): M.m22}
+    for (a, b), blk in blocks.items():
+        assert np.shares_memory(blk, M.nodes)
+        for i, j in ((3, 17), (40, 90), (64, 64), (100, 127), (n, n)):
+            assert blk[i, j] == M.nodes[2 * i + a, 2 * j + b] != 0.0
+
+
 def test_strict_triangularity(gl128):
     for blk in (gl128.m11, gl128.m12, gl128.m21, gl128.m22):
         assert np.max(np.abs(np.tril(blk, -1))) == 0.0
@@ -154,7 +168,7 @@ def test_q_recovery_even(gauss, gl128):
 
 
 def test_sign_calibration_off_center(offcenter, resp_off):
-    M = gl_from_response(resp_off)
+    M = solve_gl(build_connecting(resp_off))
     x, q = recover_q_from_m(M, "derived")
     _, qp = recover_q_from_m(M, "paper")
     band = np.abs(x) <= 0.8
@@ -172,8 +186,7 @@ def test_sign_argument_validated(gl128):
 
 def test_short_diagonal_rejected():
     g = UniformGrid(1.0, 8)
-    tiny = np.zeros((3, 3))
-    M = OperatorM(g, tiny, tiny, tiny, tiny)
+    M = OperatorM(g, np.zeros((6, 6)))
     with pytest.raises(ReconstructionError):
         recover_q_from_m(M)
 
@@ -257,11 +270,10 @@ def test_non_finite_kernel_rejected():
     with pytest.raises(ReconstructionError, match="non-finite"):
         solve_gl(_nan_kernel())
     g = UniformGrid(1.0, 16)
-    m = np.zeros((17, 17))
-    bad = m.copy()
-    bad[4, 4] = np.inf
+    bad = np.zeros((34, 34))
+    bad[8, 8] = np.inf   # m11(x_4, x_4)
     with pytest.raises(ReconstructionError, match="non-finite"):
-        recover_q_from_m(OperatorM(g, bad, m, m, m))
+        recover_q_from_m(OperatorM(g, bad))
 
 
 def test_non_finite_kernel_fails_gl_stage(tmp_path, monkeypatch):
