@@ -180,18 +180,106 @@ def second_derivative(y: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
+def _bspline_basis(t: np.ndarray, x: np.ndarray):
+    """The four cubic B-splines that do not vanish at each x on the
+    clamped knots ``t``: values (len(x), 4) and the interval l of each x,
+    t[l] <= x < t[l+1] clipped to the base interval, so that x outside it
+    extrapolates the end polynomials.  Cox-de Boor in scipy's order of
+    operations (``_deBoor_D``), vectorised over x."""
+    l = np.clip(np.searchsorted(t, x, side="right") - 1, 3, len(t) - 5)
+    h = np.zeros((len(x), 4))
+    h[:, 0] = 1.0
+    for j in range(1, 4):
+        hh = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for m in range(1, j + 1):
+            xb, xa = t[l + m], t[l + m - j]
+            w = hh[:, m - 1] / (xb - xa)
+            h[:, m - 1] += w * (xb - x)
+            h[:, m] = w * (x - xa)
+    return h, l
+
+
+def _divided_difference(xw: np.ndarray) -> np.ndarray:
+    """Coefficients 1 / prod_{k != i} (x_i - x_k) of the divided
+    difference on each row of ``xw``, products taken in scipy's order."""
+    pp = np.ones_like(xw)
+    m = xw.shape[-1]
+    for i in range(m):
+        for k in range(m):
+            if k != i:
+                pp[..., i] *= xw[..., i] - xw[..., k]
+    return 1.0 / pp
+
+
+def _smoothing_spline(x: np.ndarray, y: np.ndarray, lam: float,
+                      at: np.ndarray) -> np.ndarray:
+    """Values at ``at`` of the cubic smoothing spline of (x, y) with
+    penalty ``lam`` (unit weights, x strictly ascending, len(x) >= 5).
+
+    This is Woltring's smoothing spline (Woltring 1986) in scipy's
+    clean-room form: the fit is solved in the natural-spline basis of
+    Hutchinson and de Hoog (1985), one banded system (X + lam W^-1 E) c
+    = y, and mapped back to B-spline coefficients on the knots
+    (x0, x0, x0, x, xn, xn, xn).  Every operation follows scipy's
+    ``make_smoothing_spline(x, y, lam=lam)(at)``, whose bits it gives
+    on scipy 1.17.1.
+    """
+    from scipy.linalg import solve_banded
+
+    n = len(x)
+    t = np.concatenate([[x[0]] * 3, x, [x[-1]] * 3])
+    # row r of the design matrix holds B_r..B_{r+3}(x_r), the last row
+    # B_{n-2}..B_{n+1}(x_{n-1}); X holds it in the natural-spline basis
+    H, _ = _bspline_basis(t, x)
+    X = np.zeros((5, n))
+    X[1, 2:-2] = H[1:-3, 2]
+    X[2, 2:-2] = H[2:-2, 1]
+    X[3, 2:-2] = H[3:-1, 0]
+    X[1, 1] = H[0, 0]
+    X[2, :2] = (x[2] + x[1] - 2 * x[0]) * H[0, 0], H[1, 0] + H[1, 1]
+    X[3, :2] = (x[2] - x[0]) * H[1, 0], H[2, 0]
+    X[1, -2:] = H[-3, 2], (x[-1] - x[-3]) * H[-2, 2]
+    X[2, -2:] = H[-2, 1] + H[-2, 2], (2 * x[-1] - x[-2] - x[-3]) * H[-1, 3]
+    X[3, -2] = H[-1, 3]
+
+    wE = np.zeros((5, n))
+    wE[2:, 0] = _divided_difference(x[:3])
+    wE[1:, 1] = _divided_difference(x[:4])
+    windows = np.lib.stride_tricks.sliding_window_view(x, 5)
+    wE[:, 2:-2] = (x[4:] - x[:-4]) * _divided_difference(windows).T
+    wE[:-1, -2] = -_divided_difference(x[-4:])
+    wE[:-2, -1] = _divided_difference(x[-3:])
+    wE *= 6
+
+    c = solve_banded((2, 2), X + lam * wE, y)
+    c = np.concatenate([[c[0] * (t[5] + t[4] - 2 * t[3]) + c[1],
+                         c[0] * (t[5] - t[3]) + c[1]],
+                        c[1:-1],
+                        [c[-1] * (t[-4] - t[-6]) + c[-2],
+                         c[-1] * (2 * t[-4] - t[-5] - t[-6]) + c[-2]]])
+    B, l = _bspline_basis(t, at)
+    out = np.zeros(len(at))
+    for a in range(4):
+        out += c[l - 3 + a] * B[:, a]
+    return out
+
+
 def recover_q_from_y(x: np.ndarray, y: np.ndarray, solved: np.ndarray):
     """q = y''/y where |y| >= EPS_FRAC * max|y|; y'' is taken on a light
     cubic smoothing-spline fit (penalty ~ h^4) to stabilize the double
-    differentiation of solver output."""
-    from scipy.interpolate import make_smoothing_spline
+    differentiation of solver output.
 
+    The fit is :func:`_smoothing_spline`, Woltring's (1986) spline in
+    the natural-spline basis of Hutchinson and de Hoog (1985), a numpy
+    port that matches scipy 1.17.1's ``make_smoothing_spline`` bit for
+    bit; samples of unsolved horizons are left out of the fit and get
+    its values."""
     good = solved & np.isfinite(y)
     if np.count_nonzero(good) < 5:
         raise ReconstructionError("fewer than 5 valid y samples")
     h = x[1] - x[0]
-    spl = make_smoothing_spline(x[good], y[good], lam=h ** 4)
-    ys = spl(x)
+    ys = _smoothing_spline(x[good], y[good], h ** 4, x)
     ypp = second_derivative(ys, h)
     eps = EPS_FRAC * np.max(np.abs(y[good]))
     valid = good & (np.abs(ys) >= eps)

@@ -206,7 +206,6 @@ def _stage_gl(cfg, state, files):
     ck = inverse.kernel
     M = solve_gl(ck, inverse)
     del inverse
-    state["gl"] = M
     kpath = os.path.join(cfg.out, "gl_kernel.csv")
     M.dump_csv(kpath)
     x, q = recover_q_from_m(M, cfg.sign)

@@ -411,8 +411,6 @@ def spectral_forward(measure: SpectralMeasure, f: Control,
     t < N - T; eigenfunctions are sampled on the dynamic nodes by linear
     interpolation from the eigensolver mesh.
     """
-    from scipy.interpolate import interp1d
-
     h = f.grid.h
     k = int(round(t / h))
     if abs(k * h - t) > 1e-9 * h or k > f.grid.n:
@@ -425,9 +423,9 @@ def spectral_forward(measure: SpectralMeasure, f: Control,
     c = np.sum(s * g * w, axis=1)
 
     xq = h * np.arange(k + 1)
-    samp = interp1d(measure.nodes, measure.vecs, axis=1, assume_sorted=True)
-    yp = samp(xq)        # (count, k+1) at x = +i h
-    ym = samp(-xq)
+    # (count, k+1) at x = +i h and -i h
+    yp = np.array([np.interp(xq, measure.nodes, v) for v in measure.vecs])
+    ym = np.array([np.interp(-xq, measure.nodes, v) for v in measure.vecs])
     n_head = int(TAIL_FRACTION * measure.count)
     a1 = c @ yp
     a2 = c @ ym

@@ -8,6 +8,10 @@ import subprocess
 import sys
 
 import bcwave
+from bcwave.goursat import solve_kernels
+from bcwave.grid import UniformGrid
+from bcwave.potentials import GaussianPotential
+from bcwave.response import response_matrix
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bcwave.__file__)))
 
@@ -52,6 +56,40 @@ def test_forward_run_loads_only_scipy_special(tmp_path):
         preload="import scipy.special")
     assert got["result"] is True
     assert got["scipy"] == []
+
+
+def _run_probe(cfg: dict) -> str:
+    return ("from bcwave.config import parse_config\n"
+            "from bcwave.pipeline import run_pipeline\n"
+            "result = run_pipeline(parse_config(%r))['ok']" % json.dumps(cfg))
+
+
+def _interpolate_or_optimize(modules) -> list:
+    return [m for m in modules
+            if m.split(".")[:2] in (["scipy", "interpolate"],
+                                    ["scipy", "optimize"])]
+
+
+def test_inverse_run_loads_no_interpolate_or_optimize(tmp_path):
+    path = tmp_path / "response.csv"
+    response_matrix(solve_kernels(GaussianPotential(), UniformGrid(
+        2.0, 32))).write_csv(path)
+    got = _scipy_after(_run_probe(
+        {"response_csv": str(path), "T": 1, "n": 16,
+         "stages": ["connect", "krein", "gl"],
+         "out": str(tmp_path / "out")}), tmp_path)
+    assert got["result"] is True
+    assert "scipy.linalg" in got["scipy"]
+    assert _interpolate_or_optimize(got["scipy"]) == []
+
+
+def test_full_run_loads_no_interpolate_or_optimize(tmp_path):
+    got = _scipy_after(_run_probe(
+        {"potential": {"kind": "gaussian"}, "T": 1, "n": 16,
+         "spectral": {"N": 4.0, "cutoff": 20, "mesh": 128},
+         "out": str(tmp_path / "out")}), tmp_path)
+    assert got["result"] is True
+    assert _interpolate_or_optimize(got["scipy"]) == []
 
 
 def test_bad_config_exits_2_without_scipy(tmp_path):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import make_smoothing_spline
 
 from bcwave.connecting import (assemble_matrix, build_connecting,
                                connecting_nodes)
@@ -12,6 +13,7 @@ from bcwave.errors import BCWaveError, ReconstructionError
 from bcwave.goursat import solve_kernels
 from bcwave.grid import UniformGrid
 from bcwave.krein import (
+    _smoothing_spline,
     endpoint_values,
     recover_q_from_y,
     second_derivative,
@@ -114,6 +116,50 @@ def test_second_derivative_cubic_exact():
     exact = 6 * x - 4
     assert np.max(np.abs(d[2:-2] - exact[2:-2])) < 1e-10
     assert np.max(np.abs(d - exact)) < 1e-9
+
+
+def _spline_corpus(n, rng):
+    """(x, y, at, h) cases of n samples: uniform and sorted random x,
+    five samples removed inside or two and three at the ends (``at``
+    then extrapolates), and 1e-6 noise."""
+    grid = np.linspace(-1.0, 1.0, n + 5)
+    h = grid[1] - grid[0]
+    inner = np.ones(n + 5, dtype=bool)
+    inner[rng.choice(np.arange(1, n + 4), 5, replace=False)] = False
+    ends = np.ones(n + 5, dtype=bool)
+    ends[:2] = ends[-3:] = False
+    uniform = grid[2:-3]
+    rand = np.sort(rng.uniform(-1.0, 1.0, n))
+    wide = np.linspace(-1.2, 1.2, 3 * n)
+    for x, at in ((uniform, uniform), (rand, np.concatenate([rand, wide])),
+                  (grid[inner], grid), (grid[ends], grid)):
+        yield x, np.sinh(x) + np.sin(3.0 * x), at, h
+    yield (uniform, np.sinh(uniform) + 1e-6 * rng.standard_normal(n),
+           uniform, h)
+
+
+@pytest.mark.parametrize("n", [5, 6, 9, 16, 33, 64, 128, 257, 449])
+def test_smoothing_spline_matches_scipy_bit_for_bit(n):
+    # the port follows scipy 1.17.1's make_smoothing_spline operation for
+    # operation; a difference in any bit is a difference in the port
+    for x, y, at, h in _spline_corpus(n, np.random.default_rng(n)):
+        assert len(x) == n
+        ref = make_smoothing_spline(x, y, lam=h ** 4)(at)
+        assert np.array_equal(_smoothing_spline(x, y, h ** 4, at), ref)
+
+
+def test_fewer_than_five_samples_rejected():
+    x = 0.1 * np.arange(-5, 6)
+    y = np.sinh(x)
+    solved = np.zeros(11, dtype=bool)
+    solved[3:7] = True
+    with pytest.raises(ReconstructionError, match="fewer than 5"):
+        recover_q_from_y(x, y, solved)
+    solved[7] = True
+    recover_q_from_y(x, y, solved)
+    y[7] = np.nan          # a non-finite sample counts as unsolved
+    with pytest.raises(ReconstructionError, match="fewer than 5"):
+        recover_q_from_y(x, y, solved)
 
 
 def test_profile_csv(tmp_path, resp128):

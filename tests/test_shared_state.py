@@ -141,13 +141,22 @@ def test_one_state_per_run_freed_before_spectral(tmp_path, monkeypatch):
         seen["residual"] = [ref() is None for ref in built]
         return 0.0
 
+    solved = []
+
+    def gl(ck, inverse):
+        M = solve_gl(ck, inverse)
+        solved.append(weakref.ref(M))
+        return M
+
     stage_spectral = pipeline._stage_spectral
 
     def spectral(cfg, state, files):
         seen["spectral"] = "inverse" in state
+        seen["gl_freed"] = [ref() is None for ref in solved]
         return stage_spectral(cfg, state, files)
 
     monkeypatch.setattr(pipeline, "assemble_matrix", counting)
+    monkeypatch.setattr(pipeline, "solve_gl", gl)
     monkeypatch.setattr(krein, "assemble_matrix", own_state)
     monkeypatch.setattr(pipeline, "operator_identity_residual", residual)
     monkeypatch.setattr(pipeline, "_stage_spectral", spectral)
@@ -157,7 +166,8 @@ def test_one_state_per_run_freed_before_spectral(tmp_path, monkeypatch):
     report = pipeline.run_pipeline(parse_config(json.dumps(cfg)))
     assert report["ok"]
     assert len(built) == 1
-    assert seen == {"residual": [True], "spectral": False}
+    assert seen == {"residual": [True], "spectral": False,
+                    "gl_freed": [True]}
 
 
 def test_inverse_state_holds_one_matrix(ck128):
