@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
-from bcwave import spectral
+from bcwave import pipeline, spectral
 from bcwave.config import parse_config
 from bcwave.connecting import connecting_form
 from bcwave.errors import ConfigError, DomainError, SpectralError
@@ -348,15 +349,85 @@ def test_measure_csv(tmp_path, measure_g):
     assert len(rows) == measure_g.count + 1
 
 
+def _check_reference(got, want):
+    """lam to 1e-10 max(|lam|, 1), beta and gamma to 1e-10 of their scale."""
+    scale = np.maximum(np.abs(want.lam), 1.0)
+    assert np.all(np.abs(got.lam - want.lam) <= 1e-10 * scale)
+    for key in ("beta", "gamma"):
+        g, w = getattr(got, key), getattr(want, key)
+        assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w)), key
+
+
 def test_reference_without_eigenfunctions(gauss, measure_g, reference):
     assert reference.vecs is None and measure_g.vecs is not None
     full = eigensolve(ZeroPotential(), 4.0, (1, 0, 1, 0), CUTOFF, MESH)
-    for key in ("lam", "beta", "gamma"):
-        assert np.array_equal(getattr(reference, key), getattr(full, key))
+    _check_reference(reference, full)
     f = smooth_random_control(UniformGrid(1.0, 128), np.random.default_rng(2))
-    assert np.array_equal(smoothed_response_traces(measure_g, f, reference).value,
-                          smoothed_response_traces(measure_g, f, full).value)
+    got = smoothed_response_traces(measure_g, f, reference).value
+    want = smoothed_response_traces(measure_g, f, full).value
+    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
     bare = eigensolve(gauss, 4.0, (1, 0, 1, 0), CUTOFF, MESH, vecs=False)
     assert bare.vecs is None
     for key in ("lam", "beta", "gamma"):
         assert np.array_equal(getattr(bare, key), getattr(measure_g, key))
+
+
+END_PAIRS = {"DD": (1, 0, 1, 0), "NN": (0, 1, 0, 1), "DN": (1, 0, 0, 1),
+             "ND": (0, 1, 1, 0)}
+
+
+@pytest.mark.parametrize("N,count,mesh", [(4.0, 400, 2048), (8.0, 100, 512)])
+@pytest.mark.parametrize("ends", END_PAIRS)
+def test_free_reference_closed_form(ends, N, count, mesh):
+    want = eigensolve(ZeroPotential(), N, END_PAIRS[ends], count, mesh,
+                      vecs=False)
+    _check_reference(free_reference(want), want)
+
+
+@pytest.mark.parametrize("bc", [(0, 1, 1, 2), (1, 1, 1, 0)],
+                         ids=["robin_right", "robin_left"])
+def test_free_reference_robin_is_numeric(bc):
+    want = eigensolve(ZeroPotential(), 4.0, bc, 100, 512, vecs=False)
+    got = free_reference(want)
+    for key in ("lam", "beta", "gamma"):
+        assert np.array_equal(getattr(got, key), getattr(want, key))
+
+
+def test_free_reference_neumann_zero_mode():
+    m = eigensolve(ZeroPotential(), 4.0, (0, 1, 0, 1), 100, 512, vecs=False)
+    ref = free_reference(m)
+    assert ref.lam[0] == 0.0
+    assert np.isfinite(ref.beta[0]) and np.isfinite(ref.gamma[0])
+
+
+@pytest.mark.parametrize("change", [
+    {"half_length": 5.0}, {"bc": (0.0, 1.0, 0.0, 1.0)},
+    {"nodes": np.linspace(-4.0, 4.0, 2 * MESH + 1)}],
+    ids=["half_length", "bc", "mesh"])
+def test_smoothed_response_rejects_foreign_reference(measure_g, reference,
+                                                     change):
+    f = smooth_random_control(UniformGrid(1.0, 128), np.random.default_rng(2))
+    with pytest.raises(DomainError):
+        smoothed_response_traces(measure_g, f,
+                                 dataclasses.replace(reference, **change))
+
+
+@pytest.mark.parametrize("bc,solves", [((1, 0, 1, 0), 1), ((1, 0.5, 2, 1), 2)],
+                         ids=["dirichlet", "robin"])
+def test_spectral_stage_solve_count(monkeypatch, tmp_path, bc, solves):
+    # the pipeline imports eigensolve by name, so both names are spied on
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return eigensolve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigensolve", spy)
+    monkeypatch.setattr(pipeline, "eigensolve", spy)
+    cfg = parse_config(json.dumps({
+        "potential": {"kind": "gaussian"}, "T": 1.0, "n": 16,
+        "spectral": {"cutoff": 20, "mesh": 128, "bc": list(bc)},
+        "stages": ["kernels", "response", "spectral"],
+        "out": str(tmp_path)}))
+    assert run_pipeline(cfg)["ok"]
+    assert len(calls) == solves
