@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Each pipeline stage is independently invokable; ``roundtrip`` runs the
-forward stages plus both inverse routes, ``selftest`` runs a built-in
-small configuration and checks its metrics against loose thresholds.
+Each pipeline stage is independently invokable, with its prerequisites;
+``roundtrip`` runs the inverse routes, ``run`` the config's stages and
+``selftest`` a built-in small configuration checked against loose
+thresholds.
 """
 
 from __future__ import annotations
@@ -10,21 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
-from .config import ALL_STAGES, RunConfig, parse_config
-from .errors import BCWaveError, ConfigError
+from .config import ALL_STAGES, INVERSE_STAGES, RunConfig, parse_config
+from .errors import BCWaveError
 from .pipeline import run_pipeline
 
-_STAGE_SETS = {
-    "kernels": ("kernels",),
-    "response": ("kernels", "response"),
-    "connect": ("kernels", "response", "connect"),
-    "krein": ("kernels", "response", "krein"),
-    "gl": ("kernels", "response", "gl"),
-    "spectral": ("kernels", "response", "connect", "spectral"),
-    "roundtrip": ("kernels", "response", "connect", "krein", "gl"),
-    "run": ALL_STAGES,
-}
+#: The stages each stage command asks for; ``run`` keeps the config's.
+_STAGE_SETS = {**{name: (name,) for name in ALL_STAGES},
+               "spectral": ("connect", "spectral"),
+               "roundtrip": INVERSE_STAGES}
 
 SELFTEST_CONFIG = """\
 {
@@ -43,8 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Boundary-control inverse pipeline for the 1-D wave "
                     "equation with a potential on the line.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("kernels", "response", "connect", "krein", "gl", "spectral",
-                 "roundtrip", "run", "selftest"):
+    for name in (*_STAGE_SETS, "run", "selftest"):
         sp = sub.add_parser(name)
         if name != "selftest":
             sp.add_argument("--config", required=True,
@@ -59,29 +54,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> RunConfig:
     if args.command == "selftest":
-        cfg = parse_config(SELFTEST_CONFIG)
+        text = SELFTEST_CONFIG
     else:
         with open(args.config) as fh:
-            cfg = parse_config(fh.read())
+            text = fh.read()
+    changes = {}
     if args.command in _STAGE_SETS:
-        wanted = _STAGE_SETS[args.command]
-        if cfg.response_csv is not None:
-            wanted = tuple(s for s in wanted
-                           if s not in ("kernels", "response", "spectral"))
-        else:
-            wanted = tuple(s for s in wanted if s in cfg.stages
-                           or args.command != "run")
-        cfg.stages = wanted
-        cfg.check_stages()
+        changes["stages"] = _STAGE_SETS[args.command]
     if args.out:
-        cfg.out = args.out
+        changes["out"] = args.out
     if args.paper_sign:
-        cfg.sign = "paper"
+        changes["sign"] = "paper"
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        cfg.seed = args.seed
-    return cfg
+        changes["seed"] = args.seed
+    return replace(parse_config(text), **changes)
 
 
 _SELFTEST_GATES = (

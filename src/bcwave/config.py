@@ -8,8 +8,8 @@ Schema (defaults in brackets):
       "n": int,               # steps per horizon T (>= 8)
       "spectral": {"N": [4T], "bc": [[1,0,1,0]], "cutoff": [400],
                    "mesh": [2048]},
-      "stages": [all],        # subset of kernels response connect krein gl
-                              # spectral
+      "stages": [all],        # kernels response connect krein gl spectral;
+                              # completed with prerequisites, in that order
       "out": ["out"],
       "sign": ["derived"],    # or "paper" (left half-line q convention)
       "seed": [0]             # RNG seed for generated test controls
@@ -24,14 +24,20 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
-ALL_STAGES = ("kernels", "response", "connect", "krein", "gl", "spectral")
+#: Each stage, in run order, with the stages whose output it reads.
+STAGES = {"kernels": (), "response": ("kernels",), "connect": ("response",),
+          "krein": ("response",), "gl": ("response",),
+          "spectral": ("response",)}
+ALL_STAGES = tuple(STAGES)
+FORWARD_STAGES = ("kernels", "response", "spectral")   # need a potential
+INVERSE_STAGES = ("connect", "krein", "gl")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralOptions:
     half_length: float
     bc: tuple
@@ -39,8 +45,10 @@ class SpectralOptions:
     mesh: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """A checked run; ``dataclasses.replace`` makes a checked copy."""
+
     T: float
     n: int
     potential: dict | None = None
@@ -59,13 +67,17 @@ class RunConfig:
         if (self.potential is None) == (self.response_csv is None):
             raise ConfigError(
                 "exactly one of 'potential' and 'response_csv' is required")
+        for key, types in (("response_csv", (str, type(None))),
+                           ("out", str)):
+            if not isinstance(getattr(self, key), types):
+                raise ConfigError("'%s' must be a string" % key)
         if self.sign not in ("derived", "paper"):
             raise ConfigError("sign must be 'derived' or 'paper'")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.spectral is None:
-            self.spectral = SpectralOptions(4.0 * self.T, (1.0, 0.0, 1.0, 0.0),
-                                            400, 2048)
+            object.__setattr__(self, "spectral", SpectralOptions(
+                4.0 * self.T, (1.0, 0.0, 1.0, 0.0), 400, 2048))
         spec = self.spectral
         if spec.half_length <= 0:
             raise ConfigError("spectral.N must be positive")
@@ -79,25 +91,30 @@ class RunConfig:
             raise ConfigError("spectral.mesh must be even")
         if spec.cutoff >= spec.mesh // 2:
             raise ConfigError("spectral.cutoff must be below spectral.mesh/2")
-        self.check_stages()
-
-    def check_stages(self):
-        """The checks that depend on ``stages``; run them again after
-        changing it.  On the response CSV route the forward stages are
-        dropped."""
-        for st in self.stages:
-            if st not in ALL_STAGES:
-                raise ConfigError("unknown stage '%s'" % st)
-        if "spectral" in self.stages and self.spectral.half_length <= self.T:
+        object.__setattr__(self, "stages", _complete_stages(
+            self.stages, self.response_csv is not None))
+        if "spectral" in self.stages and spec.half_length <= self.T:
             raise ConfigError("spectral.N must exceed T")
-        if self.response_csv is not None:
-            forward = ("kernels", "response", "spectral")
-            bad = [s for s in self.stages if s in forward]
-            if bad and tuple(self.stages) != ALL_STAGES:
-                raise ConfigError(
-                    "stage '%s' needs a potential, not a response CSV" % bad[0])
-            self.stages = tuple(s for s in self.stages
-                                if s not in ("kernels", "response", "spectral"))
+
+
+def _complete_stages(given, from_csv: bool) -> tuple:
+    """``given`` with each stage's prerequisites, once each, in table
+    order; on the response CSV route less the forward stages, which only
+    the list of all stages may name."""
+    if not (isinstance(given, (list, tuple))
+            and all(isinstance(st, str) and st in STAGES for st in given)):
+        raise ConfigError("'stages' must be a list of stage names (%s), got "
+                          "%.60r" % (" ".join(ALL_STAGES), given))
+    bad = [st for st in FORWARD_STAGES if st in given]
+    if from_csv and bad and set(given) != set(ALL_STAGES):
+        raise ConfigError(
+            "stage '%s' needs a potential, not a response CSV" % bad[0])
+    wanted = set(given)
+    for st in reversed(ALL_STAGES):   # prerequisites precede their stages
+        if st in wanted:
+            wanted.update(STAGES[st])
+    drop = FORWARD_STAGES if from_csv else ()
+    return tuple(st for st in ALL_STAGES if st in wanted and st not in drop)
 
 
 def memory_estimate(cfg: RunConfig, n_inverse: int | None = None) -> int:
@@ -119,7 +136,7 @@ def memory_estimate(cfg: RunConfig, n_inverse: int | None = None) -> int:
     total = 0
     if "kernels" in stages:
         total += 2 * (2 * cfg.n + 1) ** 2 * 8
-    if stages & {"connect", "krein", "gl"}:
+    if stages.intersection(INVERSE_STAGES):
         n = cfg.n if n_inverse is None else n_inverse
         total += 7 * (2 * n + 2) ** 2 * 8
     if "spectral" in stages:
@@ -231,9 +248,9 @@ def parse_config(text: str) -> RunConfig:
         potential=pot,
         response_csv=raw.get("response_csv"),
         spectral=spec,
-        stages=tuple(raw.get("stages", ALL_STAGES)),
-        out=str(raw.get("out", "out")),
-        sign=str(raw.get("sign", "derived")),
+        stages=raw.get("stages", ALL_STAGES),
+        out=raw.get("out", "out"),
+        sign=raw.get("sign", "derived"),
         seed=_integer(raw.get("seed", 0), "seed"),
     )
 

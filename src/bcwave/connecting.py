@@ -159,13 +159,12 @@ def apply_connecting(ck: ConnectingKernel, f: Control) -> Control:
     if f.grid != ck.grid:
         raise GridMismatchError("control and connecting kernel grids differ")
     w = trapezoid_weights(ck.grid.n, ck.grid.h)
-    # numpy's matmul does not pass the negative-stride views to BLAS and
-    # sums in another order; contiguous copies keep the BLAS sums
-    c11, c12, c21, c22 = (np.ascontiguousarray(c) for c in
-                          (ck.c11, ck.c12, ck.c21, ck.c22))
-    g1 = 0.5 * f.f1 + c11 @ (w * f.f1) + c12 @ (w * f.f2)
-    g2 = 0.5 * f.f2 + c21 @ (w * f.f1) + c22 @ (w * f.f2)
-    return Control(ck.grid, g1, g2)
+    # one matvec on the node-major, time-reflected array, whose entry
+    # 2(n - i) + a is g_a(t_i): reversed, g2 is at even entries, g1 odd
+    v = np.empty(ck.nodes.shape[0])
+    v[0::2], v[1::2] = (w * f.f1)[::-1], (w * f.f2)[::-1]
+    g = (ck.nodes @ v)[::-1]
+    return Control(ck.grid, 0.5 * f.f1 + g[1::2], 0.5 * f.f2 + g[0::2])
 
 
 def connecting_form(ck: ConnectingKernel, f: Control, g: Control) -> float:

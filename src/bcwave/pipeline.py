@@ -1,11 +1,11 @@
 """Stage orchestration: kernels -> response -> {connect, krein, gl,
 spectral}, with a JSON report of per-stage metrics and output files.
 
-All stages run serially in a fixed order, so identical configs produce
-byte-identical outputs (no timestamps are written).  Inverse stages
-consume only the response matrix; when the config supplies an external
-response CSV the forward stages are skipped entirely, and the memory
-budget is checked again at the file's size once it is read.
+The stages run serially in the order config.STAGES fixes for
+``cfg.stages``, so identical configs produce byte-identical outputs (no
+timestamps are written).  Inverse stages consume only the response
+matrix; on the response CSV route the config holds no forward stage,
+and the memory budget is checked again at the file's size once read.
 
 The inverse stages share one state (:func:`_inverse_state`): the
 connecting kernel, held once as one node-major array, and one nested
@@ -21,7 +21,8 @@ import os
 import numpy as np
 
 from . import BACKEND
-from .config import RunConfig, check_memory, config_to_dict
+from .config import (INVERSE_STAGES, STAGES, RunConfig, check_memory,
+                     config_to_dict)
 from .connecting import assemble_matrix, build_connecting, connecting_form
 from .errors import BCWaveError, ConfigError, ReconstructionError
 from .gl import (operator_identity_residual, recover_q_from_m, solve_gl,
@@ -51,12 +52,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
     report = {"backend": BACKEND, "config": config_to_dict(cfg),
               "stages": [], "ok": True}
 
+    # looked up per call, so that a wrapper set on _stage_* takes effect
     runners = {"kernels": _stage_kernels, "response": _stage_response,
                "connect": _stage_connect, "krein": _stage_krein,
                "gl": _stage_gl, "spectral": _stage_spectral}
-    needs = {"kernels": (), "response": ("kernels",),
-             "connect": ("response",), "krein": ("response",),
-             "gl": ("response",), "spectral": ("response",)}
 
     if cfg.response_csv is not None:
         entry = {"name": "ingest", "files": [cfg.response_csv]}
@@ -77,12 +76,11 @@ def run_pipeline(cfg: RunConfig) -> dict:
             # the inverse stages run at the file's size, not the config's
             check_memory(cfg, state["response"].grid.n // 2)
 
-    done = set(state)
     for i, name in enumerate(cfg.stages):
         state["keep_inverse"] = any(s in INVERSE_STAGES
                                     for s in cfg.stages[i + 1:])
         entry = {"name": name, "files": []}
-        missing = [d for d in needs[name] if d not in done and d not in state]
+        missing = [d for d in STAGES[name] if d not in state]
         if missing:
             entry["status"] = "skipped"
             entry["error"] = "missing prerequisite stage '%s'" % missing[0]
@@ -91,7 +89,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
             try:
                 entry["metrics"] = runners[name](cfg, state, entry["files"])
                 entry["status"] = "ok"
-                done.add(name)
             except (BCWaveError, np.linalg.LinAlgError) as exc:
                 entry["status"] = "failed"
                 entry["error"] = str(exc)
@@ -124,9 +121,6 @@ def _stage_response(cfg, state, files):
     r.write_csv(path)
     files.append(path)
     return {"compatibility_residual": r.compatibility_residual()}
-
-
-INVERSE_STAGES = ("connect", "krein", "gl")
 
 
 def _inverse_state(state):

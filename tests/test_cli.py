@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -188,16 +189,94 @@ def test_memory_estimate_terms():
     inverse = 7 * (2 * n + 2) ** 2 * 8
     spectral = 4 * spec.cutoff * (spec.mesh + 1) * 8
     assert memory_estimate(cfg) == kernels + inverse + spectral
-    cfg.stages = ("kernels", "response")
+    cfg = dataclasses.replace(cfg, stages=("kernels", "response"))
     assert memory_estimate(cfg) == kernels
 
 
 def test_response_csv_drops_forward_stages():
     cfg = parse_config('{"response_csv": "r.csv", "T": 1, "n": 16}')
     assert cfg.stages == ("connect", "krein", "gl")
+    cfg = parse_config('{"response_csv": "r.csv", "T": 1, "n": 16, '
+                       '"stages": ["krein"]}')
+    assert cfg.stages == ("krein",)
     with pytest.raises(ConfigError, match="kernels"):
         parse_config('{"response_csv": "r.csv", "T": 1, "n": 16, '
                      '"stages": ["kernels", "krein"]}')
+
+
+@pytest.mark.parametrize("fields,key", [
+    ('"potential": {"kind": "gaussian"}, "stages": null', "'stages'"),
+    ('"potential": {"kind": "gaussian"}, "stages": "krein"', "'stages'"),
+    ('"potential": {"kind": "gaussian"}, "stages": [["kernels"]]',
+     "'stages'"),
+    ('"response_csv": 0', "'response_csv'"),
+    ('"response_csv": ["a"]', "'response_csv'"),
+    ('"potential": {"kind": "gaussian"}, "out": null', "'out'"),
+    ('"potential": {"kind": "gaussian"}, "out": 5', "'out'"),
+], ids=["stages_null", "stages_string", "stages_nested", "csv_int",
+        "csv_list", "out_null", "out_int"])
+def test_wrong_types_rejected_at_parse(tmp_path, monkeypatch, capsys, fields,
+                                       key):
+    text = '{"T": 1, "n": 16, %s}' % fields
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_stages_completed_and_ordered_once(tmp_path, capsys):
+    # the library call and ``bcwave run`` give one report for a list out of
+    # order, with a duplicate and without prerequisites
+    raw = json.loads(MINIMAL)
+    raw.update({"stages": ["gl", "krein", "kernels", "response", "krein"],
+                "out": str(tmp_path / "out")})
+    text = json.dumps(raw)
+    assert parse_config(text).stages == ("kernels", "response", "krein",
+                                         "gl")
+    report = run_pipeline(parse_config(text))
+    assert report["ok"]
+    library = (tmp_path / "out" / "report.json").read_bytes()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert (tmp_path / "out" / "report.json").read_bytes() == library
+    raw.update({"stages": ["krein"]})
+    report = run_pipeline(parse_config(json.dumps(raw)))
+    assert [s["name"] for s in report["stages"]] == ["kernels", "response",
+                                                     "krein"]
+
+
+def test_run_config_is_frozen_and_rechecked():
+    cfg = parse_config(MINIMAL)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.stages = ("kernels",)
+    with pytest.raises(ConfigError, match="seed"):
+        dataclasses.replace(cfg, seed=-1)
+    with pytest.raises(ConfigError, match="spectral.N must exceed T"):
+        dataclasses.replace(cfg, T=4.0)
+
+
+def test_stage_commands_on_a_response_csv(tmp_path, capsys):
+    # forward-stage commands need a potential; the inverse ones run
+    r = response_matrix(solve_kernels(GaussianPotential(),
+                                      UniformGrid(2.0, 32)))
+    path = tmp_path / "response.csv"
+    r.write_csv(path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"response_csv": str(path), "T": 1, "n": 16,
+                               "out": str(tmp_path / "out")}))
+    for command in ("kernels", "response", "spectral"):
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "needs a potential" in err
+    assert not (tmp_path / "out").exists()
+    for command in ("connect", "krein", "gl", "roundtrip", "run"):
+        assert main([command, "--config", str(cfg)]) == 0
 
 
 def test_selftest_passes(tmp_path, monkeypatch, capsys):
