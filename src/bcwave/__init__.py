@@ -7,7 +7,9 @@ reconstruction from response data alone, plus a finite-interval spectral
 bridge cross-validating the dynamic representations.
 
 Importing the package loads numpy only; each scipy submodule is imported
-by the function that first calls it.
+by the function that first calls it.  A forward run (kernels, response)
+of an analytic potential loads no scipy at all: the Gaussian's erf is a
+numpy port of scipy's own Cephes algorithm, bit for bit on scipy 1.17.1.
 """
 
 from .grid import Control, StateVector, UniformGrid

@@ -105,6 +105,9 @@ def _complete_stages(given, from_csv: bool) -> tuple:
             and all(isinstance(st, str) and st in STAGES for st in given)):
         raise ConfigError("'stages' must be a list of stage names (%s), got "
                           "%.60r" % (" ".join(ALL_STAGES), given))
+    if not given:
+        raise ConfigError("'stages' must name at least one stage (%s)"
+                          % " ".join(ALL_STAGES))
     bad = [st for st in FORWARD_STAGES if st in given]
     if from_csv and bad and set(given) != set(ALL_STAGES):
         raise ConfigError(

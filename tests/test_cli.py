@@ -204,6 +204,22 @@ def test_response_csv_drops_forward_stages():
                      '"stages": ["kernels", "krein"]}')
 
 
+@pytest.mark.parametrize("source", [
+    '"potential": {"kind": "gaussian"}', '"response_csv": "r.csv"'],
+    ids=["potential", "response_csv"])
+def test_empty_stage_list_exits_2(tmp_path, monkeypatch, capsys, source):
+    # a config that asks for no stage is a mistake, not a successful run
+    text = '{%s, "T": 1, "n": 16, "stages": []}' % source
+    with pytest.raises(ConfigError, match="at least one stage"):
+        parse_config(text)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "at least one stage" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("fields,key", [
     ('"potential": {"kind": "gaussian"}, "stages": null', "'stages'"),
     ('"potential": {"kind": "gaussian"}, "stages": "krein"', "'stages'"),

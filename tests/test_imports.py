@@ -1,11 +1,14 @@
-"""Import footprint: importing bcwave loads numpy only, and each stage
-loads the scipy parts it calls.  Every check runs in a fresh interpreter,
-since this test process has scipy loaded already."""
+"""Import footprint: importing bcwave, and a forward run of an analytic
+potential, load numpy only, and each other stage loads the scipy parts it
+calls.  Every check runs in a fresh interpreter, since this test process
+has scipy loaded already."""
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import bcwave
 from bcwave.goursat import solve_kernels
@@ -62,6 +65,20 @@ def _run_probe(cfg: dict) -> str:
     return ("from bcwave.config import parse_config\n"
             "from bcwave.pipeline import run_pipeline\n"
             "result = run_pipeline(parse_config(%r))['ok']" % json.dumps(cfg))
+
+
+@pytest.mark.parametrize("potential", [
+    {"kind": "gaussian", "amplitude": 1.5, "width": 0.25, "center": 0.3},
+    {"kind": "sech2"},
+    {"kind": "polynomial", "coeffs": [1.0, -0.5, 0.25]},
+], ids=lambda p: p["kind"])
+def test_analytic_forward_run_loads_no_scipy(tmp_path, potential):
+    got = _scipy_after(_run_probe(
+        {"potential": potential, "T": 1, "n": 16,
+         "stages": ["kernels", "response"],
+         "out": str(tmp_path / "out")}), tmp_path)
+    assert got["result"] is True
+    assert got["scipy"] == []
 
 
 def _interpolate_or_optimize(modules) -> list:
