@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from .config import ALL_STAGES, INVERSE_STAGES, RunConfig, parse_config
 from .errors import BCWaveError
-from .pipeline import run_pipeline
+from .pipeline import GATES, run_pipeline, within
 
 #: The stages each stage command asks for; ``run`` keeps the config's.
 _STAGE_SETS = {**{name: (name,) for name in ALL_STAGES},
@@ -70,23 +70,16 @@ def _load_config(args) -> RunConfig:
     return replace(parse_config(text), **changes)
 
 
-_SELFTEST_GATES = (
-    ("response", "compatibility_residual", 1e-2),
-    ("connect", "block_symmetry_residual", 1e-2),
-    ("krein", "q_rel_error", 0.05),
-    ("gl", "q_rel_error", 0.05),
-    ("gl", "krein_gl_agreement", 0.07),
-)
-
-
 def _selftest_verdict(report) -> bool:
     metrics = {s["name"]: s.get("metrics", {}) for s in report["stages"]}
     ok = report["ok"]
-    for stage, key, bound in _SELFTEST_GATES:
-        val = metrics.get(stage, {}).get(key)
-        good = val is not None and val <= bound
-        print("%-40s %s  (%s <= %g)" % (
-            "%s.%s" % (stage, key), "pass" if good else "FAIL", val, bound))
+    for stage, key, test, bound, kind, _ in GATES:
+        if kind != "selftest":
+            continue
+        values = metrics.get(stage, {})
+        good = within(values, key, test, bound)
+        print("%-40s %s  (%s %s %g)" % ("%s.%s" % (stage, key),
+              "pass" if good else "FAIL", values.get(key), test, bound))
         ok = ok and good
     return ok
 

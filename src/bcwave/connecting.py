@@ -35,7 +35,9 @@ bordering its leading Cholesky factor (Levinson 1947; the Krein
 equations of the boundary control method, Belishev 2007).
 
 :func:`assemble_matrix` builds that shared inverse state once per run:
-the kernel and the nested factor of its array.  The
+the kernel and the nested factor of its array, which reaches every
+horizon of a potential's response (its connecting operator is positive
+definite); where it stops short, :func:`assemble_matrix` raises.  The
 connect stage reports from it the assembly asymmetry (the factor's
 full-horizon asymmetry) and the smallest eigenvalue (Lanczos through the
 factor, Lehoucq, Sorensen and Yang 1998); krein and gl solve through it.
@@ -48,15 +50,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError, InternalConsistencyError
+from .errors import (DomainError, GridMismatchError,
+                     InternalConsistencyError, ReconstructionError)
 from .grid import (Control, UniformGrid, cumulative_trapezoid,
                    trapezoid_weights, write_csv)
 from .response import ResponseMatrix
 
 
-#: Tikhonov shift, relative to trace/size, of the Krein and GL dense
-#: solves when the factorization of their system fails.
-TIKHONOV_RELATIVE = 1e-10
 #: Largest asymmetry of an assembled connecting matrix, in units of h^2,
 #: that its symmetrization may hide.
 ASYMMETRY_H2 = 100.0
@@ -226,11 +226,11 @@ class NestedFactor:
 
     ``factor`` holds L in its lower triangle and B in its strict upper
     triangle (Fortran order), ``b_diag`` the diagonal of B.
-    K is n unless the factorization stops at node
+    K, the factor's reach, is n unless the factorization stops at node
     p, when K = p - 1, or the asymmetry of A_k, which the symmetrization
     hides, exceeds ASYMMETRY_H2 h^2 (the bound the dense assembly
-    enforces), when K = k - 1.  Callers solve the later horizons one by
-    one.  A :meth:`panel` serves the horizons first..last only.
+    enforces), when K = k - 1; :func:`assemble_matrix` accepts only
+    K = n.  A :meth:`panel` serves the horizons first..last only.
     """
 
     h: float
@@ -275,8 +275,6 @@ class NestedFactor:
 
     def _cut(self, x: np.ndarray) -> np.ndarray:
         """D x in place: rows of node k times d, rows below it zeroed."""
-        if not self.horizons:
-            return x
         rows, cols = self._border()
         x3 = x.reshape(x.shape[0], self.horizons, -1)
         self._zero_below(x3)
@@ -302,9 +300,6 @@ class NestedFactor:
         d L_kk^T f_b at node k (zero below) yields f_a and d f_b.
         """
         N, K = b.shape[0], self.horizons
-        if K == 0:
-            b[:] = 0.0
-            return b
         rows, cols = self._border()
         d = self.border[:, None, None]
         bb = b.reshape(N, K, -1)[rows, cols]                  # (K, 2, r)
@@ -390,8 +385,9 @@ def nested_factor(cr: np.ndarray, h: float) -> NestedFactor:
     b_diag = np.diag(a).copy()
     a, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
     # Horizon k needs the factor down to node k.  On failure LAPACK leaves
-    # the factor of the leading block of order info - 1.  Horizons whose
-    # matrix is too asymmetric (see _assemble) are left to the callers too.
+    # the factor of the leading block of order info - 1.  The reach also
+    # ends before the first horizon whose matrix is too asymmetric (see
+    # _assemble).
     K = n if info == 0 else min(n, max(0, (info - 1) // 2 - 1))
     K = min(K, int(np.argmax(np.append(asym, np.inf) > ASYMMETRY_H2 * h * h)))
     k = np.arange(1, K + 1)
@@ -436,38 +432,47 @@ class AssembledConnecting:
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the symmetrized A.
 
-        Where the factor reaches every horizon, B is positive definite and
-        this is the inverse of the largest eigenvalue of B^{-1}, found by
-        Lanczos (ARPACK) on an operator of two triangular solves
-        (``dtrsv``) with the factor.  Otherwise, or if Lanczos does not
-        converge, it comes from a dense ``eigvalsh`` of ``matrix``, which
-        raises where A is too asymmetric.
+        B is positive definite, so this is the inverse of the largest
+        eigenvalue of B^{-1}, found by Lanczos (ARPACK) on an operator of
+        two triangular solves (``dtrsv``) with the factor.  If Lanczos
+        does not converge, it comes from a dense ``eigvalsh`` of
+        ``matrix``.
         """
+        from scipy.linalg.blas import dtrsv
+        from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
+                                         eigsh)
+
         fac = self.factor
-        if fac.horizons == self.kernel.grid.n:
-            from scipy.linalg.blas import dtrsv
-            from scipy.sparse.linalg import (ArpackNoConvergence,
-                                             LinearOperator, eigsh)
+        size = fac.factor.shape[0]
 
-            size = fac.factor.shape[0]
+        def b_inverse(x):
+            z = dtrsv(fac.factor, np.ravel(x), lower=1)
+            return dtrsv(fac.factor, z, lower=1, trans=1, overwrite_x=1)
 
-            def b_inverse(x):
-                z = dtrsv(fac.factor, np.ravel(x), lower=1)
-                return dtrsv(fac.factor, z, lower=1, trans=1, overwrite_x=1)
-
-            op = LinearOperator((size, size), matvec=b_inverse, dtype=float)
-            # a fixed start vector keeps the result deterministic
-            v0 = np.random.default_rng(0).standard_normal(size)
-            try:
-                mu = eigsh(op, k=1, which="LA", v0=v0,
-                           return_eigenvectors=False)
-                return float(1.0 / mu[0])
-            except ArpackNoConvergence:
-                pass
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        op = LinearOperator((size, size), matvec=b_inverse, dtype=float)
+        # a fixed start vector keeps the result deterministic
+        v0 = np.random.default_rng(0).standard_normal(size)
+        try:
+            mu = eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)
+            return float(1.0 / mu[0])
+        except ArpackNoConvergence:
+            return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
 def assemble_matrix(ck: ConnectingKernel) -> AssembledConnecting:
     """The shared inverse state of ``ck``: the nested factor of its
-    node-major array, built once."""
-    return AssembledConnecting(ck, nested_factor(ck.nodes, ck.grid.h))
+    node-major array, built once.  :class:`ReconstructionError` if the
+    factor stops short of the full horizon, naming the first horizon it
+    misses and why: B is not positive definite, or that horizon's matrix
+    is more asymmetric than ASYMMETRY_H2 h^2."""
+    n, h = ck.grid.n, ck.grid.h
+    fac = nested_factor(ck.nodes, h)
+    if fac.horizons == n:
+        return AssembledConnecting(ck, fac)
+    k, asym = fac.horizons + 1, fac.asymmetry[fac.horizons]
+    cause = ("its connecting matrix has asymmetry %.3g above %g h^2"
+             % (asym, ASYMMETRY_H2) if asym > ASYMMETRY_H2 * h * h
+             else "the connecting matrix is not positive definite")
+    raise ReconstructionError(
+        "the nested factor stops short of horizon %d of %d: %s, so the "
+        "response belongs to no potential" % (k, n, cause))

@@ -19,9 +19,9 @@ the columns go in GL_PANELS panels, each solved and refined on the
 leading rows of its last column.  The factor is of the symmetrized
 matrix, so two steps of iterative refinement against the unsymmetrized
 system I + C~ W follow, and m equals a dense per-column solve to
-roundoff.  Columns past the factor's reach (see the Krein route), and
-columns whose refinement has not converged, get that dense solve, with a
-Tikhonov shift if the matrix is singular.
+roundoff.  Columns whose refinement has not converged get that dense
+solve; its symmetric part is the positive definite matrix just factored,
+so it needs no shift.
 
 m is held once (:class:`OperatorM`), as one node-major (2n+2)^2 array
 laid out as the connecting kernel's, without its time reflection: entry
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connecting import (TIKHONOV_RELATIVE, AssembledConnecting,
-                         ConnectingKernel, NestedFactor, assemble_matrix)
+from .connecting import (AssembledConnecting, ConnectingKernel,
+                         NestedFactor, assemble_matrix)
 from .errors import GridMismatchError, ReconstructionError
 from .goursat import KernelField
 from .grid import (UniformGrid, differentiate, row_trapezoid_weights,
@@ -65,8 +65,8 @@ class OperatorM:
     held once in ``nodes``: a node-major (2n+2)^2 array whose entry
     (2i + a, 2j + b) is m_ab(x_i, s_j), row index x, column index s.
     ``m11`` .. ``m22`` are its blocks ``nodes[a::2, b::2]``, as views;
-    ``regularized`` flags the columns (if any) whose solve needed a
-    Tikhonov shift.
+    ``regularized`` lists shifted column solves: none, since no column
+    needs a shift.
     """
 
     grid: UniformGrid
@@ -137,11 +137,12 @@ def solve_gl(ck: ConnectingKernel,
 
     For fixed s_j the unknown column m(., s_j) lives on the x-nodes
     0..j and satisfies (I + C~|_{[0,s_j]^2} W) m = -C~(., s_j); both
-    matrix columns share the system matrix.  The columns the nested
-    factor reaches are solved through it and refined, GL_PANELS panels
-    of them at a time on the panel's leading rows; the others are solved
-    one by one (see the module docstring).  ``inverse`` is the shared
-    state of ``ck`` (:func:`~bcwave.connecting.assemble_matrix`); without
+    matrix columns share the system matrix.  The columns are solved
+    through the nested factor and refined, GL_PANELS panels of them at a
+    time on the panel's leading rows; a column whose refinement does not
+    converge is solved densely.  ``inverse`` is the shared state of
+    ``ck`` (:func:`~bcwave.connecting.assemble_matrix`, which raises
+    :class:`ReconstructionError` where the factor stops short); without
     it the solve builds its own.  A non-finite m (from non-finite kernel
     data) raises :class:`ReconstructionError`.
     """
@@ -153,28 +154,24 @@ def solve_gl(ck: ConnectingKernel,
         inverse = assemble_matrix(ck)
     cr, fac = inverse.kernel.nodes, inverse.factor
     del inverse
-    K = fac.horizons
-    converged = np.zeros(K, dtype=bool)
-    for cols in np.array_split(np.arange(1, K + 1), GL_PANELS):
+    converged = np.zeros(n, dtype=bool)
+    for cols in np.array_split(np.arange(1, n + 1), GL_PANELS):
         if len(cols):
             first, last = int(cols[0]), int(cols[-1])
             converged[first - 1:last] = _solve_panel(
                 cr, fac.panel(first, last), m)
     m[:2, :2] = -2.0 * cr[:2, :2]   # s = 0: the system is the identity
     del fac
-    regularized = []
     for j in range(1, n + 1):
-        if j <= K and converged[j - 1]:
+        if converged[j - 1]:
             continue
         k = j + 1
-        sol, reg = _solve_column(cr, j, h)
-        if reg:
-            regularized.append(j)
+        sol = _solve_column(cr, j, h)
         m[:2 * k:2, 2 * j:2 * j + 2] = sol[:k]
         m[1:2 * k:2, 2 * j:2 * j + 2] = sol[k:]
     if not np.isfinite(m).all():
         raise ReconstructionError("non-finite GL kernel m")
-    return OperatorM(ck.grid, m, tuple(regularized))
+    return OperatorM(ck.grid, m)
 
 
 def _solve_panel(cr: np.ndarray, fac: NestedFactor,
@@ -210,22 +207,16 @@ def _solve_panel(cr: np.ndarray, fac: NestedFactor,
     return (size <= REFINEMENT_TOLERANCE * scale).reshape(-1, 2).all(axis=1)
 
 
-def _solve_column(cr: np.ndarray, j: int, h: float):
+def _solve_column(cr: np.ndarray, j: int, h: float) -> np.ndarray:
     """Dense solve of the column system at s_j (j >= 1), stacked
-    [m1; m2] by two right-hand sides, with a Tikhonov shift when the
-    matrix is singular; ``cr`` is the node-major array C~/2.  Returns
-    (solution, regularized)."""
+    [m1; m2] by two right-hand sides; ``cr`` is the node-major array
+    C~/2."""
     k = j + 1
     stacked = np.concatenate([np.arange(0, 2 * k, 2),
                               np.arange(1, 2 * k, 2)])
     ct = 2.0 * cr[np.ix_(stacked, stacked)]
     A = np.eye(2 * k) + ct * np.tile(trapezoid_weights(j, h), 2)
-    rhs = -ct[:, [k - 1, 2 * k - 1]]
-    try:
-        return np.linalg.solve(A, rhs), False
-    except np.linalg.LinAlgError:
-        shift = TIKHONOV_RELATIVE * np.trace(A) / (2 * k)
-        return np.linalg.solve(A + shift * np.eye(2 * k), rhs), True
+    return np.linalg.solve(A, -ct[:, [k - 1, 2 * k - 1]])
 
 
 def m_action_matrix(M: OperatorM) -> np.ndarray:

@@ -13,14 +13,9 @@ y(+-tau_k) costs O(1), and the full solution, which the per-horizon
 residual needs, O(k^2).  In a pipeline run the kernel and factor are
 the ones the connect and gl stages share
 (:func:`~bcwave.connecting.assemble_matrix`); called alone, the sweep
-builds its own.  The factor reaches every horizon unless its Cholesky
-stops at a node whose leading block is not positive definite, or a
-horizon's matrix is more asymmetric than the assembly accepts.  From
-there on each horizon k is solved on its own by :func:`solve_krein` on
-the leading block of the kernel's array, which is C^{tau_k}; it falls
-back from Cholesky to a Tikhonov shift (and is the test oracle of the
-sweep).  A horizon that fails even there keeps a NaN residual; none is
-dropped silently.
+builds its own, which raises where the factor stops short.
+:func:`solve_krein` solves one horizon densely, on the leading block of
+the kernel's array, which is C^{tau_k}: it is the sweep's test oracle.
 """
 
 from __future__ import annotations
@@ -29,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connecting import (TIKHONOV_RELATIVE, AssembledConnecting, _assemble,
-                         assemble_matrix, build_connecting)
-from .errors import BCWaveError, ReconstructionError
+from .connecting import (AssembledConnecting, _assemble, assemble_matrix,
+                         build_connecting)
+from .errors import ReconstructionError
 from .grid import write_csv
 from .response import ResponseMatrix
 
@@ -48,7 +43,6 @@ class KreinSolution:
     f1: np.ndarray
     f2: np.ndarray
     residual: float
-    regularized: bool
 
 
 def solve_krein(cr: np.ndarray, h: float) -> KreinSolution:
@@ -64,16 +58,10 @@ def solve_krein(cr: np.ndarray, h: float) -> KreinSolution:
     t = h * np.arange(n_half + 1)
     rhs = np.concatenate([tau - t, np.zeros(n_half + 1)])  # sampled exactly
     b = weights * rhs
-    regularized = False
-    try:
-        f = cho_solve(cho_factor(A), b)
-    except np.linalg.LinAlgError:
-        shift = TIKHONOV_RELATIVE * np.trace(A) / A.shape[0]
-        f = np.linalg.solve(A + shift * np.eye(A.shape[0]), b)
-        regularized = True
+    f = cho_solve(cho_factor(A), b)
     resid = float(np.linalg.norm(A @ f - b) / max(np.linalg.norm(b), 1e-300))
     m = n_half + 1
-    return KreinSolution(tau, h, f[:m], f[m:], resid, regularized)
+    return KreinSolution(tau, h, f[:m], f[m:], resid)
 
 
 def endpoint_values(sol: KreinSolution) -> tuple[float, float]:
@@ -88,16 +76,16 @@ class CauchyProfile:
     """Reconstructed Cauchy solution and potential on [-T, T].
 
     ``valid`` masks the q samples: zeros of y (always including x ~ 0)
-    and horizons where the Krein solve failed are excluded.
+    are excluded.  ``regularized`` flags shifted horizon solves: none,
+    since no horizon needs a shift.
     """
 
     x: np.ndarray
     y: np.ndarray
     q: np.ndarray
     valid: np.ndarray
-    residuals: np.ndarray     # per-horizon relative solver residuals,
-                              # NaN where the solve failed
-    regularized: np.ndarray   # per-horizon Tikhonov flags
+    residuals: np.ndarray     # per-horizon relative solver residuals
+    regularized: np.ndarray
 
     def write_csv(self, path) -> None:
         n = (len(self.x) - 1) // 2
@@ -113,13 +101,10 @@ def sweep_reconstruct(r: ResponseMatrix,
     """Sweep horizons tau_k = k*h, k = 1..n, and assemble y on [-T, T];
     then recover q = y''/y on the valid band.
 
-    The horizons the nested factor reaches are solved through it at
-    once; each later horizon is solved on its own by :func:`solve_krein`
-    on the leading block of the kernel's node-major array.  A horizon
-    that fails there keeps a NaN residual and leaves y unsolved at
-    +-tau.  ``inverse`` is the shared state of the connecting kernel of
-    ``r`` (:func:`~bcwave.connecting.assemble_matrix`); without it the
-    sweep builds its own.
+    Every horizon is solved through the nested factor at once.
+    ``inverse`` is the shared state of the connecting kernel of ``r``
+    (:func:`~bcwave.connecting.assemble_matrix`); without it the sweep
+    builds its own.
     """
     if r.grid.n % 2:
         raise ReconstructionError("response grid has an odd step count")
@@ -127,44 +112,27 @@ def sweep_reconstruct(r: ResponseMatrix,
         raise ReconstructionError("non-finite response data")
     if inverse is None:
         inverse = assemble_matrix(build_connecting(r))
-    cr, fac = inverse.kernel.nodes, inverse.factor
+    fac = inverse.factor
     del inverse
     n = r.grid.n // 2
     h = r.grid.h
-    y = np.full(2 * n + 1, np.nan)
-    y[n] = 0.0
-    residuals = np.full(n, np.nan)
-    regularized = np.zeros(n, dtype=bool)
-    solved = np.ones(2 * n + 1, dtype=bool)
-
-    K = fac.horizons
-    if K:
-        # right-hand side (tau - t, 0) in reversed time: (t', 0) at node t'
-        rho = np.zeros((2 * n + 2, 1))
-        rho[0::2, 0] = h * np.arange(n + 1)
-        b = fac.weigh(np.repeat(rho, K, axis=1))
-        f = fac.solve(b.copy())
-        residuals[:K] = np.linalg.norm(fac.apply(f) - b, axis=0) \
-            / np.maximum(np.linalg.norm(b, axis=0), 1e-300)
-        k = np.arange(1, K + 1)
-        f1, f2 = f[2 * k, k - 1], f[2 * k + 1, k - 1]   # the t = 0 node
-        y[n + k] = 0.5 * f1 - 0.5 * f2
-        y[n - k] = -0.5 * f1 - 0.5 * f2
+    y = np.zeros(2 * n + 1)
+    # right-hand side (tau - t, 0) in reversed time: (t', 0) at node t'
+    rho = np.zeros((2 * n + 2, 1))
+    rho[0::2, 0] = h * np.arange(n + 1)
+    b = fac.weigh(np.repeat(rho, n, axis=1))
+    f = fac.solve(b.copy())
+    residuals = np.linalg.norm(fac.apply(f) - b, axis=0) \
+        / np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+    k = np.arange(1, n + 1)
+    f1, f2 = f[2 * k, k - 1], f[2 * k + 1, k - 1]   # the t = 0 node
+    y[n + k] = 0.5 * f1 - 0.5 * f2
+    y[n - k] = -0.5 * f1 - 0.5 * f2
     del fac
-    for k in range(K + 1, n + 1):
-        try:
-            sol = solve_krein(cr[:2 * k + 2, :2 * k + 2], h)
-        except (np.linalg.LinAlgError, BCWaveError):
-            solved[n + k] = solved[n - k] = False
-            continue
-        residuals[k - 1] = sol.residual
-        regularized[k - 1] = sol.regularized
-        y_plus, y_minus = endpoint_values(sol)
-        y[n + k] = y_plus
-        y[n - k] = y_minus
     x = h * np.arange(-n, n + 1)
-    q, valid = recover_q_from_y(x, y, solved)
-    return CauchyProfile(x, y, q, valid, residuals, regularized)
+    q, valid = recover_q_from_y(x, y, np.ones(2 * n + 1, dtype=bool))
+    return CauchyProfile(x, y, q, valid, residuals,
+                         np.zeros(n, dtype=bool))
 
 
 def second_derivative(y: np.ndarray, h: float) -> np.ndarray:

@@ -10,12 +10,15 @@ and the memory budget is checked again at the file's size once read.
 The inverse stages share one state (:func:`_inverse_state`): the
 connecting kernel, held once as one node-major array, and one nested
 Cholesky factor, built by the first of them to run and let go by the
-last, so that the factor is freed before the spectral stage.
+last, so that the factor is freed before the spectral stage.  Where the
+factor stops short, the state is that failure, and every inverse stage
+fails with its message.  :data:`GATES` holds every bound on a metric.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 
 import numpy as np
@@ -88,6 +91,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         else:
             try:
                 entry["metrics"] = runners[name](cfg, state, entry["files"])
+                _apply_fail_gates(name, entry["metrics"])
                 entry["status"] = "ok"
             except (BCWaveError, np.linalg.LinAlgError) as exc:
                 entry["status"] = "failed"
@@ -126,21 +130,60 @@ def _stage_response(cfg, state, files):
 def _inverse_state(state):
     """The inverse stages' shared state (connecting.AssembledConnecting),
     built on first use.  The last inverse stage of the run takes it out
-    of ``state``, so it is freed once that stage lets go of it."""
+    of ``state``, so it is freed once that stage lets go of it.  If the
+    assembly fails, the state is its message, and each inverse stage
+    raises it again without assembling anew."""
     inverse = state.pop("inverse", None)
     if inverse is None:
         ck = state.get("connect") or build_connecting(state["response"])
-        inverse = assemble_matrix(ck)
+        try:
+            inverse = assemble_matrix(ck)
+        except ReconstructionError as exc:
+            inverse = str(exc)
     if state.get("keep_inverse"):
         state["inverse"] = inverse
+    if isinstance(inverse, str):
+        raise ReconstructionError(inverse)
     return inverse
 
 
-#: Largest ``operator_identity_residual`` the gl stage accepts.  GL
-#: solutions of responses of real potentials give at most 0.03 (Gaussians
-#: of amplitude up to 3, n = 8-256); a response that belongs to no
-#: potential gives 4 and more.
-MAX_IDENTITY_RESIDUAL = 0.5
+_TESTS = {"<=": operator.le, ">": operator.gt}
+
+#: Every bound on a stage metric: (stage, metric, test, bound, kind,
+#: failure).  A "fail" row fails its stage in every run, with its
+#: ``failure`` text, once the stage's runner returns; ``bcwave selftest``
+#: checks the "selftest" rows on its built-in configuration.
+GATES = (
+    ("response", "compatibility_residual", "<=", 1e-2, "selftest", None),
+    ("connect", "block_symmetry_residual", "<=", 1e-2, "selftest", None),
+    # the connecting operator of a potential is positive definite
+    ("connect", "min_eigenvalue", ">", 0.0, "fail",
+     "connecting matrix is not positive definite"),
+    ("krein", "q_rel_error", "<=", 0.05, "selftest", None),
+    ("gl", "q_rel_error", "<=", 0.05, "selftest", None),
+    ("gl", "krein_gl_agreement", "<=", 0.07, "selftest", None),
+    # GL solutions of responses of real potentials give at most 0.03
+    # (Gaussians of amplitude up to 3, n = 8-256); a response that
+    # belongs to no potential gives 4 and more
+    ("gl", "operator_identity_residual", "<=", 0.5, "fail",
+     "GL operator identity residual is out of bounds"),
+)
+
+
+def within(metrics, key, test, bound) -> bool:
+    """Whether ``metrics[key]`` passes ``test`` against ``bound``; a
+    missing or NaN metric does not."""
+    val = metrics.get(key)
+    return val is not None and _TESTS[test](val, bound)
+
+
+def _apply_fail_gates(stage, metrics):
+    for name, key, test, bound, kind, failure in GATES:
+        if (name == stage and kind == "fail"
+                and not within(metrics, key, test, bound)):
+            raise ReconstructionError(
+                "%s (%s %s, bound %s %g): the response belongs to no "
+                "potential" % (failure, key, metrics.get(key), test, bound))
 
 
 def _stage_connect(cfg, state, files):
@@ -151,11 +194,6 @@ def _stage_connect(cfg, state, files):
     files.append(path)
     inverse = _inverse_state(state)
     lam = inverse.min_eigenvalue()
-    if not lam > 0.0:
-        # the connecting operator of a potential is positive definite
-        raise ReconstructionError(
-            "connecting matrix is not positive definite (min eigenvalue "
-            "%.3g): the response belongs to no potential" % lam)
     return {"symmetry_residual": ck.symmetry_residual(),
             "block_symmetry_residual": ck.block_symmetry_residual(),
             "assembly_asymmetry": inverse.asymmetry,
@@ -206,13 +244,8 @@ def _stage_gl(cfg, state, files):
     qpath = os.path.join(cfg.out, "q_gl.csv")
     write_q_csv(qpath, x, q, "GL")
     files.extend([kpath, qpath])
-    residual = operator_identity_residual(ck, M)
-    if not residual <= MAX_IDENTITY_RESIDUAL:
-        raise ReconstructionError(
-            "GL operator identity residual %.3g exceeds %g: the response "
-            "belongs to no potential" % (residual, MAX_IDENTITY_RESIDUAL))
     metrics = {
-        "operator_identity_residual": residual,
+        "operator_identity_residual": operator_identity_residual(ck, M),
         "regularized_columns": len(M.regularized),
     }
     if "potential" in state:

@@ -74,6 +74,13 @@ def resp_off(field_off):
     return response_matrix(field_off)
 
 
+@pytest.fixture(scope="session")
+def resp_off32(offcenter):
+    """offcenter's response at n = 32, where the GL refinement does not
+    converge in 20 of the 32 columns."""
+    return response_matrix(solve_kernels(offcenter, UniformGrid(2.0, 64)))
+
+
 @pytest.fixture(scope="session", params=[70.25, 0.25])
 def resp_broken(request):
     """Response with r22 = -c only (T = 1, n = 96): C22 = -c is a

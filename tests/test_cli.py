@@ -295,6 +295,21 @@ def test_stage_commands_on_a_response_csv(tmp_path, capsys):
         assert main([command, "--config", str(cfg)]) == 0
 
 
+def test_inverse_commands_exit_1_on_no_potential(tmp_path, capsys,
+                                                resp_broken):
+    path = tmp_path / "response.csv"
+    resp_broken.write_csv(path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"response_csv": str(path), "T": 1, "n": 16}))
+    for command in ("roundtrip", "krein", "gl"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        inverse = [s for s in report["stages"] if s["name"] != "ingest"]
+        assert inverse and all(s["status"] == "failed" for s in inverse)
+        assert "not positive definite" in capsys.readouterr().out
+
+
 def test_selftest_passes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["selftest"]) == 0
@@ -392,6 +407,37 @@ def test_linalg_error_becomes_failed_stage(tmp_path, monkeypatch):
     connect = saved["stages"][2]
     assert connect["error"] == "Matrix is singular"
     assert saved["stages"][3]["metrics"]["failed_horizons"] == 0
+
+
+@pytest.mark.parametrize("stage, key, value, needle", [
+    ("connect", "min_eigenvalue", -1.0, "not positive definite"),
+    ("connect", "min_eigenvalue", float("nan"), "not positive definite"),
+    ("gl", "operator_identity_residual", 4.0, "identity residual"),
+    ("gl", "operator_identity_residual", float("nan"), "identity residual"),
+])
+def test_fail_gates_apply_once_the_stage_returns(tmp_path, monkeypatch, stage,
+                                                 key, value, needle):
+    from bcwave import pipeline
+
+    runner = getattr(pipeline, "_stage_" + stage)
+
+    def missing_the_bound(cfg, state, files):
+        metrics = runner(cfg, state, files)
+        metrics[key] = value
+        return metrics
+
+    monkeypatch.setattr(pipeline, "_stage_" + stage, missing_the_bound)
+    cfg = json.loads(MINIMAL)
+    cfg.update({"stages": ["kernels", "response", "connect", "krein", "gl"],
+                "out": str(tmp_path / "out")})
+    report = run_pipeline(parse_config(json.dumps(cfg)))
+    assert report["ok"] is False
+    for entry in report["stages"]:
+        assert entry["status"] == ("failed" if entry["name"] == stage
+                                   else "ok")
+    entry = next(s for s in report["stages"] if s["name"] == stage)
+    assert needle in entry["error"] and "bound" in entry["error"]
+    assert entry["files"]       # the stage ran and wrote its files
 
 
 def test_stage_commands_rerun_stage_checks(tmp_path, capsys):

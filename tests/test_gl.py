@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from bcwave import pipeline
+from bcwave import gl, pipeline
 from bcwave.config import parse_config
 from bcwave.connecting import ConnectingKernel, build_connecting
 from bcwave.errors import ReconstructionError
@@ -127,7 +127,17 @@ def _dense_identity_residual(ck, M):
 @pytest.mark.parametrize("resp", ["resp128", "resp_off", "resp_skew"])
 def test_operator_identity_residual_matches_dense_formula(request, resp):
     ck = build_connecting(request.getfixturevalue(resp))
-    M = solve_gl(ck)
+    if resp == "resp_skew":
+        # no potential's response: solve_gl refuses it, and m comes from
+        # the dense per-column solves
+        with pytest.raises(ReconstructionError, match="asymmetry"):
+            solve_gl(ck)
+        # node-major: entry (2i + a, 2j + b) is m_ab(x_i, s_j)
+        size = 2 * ck.grid.n + 2
+        M = OperatorM(ck.grid, _oracle_gl(ck).reshape(2, 2, size // 2, -1)
+                      .transpose(2, 0, 3, 1).reshape(size, size))
+    else:
+        M = solve_gl(ck)
     res = operator_identity_residual(ck, M)
     assert abs(res - _dense_identity_residual(ck, M)) <= 1e-12
 
@@ -209,12 +219,10 @@ def test_kernel_csv_and_q_csv(tmp_path, gl128):
 
 def _oracle_gl(ck):
     """One dense solve of (I + C~ W) m = -C~(., s_j) per column, as
-    solve_gl did before it shared one factor: (m11, m12, m21, m22,
-    regularized columns)."""
+    solve_gl did before it shared one factor: (m11, m12, m21, m22)."""
     c11, c12, c21, c22 = _reflected_twice(ck)
     n, h = ck.grid.n, ck.grid.h
     m = np.zeros((4, n + 1, n + 1))
-    regularized = []
     for j in range(n + 1):
         k = j + 1
         w = trapezoid_weights(j, h) if j else np.zeros(1)
@@ -224,40 +232,39 @@ def _oracle_gl(ck):
         rhs = -np.stack([np.concatenate([c11[:k, j], c21[:k, j]]),
                          np.concatenate([c12[:k, j], c22[:k, j]])],
                         axis=1)
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            shift = 1e-10 * np.trace(A) / (2 * k)
-            sol = np.linalg.solve(A + shift * np.eye(2 * k), rhs)
-            regularized.append(j)
+        sol = np.linalg.solve(A, rhs)
         m[0, :k, j], m[2, :k, j] = sol[:k, 0], sol[k:, 0]
         m[1, :k, j], m[3, :k, j] = sol[:k, 1], sol[k:, 1]
-    return m, tuple(regularized)
+    return m
 
 
-@pytest.mark.parametrize("resp", ["resp_off", "resp_skew"])
-def test_solve_gl_matches_per_column_solves(request, resp):
-    # resp_skew: past the factor's reach the columns are solved one by one
+@pytest.mark.parametrize("resp", ["resp_off", "resp_off32"])
+def test_solve_gl_matches_per_column_solves(request, monkeypatch, resp):
+    # resp_off32: the refinement does not converge in some columns, which
+    # are solved densely; resp_off: it converges in every column
     ck = build_connecting(request.getfixturevalue(resp))
+    dense = []
+    solve_column = gl._solve_column
+    monkeypatch.setattr(gl, "_solve_column",
+                        lambda cr, j, h: dense.append(j)
+                        or solve_column(cr, j, h))
     M = solve_gl(ck)
-    ref, regularized = _oracle_gl(ck)
+    ref = _oracle_gl(ck)
     for blk, r in zip((M.m11, M.m12, M.m21, M.m22), ref):
         assert np.max(np.abs(blk - r)) <= 1e-12 * np.max(np.abs(r))
-    assert M.regularized == regularized
+    assert M.regularized == ()
+    assert bool(dense) == (resp == "resp_off32")
 
 
-def test_solve_gl_falls_back_past_the_factor(resp_broken):
+def test_solve_gl_fails_past_the_factor(resp_broken):
     ck = build_connecting(resp_broken)
-    M = solve_gl(ck)
-    ref, regularized = _oracle_gl(ck)
-    assert M.regularized == regularized == ()
-    # columns 1..p-1 go through the factor, p and later one by one
+    # the factor reaches the columns 1..p-1 only
     p = max(int(np.ceil(-0.5 / (resp_broken.r22[0] * ck.grid.h) - 0.5)), 1)
-    for blk, r in zip((M.m11, M.m12, M.m21, M.m22), ref):
-        scale = np.max(np.abs(r))
-        assert np.max(np.abs(blk[:, :p] - r[:, :p])) <= 1e-12 * scale
-        assert np.array_equal(blk[:, p:], r[:, p:])
-    assert np.all(np.diag(M.m22) != 0.0)
+    with pytest.raises(ReconstructionError,
+                       match="stops short of horizon %d of %d: the "
+                             "connecting matrix is not positive definite"
+                             % (p, ck.grid.n)):
+        solve_gl(ck)
 
 
 def _nan_kernel(n=16):

@@ -6,8 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import make_smoothing_spline
 
-from bcwave.connecting import (assemble_matrix, build_connecting,
-                               connecting_nodes)
+from bcwave.connecting import connecting_nodes, nested_factor
 from bcwave.config import parse_config
 from bcwave.errors import BCWaveError, ReconstructionError
 from bcwave.goursat import solve_kernels
@@ -49,7 +48,7 @@ def test_free_space_control_and_profile():
     t = sol.h * np.arange(65)
     assert np.max(np.abs(sol.f1 - 2.0 * (sol.tau - t))) < 1e-8
     assert np.max(np.abs(sol.f2)) < 1e-8
-    assert not sol.regularized
+    assert sol.residual < 1e-12
     yp, ym = endpoint_values(sol)
     assert yp == pytest.approx(sol.tau, abs=1e-10)
     assert ym == pytest.approx(-sol.tau, abs=1e-10)
@@ -176,19 +175,15 @@ def test_profile_csv(tmp_path, resp128):
 
 def _oracle_sweep(r):
     """One dense solve_krein per horizon, as the sweep did before it
-    shared one factor: (y, regularized, residuals, valid)."""
+    shared one factor: (y, valid)."""
     n = r.grid.n // 2
     y = np.zeros(2 * n + 1)
-    regularized = np.zeros(n, dtype=bool)
-    residuals = np.zeros(n)
     for k in range(1, n + 1):
         sol = solve_krein(connecting_nodes(r, k), r.grid.h)
         y[n + k], y[n - k] = endpoint_values(sol)
-        regularized[k - 1] = sol.regularized
-        residuals[k - 1] = sol.residual
     x = r.grid.h * np.arange(-n, n + 1)
     _, valid = recover_q_from_y(x, y, np.ones(2 * n + 1, dtype=bool))
-    return y, regularized, residuals, valid
+    return y, valid
 
 
 def _rel(a, b):
@@ -197,9 +192,9 @@ def _rel(a, b):
 
 def test_sweep_matches_per_horizon_solves(resp_off):
     prof = sweep_reconstruct(resp_off)
-    y, regularized, _, valid = _oracle_sweep(resp_off)
+    y, valid = _oracle_sweep(resp_off)
     assert _rel(prof.y, y) < 1e-12
-    assert np.array_equal(prof.regularized, regularized)
+    assert not prof.regularized.any()
     assert np.array_equal(prof.valid, valid)
     assert np.max(prof.residuals) <= 1e-12
 
@@ -211,28 +206,28 @@ def _break_nodes(r):
     return int(np.ceil(tau_break - 0.5)), int(np.ceil(tau_break))
 
 
-def test_sweep_falls_back_past_the_factor(resp_broken):
+def test_sweep_fails_past_the_factor(resp_broken):
     r = resp_broken
     n = r.grid.n // 2
     p, j = _break_nodes(r)
-    # horizons 1..p-1 use the factor, p and later are solved one by one
-    fac = assemble_matrix(build_connecting(r)).factor
-    assert fac.horizons == max(p - 1, 0)
-    prof = sweep_reconstruct(r)
-    y, regularized, residuals, valid = _oracle_sweep(r)
-    assert np.isfinite(prof.residuals).all() and np.isfinite(prof.y).all()
-    assert np.array_equal(prof.regularized, regularized)
-    assert not regularized[:j - 1].any() and regularized[j - 1:].all()
-    assert np.array_equal(prof.valid, valid)
-    near = np.abs(np.arange(-n, n + 1)) < p
-    if near.sum() > 1:
-        assert _rel(prof.y[near], y[near]) < 1e-12
-    assert np.array_equal(prof.y[~near], y[~near])
-    solo = slice(max(p - 1, 0), None)
-    assert np.array_equal(prof.residuals[solo], residuals[solo])
+    # the factor reaches the horizons 1..p-1; the dense solve of a
+    # horizon's own matrix fails from horizon j on
+    assert nested_factor(connecting_nodes(r, n), r.grid.h).horizons \
+        == max(p - 1, 0)
+    if j > 1:
+        solve_krein(connecting_nodes(r, j - 1), r.grid.h)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_krein(connecting_nodes(r, j), r.grid.h)
+    with pytest.raises(ReconstructionError) as err:
+        sweep_reconstruct(r)
+    assert str(err.value) == (
+        "the nested factor stops short of horizon %d of %d: the connecting "
+        "matrix is not positive definite, so the response belongs to no "
+        "potential" % (max(p, 1), n))
 
 
 def test_failed_horizons_counted(tmp_path, resp_skew):
+    # the message names the first of the failed horizons, which run to n
     r = resp_skew
     n = r.grid.n // 2
     failed = []
@@ -243,12 +238,13 @@ def test_failed_horizons_counted(tmp_path, resp_skew):
             failed.append(k)
     assert failed and failed == list(range(failed[0], n + 1))
     # the factor stops where the asymmetry check would reject the horizon
-    fac = assemble_matrix(build_connecting(r)).factor
+    fac = nested_factor(connecting_nodes(r, n), r.grid.h)
     assert fac.horizons == failed[0] - 1
-    prof = sweep_reconstruct(r)
-    assert np.array_equal(np.flatnonzero(np.isnan(prof.residuals)) + 1, failed)
-    assert np.isnan(prof.y[n + failed[0]:]).all()
-    assert not prof.valid[n + failed[0]:].any()
+    named = "the nested factor stops short of horizon %d of %d: its " \
+        "connecting matrix has asymmetry" % (failed[0], n)
+    with pytest.raises(ReconstructionError) as err:
+        sweep_reconstruct(r)
+    assert str(err.value).startswith(named)
 
     path = tmp_path / "skew.csv"
     r.write_csv(path)
@@ -256,5 +252,6 @@ def test_failed_horizons_counted(tmp_path, resp_skew):
         {"response_csv": str(path), "T": 1.0, "n": n, "stages": ["krein"],
          "out": str(tmp_path / "out")})))
     krein = report["stages"][-1]
-    assert krein["status"] == "ok"
-    assert krein["metrics"]["failed_horizons"] == len(failed)
+    assert krein["status"] == "failed" and not report["ok"]
+    assert krein["error"] == str(err.value)
+    assert krein["files"] == [] and "metrics" not in krein

@@ -11,7 +11,9 @@ import pytest
 
 from bcwave import krein, pipeline
 from bcwave.config import parse_config
-from bcwave.connecting import assemble_matrix, build_connecting
+from bcwave.connecting import (_assemble, assemble_matrix, build_connecting,
+                               nested_factor)
+from bcwave.errors import ReconstructionError
 from bcwave.gl import GL_PANELS, _solve_column, solve_gl
 from bcwave.goursat import solve_kernels
 from bcwave.grid import UniformGrid, trapezoid_weights
@@ -22,19 +24,20 @@ from bcwave.response import response_matrix
 @pytest.mark.parametrize("resp", ["resp128", "resp_off", "resp_skew"])
 def test_panelled_gl_matches_column_solves(request, resp):
     # 127 columns make panels of 32, 32, 32 and 31; resp_skew has columns
-    # past the factor's reach
+    # past the factor's reach, so no panel is solved
     ck = build_connecting(request.getfixturevalue(resp), 127)
     assert ck.grid.n % GL_PANELS
+    if resp == "resp_skew":
+        with pytest.raises(ReconstructionError, match="stops short"):
+            assemble_matrix(ck)
+        return
     inverse = assemble_matrix(ck)
     M = solve_gl(ck, inverse)
-    if resp == "resp_skew":
-        assert inverse.factor.horizons < ck.grid.n
     ref = np.zeros((4, ck.grid.n + 1, ck.grid.n + 1))
     ref[:, 0, 0] = -2.0 * ck.nodes[:2, :2].ravel()
     for j in range(1, ck.grid.n + 1):
         k = j + 1
-        sol, reg = _solve_column(ck.nodes, j, ck.grid.h)
-        assert not reg
+        sol = _solve_column(ck.nodes, j, ck.grid.h)
         ref[0, :k, j], ref[2, :k, j] = sol[:k, 0], sol[k:, 0]
         ref[1, :k, j], ref[3, :k, j] = sol[:k, 1], sol[k:, 1]
     for blk, r in zip((M.m11, M.m12, M.m21, M.m22), ref):
@@ -90,30 +93,80 @@ def test_min_eigenvalue_by_lanczos(request, case):
     assert asm.min_eigenvalue() == asm.min_eigenvalue()   # deterministic
 
 
-def test_min_eigenvalue_falls_back_past_the_factor(resp_broken):
-    asm = assemble_matrix(build_connecting(resp_broken))
-    assert asm.factor.horizons < asm.kernel.grid.n
-    assert asm.min_eigenvalue() == np.linalg.eigvalsh(asm.matrix)[0] < 0.0
+def test_min_eigenvalue_dense_when_lanczos_does_not_converge(ck128,
+                                                            monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    def no_convergence(*args, **kwargs):
+        raise sla.ArpackNoConvergence("no convergence", np.empty(0),
+                                      np.empty((0, 0)))
+
+    monkeypatch.setattr(sla, "eigsh", no_convergence)
+    asm = assemble_matrix(ck128)
+    assert asm.min_eigenvalue() == np.linalg.eigvalsh(asm.matrix)[0] > 0.0
 
 
-def test_response_of_no_potential_fails_connect_and_gl(tmp_path,
-                                                       resp_broken):
-    # r22 = -c alone is no potential's response: the connecting matrix has
-    # a negative eigenvalue and the GL operator identity fails by O(1)
+def test_assemble_matrix_fails_past_the_factor(resp_broken):
+    ck = build_connecting(resp_broken)
+    fac = nested_factor(ck.nodes, ck.grid.h)
+    assert fac.horizons < ck.grid.n
+    # the dense eigensolve agrees: the connecting matrix is indefinite
+    assert np.linalg.eigvalsh(_assemble(ck.nodes, ck.grid.h)[0])[0] < 0.0
+    with pytest.raises(ReconstructionError) as err:
+        assemble_matrix(ck)
+    assert str(err.value) == (
+        "the nested factor stops short of horizon %d of 96: the connecting "
+        "matrix is not positive definite, so the response belongs to no "
+        "potential" % (fac.horizons + 1))
+
+
+def _inverse_stages_fail_once(tmp_path, monkeypatch, r, needle):
+    """Run ``r``'s response CSV with three lists of inverse stages and
+    check that each stage that runs fails with the same message, which
+    names ``needle``, after one assembly per run."""
     path = tmp_path / "response.csv"
-    resp_broken.write_csv(path)
-    report = pipeline.run_pipeline(parse_config(json.dumps(
-        {"response_csv": str(path), "T": 1.0, "n": 96,
-         "out": str(tmp_path / "out")})))
-    stages = {s["name"]: s for s in report["stages"]}
-    assert not report["ok"]
-    assert stages["connect"]["status"] == "failed"
-    assert "not positive definite" in stages["connect"]["error"]
-    assert stages["connect"]["files"] == [str(tmp_path / "out"
-                                              / "connecting.csv")]
-    assert stages["gl"]["status"] == "failed"
-    assert "identity residual" in stages["gl"]["error"]
-    assert stages["ingest"]["status"] == "ok"
+    r.write_csv(path)
+    built = []
+
+    def counting(ck):
+        built.append(ck)
+        return assemble_matrix(ck)
+
+    monkeypatch.setattr(pipeline, "assemble_matrix", counting)
+    errors = set()
+    for stages in (["krein"], ["gl"], ["connect", "krein", "gl"]):
+        built.clear()
+        out = tmp_path / "-".join(stages)
+        report = pipeline.run_pipeline(parse_config(json.dumps(
+            {"response_csv": str(path), "T": 1.0, "n": r.grid.n // 2,
+             "stages": stages, "out": str(out)})))
+        assert not report["ok"] and len(built) == 1
+        ingest, *inverse = report["stages"]
+        assert ingest["status"] == "ok"
+        assert [s["name"] for s in inverse] == stages
+        for s in inverse:
+            assert s["status"] == "failed"
+            errors.add(s["error"])
+            # connect writes its kernel before it assembles
+            files = [str(out / "connecting.csv")] * (s["name"] == "connect")
+            assert s["files"] == files
+    assert len(errors) == 1
+    assert needle in errors.pop()
+
+
+def test_response_of_no_potential_fails_connect_and_gl(tmp_path, monkeypatch,
+                                                       resp_broken):
+    # r22 = -c alone is no potential's response: the connecting matrix is
+    # not positive definite, and every inverse stage says so
+    _inverse_stages_fail_once(tmp_path, monkeypatch, resp_broken,
+                              "not positive definite")
+
+
+def test_skewed_response_fails_every_inverse_stage(tmp_path, monkeypatch,
+                                                   resp_skew):
+    # r21' = r12 broken: the horizon matrices grow too asymmetric
+    _inverse_stages_fail_once(tmp_path, monkeypatch, resp_skew,
+                              "has asymmetry")
 
 
 def test_assembly_asymmetry_from_the_factor(resp_off, resp_skew):
@@ -122,7 +175,10 @@ def test_assembly_asymmetry_from_the_factor(resp_off, resp_skew):
         w = np.tile(trapezoid_weights(ck.grid.n, ck.grid.h), 2)
         A = 0.5 * np.diag(w) + (w[:, None] * np.block(
             [[ck.c11, ck.c12], [ck.c21, ck.c22]]) * w[None, :])
-        assert assemble_matrix(ck).asymmetry == np.max(np.abs(A - A.T))
+        asym = np.max(np.abs(A - A.T))
+        assert nested_factor(ck.nodes, ck.grid.h).asymmetry[-1] == asym
+        if r is resp_off:   # resp_skew's factor stops short
+            assert assemble_matrix(ck).asymmetry == asym
 
 
 def test_one_state_per_run_freed_before_spectral(tmp_path, monkeypatch):
