@@ -272,28 +272,30 @@ def _stage_spectral(cfg, state, files):
     r = state["response"]
     grid2 = r.grid
     ck = state.get("connect") or build_connecting(r)
-    resp_errors = []
-    tails = []
-    form_errors = []
+    controls = []
+    pairs = []
     for i in range(3):
-        rng = np.random.default_rng(cfg.seed + i)
-        f = smooth_random_control(grid2, rng)
+        controls.append(smooth_random_control(
+            grid2, np.random.default_rng(cfg.seed + i)))
+        rng = np.random.default_rng(1000 + cfg.seed + i)
+        # on the kernel's grid: its horizon n h may miss cfg.T by an ulp
+        pairs.append((smooth_random_control(ck.grid, rng),
+                      smooth_random_control(ck.grid, rng)))
+    traces = smoothed_response_traces(measure, controls, reference)
+    forms = spectral_connecting_form(measure, pairs)
+
+    resp_errors = []
+    form_errors = []
+    tails = []
+    for f, (F, G), sp, spf in zip(controls, pairs, traces, forms):
         dyn = apply_response(r, f).control
         dyn_int = np.stack([cumulative_trapezoid(dyn.f1, grid2.h),
                             cumulative_trapezoid(dyn.f2, grid2.h)])
-        sp = smoothed_response_traces(measure, f, reference)
         resp_errors.append(float(np.linalg.norm(sp.value - dyn_int)
                                  / np.linalg.norm(dyn_int)))
-        tails.append(sp.tail)
-
-        rng = np.random.default_rng(1000 + cfg.seed + i)
-        # on the kernel's grid: its horizon n h may miss cfg.T by an ulp
-        F = smooth_random_control(ck.grid, rng)
-        G = smooth_random_control(ck.grid, rng)
         dynf = connecting_form(ck, F, G)
-        spf = spectral_connecting_form(measure, F, G)
         form_errors.append(float(abs(spf.value - dynf) / abs(dynf)))
-        tails.append(spf.tail)
+        tails.extend([sp.tail, spf.tail])
     return {"lambda_min": float(measure.lam[0]),
             "lambda_max": float(measure.lam[-1]),
             "smoothed_response_rel_errors": resp_errors,

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, SpectralError
-from .grid import (Control, StateVector, conv_trapezoid, cumulative_trapezoid,
-                   trapezoid_weights, write_csv)
+from .grid import (Control, StateVector, UniformGrid, conv_trapezoid,
+                   cumulative_trapezoid, trapezoid_weights, write_csv)
 from .potentials import Potential, ZeroPotential
 
 #: fraction of leading terms defining the tail-movement indicator
@@ -202,10 +202,17 @@ def _twisted_vectors(a, b, lam, fwd, bwd):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.subtract(a[:, None], lam, out=fwd)
         np.copyto(bwd, fwd)
+        # the rows as views made once, Python-float coefficients and one
+        # row buffer: a row step allocates nothing
+        ratio = np.empty(count)
+        c = b2.tolist()
+        f, g = list(fwd), list(bwd)
         for i in range(1, m):
-            fwd[i] -= b2[i - 1] / fwd[i - 1]
+            np.divide(c[i - 1], f[i - 1], ratio)
+            f[i] -= ratio
         for i in range(m - 2, -1, -1):
-            bwd[i] -= b2[i] / bwd[i + 1]
+            np.divide(c[i], g[i + 1], ratio)
+            g[i] -= ratio
         # Lift the zero pivots that feed z and recompute their neighbour;
         # past that the recurrence already is the limit of the lifted one.
         tiny = np.finfo(float).eps * np.max(np.abs(a))
@@ -244,40 +251,41 @@ def _twisted_vectors(a, b, lam, fwd, bwd):
 
 def wave_kernel(lam, t):
     """s(lambda, t) = sin(sqrt(lambda) t)/sqrt(lambda), extended entirely
-    through lambda = 0 and to the hyperbolic branch; series near z = 0."""
-    lam = np.asarray(lam, dtype=float)
-    t = np.asarray(t, dtype=float)
+    through lambda = 0 and to the hyperbolic branch; series near z = 0.
+    Each branch is evaluated on its own entries only."""
+    lam, t = np.broadcast_arrays(np.asarray(lam, dtype=float),
+                                 np.asarray(t, dtype=float))
     z = lam * t * t
-    out = np.empty(np.broadcast(lam, t).shape)
+    out = np.zeros(lam.shape)
     small = np.abs(z) < 1e-6
-    zs = np.where(small, z, 0.0)
-    out[...] = np.where(small, t * (1.0 - zs / 6.0 + zs * zs / 120.0), 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rp = np.sqrt(np.maximum(lam, 0.0))
-        pos = ~small & (lam > 0.0)
-        out[pos] = (np.sin(rp * t) / np.where(rp > 0, rp, 1.0))[pos]
-        rm = np.sqrt(np.maximum(-lam, 0.0))
-        neg = ~small & (lam < 0.0)
-        out[neg] = (np.sinh(rm * t) / np.where(rm > 0, rm, 1.0))[neg]
+    zs = z[small]
+    out[small] = t[small] * (1.0 - zs / 6.0 + zs * zs / 120.0)
+    pos = ~small & (lam > 0.0)
+    rp = np.sqrt(lam[pos])
+    out[pos] = np.sin(rp * t[pos]) / rp
+    neg = ~small & (lam < 0.0)
+    rm = np.sqrt(-lam[neg])
+    out[neg] = np.sinh(rm * t[neg]) / rm
     return out if out.ndim else float(out)
 
 
 def wave_kernel_antiderivative(lam, u):
     """sigma(lambda, u) = int_0^u s(lambda, t) dt = (1 - cos(sqrt(lambda) u))
     / lambda, same branch structure as wave_kernel."""
-    lam = np.asarray(lam, dtype=float)
-    u = np.asarray(u, dtype=float)
+    lam, u = np.broadcast_arrays(np.asarray(lam, dtype=float),
+                                 np.asarray(u, dtype=float))
     z = lam * u * u
-    out = np.empty(np.broadcast(lam, u).shape)
+    out = np.zeros(lam.shape)
     small = np.abs(z) < 1e-6
-    zs = np.where(small, z, 0.0)
-    out[...] = np.where(small,
-                        0.5 * u * u * (1.0 - zs / 12.0 + zs * zs / 360.0), 0.0)
-    lam_safe = np.where(small, 1.0, lam)
+    zs = z[small]
+    us = u[small]
+    out[small] = 0.5 * us * us * (1.0 - zs / 12.0 + zs * zs / 360.0)
     pos = ~small & (lam > 0.0)
-    out[pos] = ((1.0 - np.cos(np.sqrt(np.maximum(lam, 0.0)) * u)) / lam_safe)[pos]
+    lp = lam[pos]
+    out[pos] = (1.0 - np.cos(np.sqrt(lp) * u[pos])) / lp
     neg = ~small & (lam < 0.0)
-    out[neg] = ((1.0 - np.cosh(np.sqrt(np.maximum(-lam, 0.0)) * u)) / lam_safe)[neg]
+    ln = lam[neg]
+    out[neg] = (1.0 - np.cosh(np.sqrt(-ln) * u[neg])) / ln
     return out if out.ndim else float(out)
 
 
@@ -377,11 +385,20 @@ def free_reference(measure: SpectralMeasure) -> SpectralMeasure:
                            None)
 
 
-def smoothed_response_traces(measure: SpectralMeasure, f: Control,
+def _shared_grid(controls) -> UniformGrid:
+    """The one grid of every control in ``controls``, else DomainError."""
+    grids = {f.grid for f in controls}
+    if len(grids) != 1:
+        raise DomainError("controls must share one grid")
+    return grids.pop()
+
+
+def smoothed_response_traces(measure: SpectralMeasure, controls,
                              reference: SpectralMeasure | None = None
-                             ) -> SpectralResult:
-    """Time-integrated response int_0^u (R^T F)(t) dt on the control grid;
-    value has shape (2, n+1).
+                             ) -> list[SpectralResult]:
+    """Time-integrated responses int_0^u (R^T F)(t) dt on the control grid,
+    one SpectralResult per control F of ``controls``; each value has
+    shape (2, n+1).
 
     The control creates a jump of u at x = 0, so the beta-channel of the
     truncated measure sum carries a cutoff-divergent delta concentration
@@ -401,8 +418,12 @@ def smoothed_response_traces(measure: SpectralMeasure, f: Control,
     eigenvalues (k pi/2N)^2 would not do: they are up to 3% off the
     discrete ones at k = 400, and the divergent parts would no longer
     cancel.
+
+    The controls must share one grid, else DomainError: the mode sums
+    depend only on the measures and the grid, so they are built once and
+    every control is evaluated against them.
     """
-    grid = f.grid
+    grid = _shared_grid(controls)
     if grid.horizon >= 2.0 * measure.half_length:
         raise DomainError("control horizon must stay below 2N")
     if reference is None:
@@ -414,11 +435,8 @@ def smoothed_response_traces(measure: SpectralMeasure, f: Control,
         raise DomainError("reference measure must share the cutoff, "
                           "interval, bc and mesh")
     h = grid.h
-    _, d2 = f.derivative()
     sig = wave_kernel_antiderivative(measure.lam[:, None], grid.t)
     sig0 = wave_kernel_antiderivative(reference.lam[:, None], grid.t)
-    free = np.array([-0.5 * (f.f1 - f.f1[0]),
-                     0.5 * cumulative_trapezoid(f.f2, h)])
 
     # conv_trapezoid is bilinear and g_n = beta_n f1 + gamma_n f2', so the
     # mode sums collapse onto three kernels: beta^2, beta gamma and
@@ -429,36 +447,50 @@ def smoothed_response_traces(measure: SpectralMeasure, f: Control,
                (measure.gamma * measure.gamma,
                 reference.gamma * reference.gamma)]
 
-    def summed(count):
-        kbb, kbg, kgg = (c[:count] @ sig[:count] - c0[:count] @ sig0[:count]
-                         for c, c0 in weights)
-        return free + np.array([
-            conv_trapezoid(kbb, f.f1, h) + conv_trapezoid(kbg, d2, h),
-            conv_trapezoid(kbg, f.f1, h) + conv_trapezoid(kgg, d2, h)])
+    def kernels(count):
+        return [c[:count] @ sig[:count] - c0[:count] @ sig0[:count]
+                for c, c0 in weights]
 
-    out = summed(measure.count)
-    head = summed(int(TAIL_FRACTION * measure.count))
-    return SpectralResult(out, _tail(out, head))
+    full = kernels(measure.count)
+    head = kernels(int(TAIL_FRACTION * measure.count))
+    results = []
+    for f in controls:
+        _, d2 = f.derivative()
+        free = np.array([-0.5 * (f.f1 - f.f1[0]),
+                         0.5 * cumulative_trapezoid(f.f2, h)])
+
+        def summed(kbb, kbg, kgg):
+            return free + np.array([
+                conv_trapezoid(kbb, f.f1, h) + conv_trapezoid(kbg, d2, h),
+                conv_trapezoid(kbg, f.f1, h) + conv_trapezoid(kgg, d2, h)])
+
+        out = summed(*full)
+        results.append(SpectralResult(out, _tail(out, summed(*head))))
+    return results
 
 
-def spectral_connecting_form(measure: SpectralMeasure, f: Control,
-                             g: Control) -> SpectralResult:
+def spectral_connecting_form(measure: SpectralMeasure,
+                             pairs) -> list[SpectralResult]:
     """(C^T F, G) = sum_n A_n(F) A_n(G) with
-    A_n(F) = int_0^T s(lambda_n, T-s)(f1 beta_n + f2' gamma_n) ds."""
-    if f.grid != g.grid:
-        raise DomainError("controls must share a grid")
-    T = f.grid.horizon
+    A_n(F) = int_0^T s(lambda_n, T-s)(f1 beta_n + f2' gamma_n) ds, one
+    SpectralResult per pair (F, G) of ``pairs``.  Every control must
+    share one grid, else DomainError; s(lambda_n, T - s) is built once."""
+    grid = _shared_grid([c for pair in pairs for c in pair])
+    T = grid.horizon
     if T >= measure.half_length:
         raise DomainError("horizon must stay below N")
-    h = f.grid.h
-    s = wave_kernel(measure.lam[:, None], T - f.grid.t)
-    w = trapezoid_weights(f.grid.n, h)
-    af = np.sum(s * _cauchy_coefficients(measure, f) * w, axis=1)
-    ag = np.sum(s * _cauchy_coefficients(measure, g) * w, axis=1)
-    terms = af * ag
-    full = float(terms.sum())
-    head = float(terms[: int(TAIL_FRACTION * measure.count)].sum())
-    return SpectralResult(full, _tail(np.array([full]), np.array([head])))
+    s = wave_kernel(measure.lam[:, None], T - grid.t)
+    w = trapezoid_weights(grid.n, grid.h)
+    results = []
+    for f, g in pairs:
+        af = np.sum(s * _cauchy_coefficients(measure, f) * w, axis=1)
+        ag = np.sum(s * _cauchy_coefficients(measure, g) * w, axis=1)
+        terms = af * ag
+        full = float(terms.sum())
+        head = float(terms[: int(TAIL_FRACTION * measure.count)].sum())
+        results.append(SpectralResult(
+            full, _tail(np.array([full]), np.array([head]))))
+    return results
 
 
 def spectral_forward(measure: SpectralMeasure, f: Control,

@@ -256,7 +256,7 @@ def test_criterion_9_spectral_bridge(gauss, resp256, ck256):
     dyn = apply_response(resp256, f).control
     dyn_int = np.stack([cumulative_trapezoid(dyn.f1, grid2.h),
                         cumulative_trapezoid(dyn.f2, grid2.h)])
-    base = smoothed_response_traces(measure, f, reference).value
+    base = smoothed_response_traces(measure, [f], reference)[0].value
     resp_err = np.linalg.norm(base - dyn_int) / np.linalg.norm(dyn_int)
 
     gridT = UniformGrid(1.0, 256)
@@ -266,13 +266,13 @@ def test_criterion_9_spectral_bridge(gauss, resp256, ck256):
         F = smooth_random_control(gridT, rng)
         G = smooth_random_control(gridT, rng)
         dynf = connecting_form(ck256, F, G)
-        spf = spectral_connecting_form(measure, F, G).value
+        spf = spectral_connecting_form(measure, [(F, G)])[0].value
         form_err = max(form_err, abs(spf - dynf) / abs(dynf))
 
     indep_err = 0.0
     for N, bc in ((6.0, (1, 0, 1, 0)), (4.0, (0, 1, 0, 1))):
         alt = eigensolve(gauss, N, bc, 400, 2048)
-        tr = smoothed_response_traces(alt, f).value
+        tr = smoothed_response_traces(alt, [f])[0].value
         indep_err = max(indep_err,
                         np.linalg.norm(tr - base) / np.linalg.norm(base))
     elapsed = time.perf_counter() - start

@@ -201,13 +201,29 @@ def test_wave_kernel_antiderivative_matches_quad():
                 ref, abs=1e-10)
 
 
+@pytest.mark.parametrize("kernel", [wave_kernel, wave_kernel_antiderivative])
+def test_wave_kernel_branches_match_scalar_calls(kernel):
+    # lam spans the series (|lam t^2| < 1e-6), positive and negative
+    # branches; each entry keeps the bits of its own scalar call
+    rng = np.random.default_rng(7)
+    lam = np.concatenate([rng.uniform(-40.0, 40.0, 40),
+                          rng.uniform(-1e-6, 1e-6, 10), [0.0, 2e-6, -2e-6]])
+    t = np.linspace(0.0, 1.5, 17)
+    got = kernel(lam[:, None], t)
+    want = np.array([[kernel(a, b) for b in t] for a in lam])
+    small = np.abs(lam[:, None] * t * t) < 1e-6
+    assert small.any() and (~small & (lam[:, None] > 0)).any()
+    assert (~small & (lam[:, None] < 0)).any()
+    assert got.tobytes() == want.tobytes()
+
+
 def test_zero_control_sums(measure_g):
     grid = UniformGrid(2.0, 64)
     z = zero_control(grid)
     assert np.max(np.abs(spectral_response(measure_g, z, 1.0).value)) == 0.0
     assert spectral_connecting_form(
-        measure_g, zero_control(UniformGrid(1.0, 64)),
-        zero_control(UniformGrid(1.0, 64))).value == 0.0
+        measure_g, [(zero_control(UniformGrid(1.0, 64)),
+                     zero_control(UniformGrid(1.0, 64)))])[0].value == 0.0
 
 
 def test_smoothed_response_vs_dynamic(gauss, resp128, measure_g, reference):
@@ -217,7 +233,7 @@ def test_smoothed_response_vs_dynamic(gauss, resp128, measure_g, reference):
         dyn = apply_response(resp128, f).control
         dyn_int = np.stack([cumulative_trapezoid(dyn.f1, grid.h),
                             cumulative_trapezoid(dyn.f2, grid.h)])
-        sp = smoothed_response_traces(measure_g, f, reference)
+        sp, = smoothed_response_traces(measure_g, [f], reference)
         rel = np.linalg.norm(sp.value - dyn_int) / np.linalg.norm(dyn_int)
         assert rel < 0.02
         assert sp.tail < 0.05
@@ -256,10 +272,32 @@ def test_smoothed_response_matches_mode_loop(offcenter, bc):
     ref = free_reference(m)
     f = smooth_random_control(UniformGrid(1.0, 128),
                               np.random.default_rng(5))
-    got = smoothed_response_traces(m, f, ref)
+    got, = smoothed_response_traces(m, [f], ref)
     want, tail = _mode_loop_traces(m, f, ref)
     assert np.max(np.abs(got.value - want)) <= 1e-10 * np.max(np.abs(want))
     assert abs(got.tail - tail) <= 1e-10 * tail
+
+
+def test_batched_sums_match_single_calls(resp128, measure_g, reference):
+    # three controls at once give the bits of three one-control calls
+    controls = [smooth_random_control(resp128.grid, np.random.default_rng(s))
+                for s in range(3)]
+    grid = UniformGrid(1.0, 128)
+    pairs = []
+    for seed in range(3):
+        rng = np.random.default_rng(50 + seed)
+        pairs.append((smooth_random_control(grid, rng),
+                      smooth_random_control(grid, rng)))
+    traces = smoothed_response_traces(measure_g, controls, reference)
+    forms = spectral_connecting_form(measure_g, pairs)
+    assert len(traces) == len(forms) == 3
+    for f, got in zip(controls, traces):
+        want, = smoothed_response_traces(measure_g, [f], reference)
+        assert got.value.tobytes() == want.value.tobytes()
+        assert got.tail == want.tail
+    for pair, got in zip(pairs, forms):
+        want, = spectral_connecting_form(measure_g, [pair])
+        assert (got.value, got.tail) == (want.value, want.tail)
 
 
 def test_measure_substitution(gauss, resp128):
@@ -270,7 +308,7 @@ def test_measure_substitution(gauss, resp128):
     for N, bc in ((4.0, (1, 0, 1, 0)), (5.0, (1, 0, 1, 0)),
                   (4.0, (0, 1, 0, 1))):
         m = eigensolve(gauss, N, bc, CUTOFF, MESH)
-        tr = smoothed_response_traces(m, f).value
+        tr = smoothed_response_traces(m, [f])[0].value
         if base is None:
             base = tr
         else:
@@ -284,14 +322,14 @@ def test_connecting_form_vs_dynamic(ck128, measure_g):
         F = smooth_random_control(grid, rng)
         G = smooth_random_control(grid, rng)
         dyn = connecting_form(ck128, F, G)
-        sp = spectral_connecting_form(measure_g, F, G)
+        sp, = spectral_connecting_form(measure_g, [(F, G)])
         assert abs(sp.value - dyn) / abs(dyn) < 0.02
 
 
 def test_parseval_surrogate(field128, measure_g):
     grid = UniformGrid(1.0, 128)
     F = smooth_random_control(grid, np.random.default_rng(12))
-    form = spectral_connecting_form(measure_g, F, F)
+    form, = spectral_connecting_form(measure_g, [(F, F)])
     assert form.value >= 0.0
     u = forward_solution(F, field128, 1.0)
     assert form.value == pytest.approx(inner_inner(u, u), rel=0.02)
@@ -330,15 +368,25 @@ def test_domain_guards(measure_g):
     long_grid = UniformGrid(9.0, 128)
     f = smooth_random_control(long_grid, np.random.default_rng(0))
     with pytest.raises(DomainError):
-        smoothed_response_traces(measure_g, f)
+        smoothed_response_traces(measure_g, [f])
     gridT = UniformGrid(5.0, 64)
     F = smooth_random_control(gridT, np.random.default_rng(0))
     with pytest.raises(DomainError):
-        spectral_connecting_form(measure_g, F, F)
+        spectral_connecting_form(measure_g, [(F, F)])
     with pytest.raises(DomainError):
         spectral_forward(measure_g,
                          smooth_random_control(UniformGrid(3.5, 64),
                                                np.random.default_rng(0)), 3.5)
+    # the batched sums take controls on one grid only
+    rng = np.random.default_rng(4)
+    a = smooth_random_control(UniformGrid(1.0, 128), rng)
+    b = smooth_random_control(UniformGrid(1.0, 64), rng)
+    with pytest.raises(DomainError):
+        smoothed_response_traces(measure_g, [a, b])
+    with pytest.raises(DomainError):
+        spectral_connecting_form(measure_g, [(a, b)])
+    with pytest.raises(DomainError):
+        spectral_connecting_form(measure_g, [(a, a), (b, b)])
 
 
 def test_measure_csv(tmp_path, measure_g):
@@ -363,8 +411,8 @@ def test_reference_without_eigenfunctions(gauss, measure_g, reference):
     full = eigensolve(ZeroPotential(), 4.0, (1, 0, 1, 0), CUTOFF, MESH)
     _check_reference(reference, full)
     f = smooth_random_control(UniformGrid(1.0, 128), np.random.default_rng(2))
-    got = smoothed_response_traces(measure_g, f, reference).value
-    want = smoothed_response_traces(measure_g, f, full).value
+    got = smoothed_response_traces(measure_g, [f], reference)[0].value
+    want = smoothed_response_traces(measure_g, [f], full)[0].value
     assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
     bare = eigensolve(gauss, 4.0, (1, 0, 1, 0), CUTOFF, MESH, vecs=False)
     assert bare.vecs is None
@@ -408,7 +456,7 @@ def test_smoothed_response_rejects_foreign_reference(measure_g, reference,
                                                      change):
     f = smooth_random_control(UniformGrid(1.0, 128), np.random.default_rng(2))
     with pytest.raises(DomainError):
-        smoothed_response_traces(measure_g, f,
+        smoothed_response_traces(measure_g, [f],
                                  dataclasses.replace(reference, **change))
 
 
@@ -431,3 +479,22 @@ def test_spectral_stage_solve_count(monkeypatch, tmp_path, bc, solves):
         "out": str(tmp_path)}))
     assert run_pipeline(cfg)["ok"]
     assert len(calls) == solves
+
+
+def test_spectral_stage_builds_kernels_once(monkeypatch, tmp_path):
+    # sigma for the measure and the reference, and s(lam, T - t), once
+    # per stage, however many controls it evaluates
+    calls = []
+    for name in ("wave_kernel", "wave_kernel_antiderivative"):
+        def spy(*args, _name=name, _real=getattr(spectral, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(spectral, name, spy)
+    cfg = parse_config(json.dumps({
+        "potential": {"kind": "gaussian"}, "T": 1.0, "n": 16,
+        "spectral": {"cutoff": 20, "mesh": 128},
+        "stages": ["kernels", "response", "spectral"],
+        "out": str(tmp_path)}))
+    assert run_pipeline(cfg)["ok"]
+    assert sorted(calls) == ["wave_kernel", "wave_kernel_antiderivative",
+                             "wave_kernel_antiderivative"]
