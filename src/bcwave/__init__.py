@@ -12,7 +12,7 @@ of an analytic potential loads no scipy at all: the Gaussian's erf is a
 numpy port of scipy's own Cephes algorithm, bit for bit on scipy 1.17.1.
 """
 
-from .grid import Control, StateVector, UniformGrid
+from .grid import Control, UniformGrid
 from .potentials import (
     ConstantPotential,
     GaussianPotential,
@@ -33,7 +33,6 @@ BACKEND = "python"
 __all__ = [
     "BACKEND",
     "Control",
-    "StateVector",
     "UniformGrid",
     "Potential",
     "ZeroPotential",

@@ -15,8 +15,8 @@ Schema (defaults in brackets):
       "seed": [0]             # RNG seed for generated test controls
     }
 
-Unknown keys anywhere are rejected by name; parse(write(cfg)) is the
-identity.
+Unknown keys anywhere are rejected by name; the JSON form of
+:func:`config_to_dict` parses back to the same config.
 """
 
 from __future__ import annotations
@@ -272,6 +272,3 @@ def config_to_dict(cfg: RunConfig) -> dict:
         d["response_csv"] = cfg.response_csv
     return d
 
-
-def write_config(cfg: RunConfig) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)

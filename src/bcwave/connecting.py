@@ -41,7 +41,6 @@ definite); where it stops short, :func:`assemble_matrix` raises.  The
 connect stage reports from it the assembly asymmetry (the factor's
 full-horizon asymmetry) and the smallest eigenvalue (Lanczos through the
 factor, Lehoucq, Sorensen and Yang 1998); krein and gl solve through it.
-The dense stacked matrix is formed only when asked for.
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, GridMismatchError,
-                     InternalConsistencyError, ReconstructionError)
+from .errors import DomainError, GridMismatchError, ReconstructionError
 from .grid import (Control, UniformGrid, cumulative_trapezoid,
                    trapezoid_weights, write_csv)
 from .response import ResponseMatrix
@@ -126,9 +124,6 @@ class ConnectingKernel:
         the entries, valid for any potential."""
         return float(np.max(np.abs(self.c12 - self.c21.T)))
 
-    def scale(self) -> float:
-        return float(np.max(np.abs(self.nodes)))
-
     def dump_csv(self, path) -> None:
         """Columns t, s, C11, C12, C21, C22, one block per t row."""
         t = self.grid.t
@@ -174,29 +169,6 @@ def connecting_form(ck: ConnectingKernel, f: Control, g: Control) -> float:
     return inner_outer(apply_connecting(ck, f), g)
 
 
-def _assemble(cr: np.ndarray, h: float):
-    """Dense stacked Nystrom matrix of C^tau from its node-major array
-    ``cr`` (see :func:`connecting_nodes`): (A + A^T)/2 with
-    A = W/2 + W C W acting on [f1; f2] in forward time (W = diag of
-    trapezoid weights), and the stacked weights.
-    InternalConsistencyError if A is more asymmetric than the
-    symmetrization may hide.  Solving A f = W rhs is equivalent to
-    collocating C^tau f = rhs at the nodes."""
-    size = cr.shape[0]
-    # stacked forward-time row (a, i) is node-major row size - 2 - 2i + a
-    order = np.concatenate([np.arange(size - 2, -1, -2),
-                            np.arange(size - 1, 0, -2)])
-    wvec = np.tile(trapezoid_weights(size // 2 - 1, h), 2)
-    A = 0.5 * np.diag(wvec) + (wvec[:, None] * cr[np.ix_(order, order)]
-                               * wvec[None, :])
-    asym = float(np.max(np.abs(A - A.T)))
-    if asym > ASYMMETRY_H2 * h * h:
-        raise InternalConsistencyError(
-            "connecting matrix asymmetry %g exceeds %g h^2"
-            % (asym, ASYMMETRY_H2))
-    return 0.5 * (A + A.T), wvec
-
-
 def _tri_solve(factor: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
     """Solve L x = b (trans 0) or L^T x = b (trans 1) in place for a
     C-ordered b.  Its transpose is Fortran-ordered, so BLAS solves
@@ -228,9 +200,9 @@ class NestedFactor:
     triangle (Fortran order), ``b_diag`` the diagonal of B.
     K, the factor's reach, is n unless the factorization stops at node
     p, when K = p - 1, or the asymmetry of A_k, which the symmetrization
-    hides, exceeds ASYMMETRY_H2 h^2 (the bound the dense assembly
-    enforces), when K = k - 1; :func:`assemble_matrix` accepts only
-    K = n.  A :meth:`panel` serves the horizons first..last only.
+    hides, exceeds ASYMMETRY_H2 h^2, when K = k - 1;
+    :func:`assemble_matrix` accepts only K = n.  A :meth:`panel` serves
+    the horizons first..last only.
     """
 
     h: float
@@ -365,10 +337,9 @@ def _symmetrize(a: np.ndarray):
 
 def nested_factor(cr: np.ndarray, h: float) -> NestedFactor:
     """Form B = W/2 + W C~ W from the node-major reflected kernel ``cr``
-    (``ConnectingKernel.nodes``), symmetrize it as the dense assembly
-    does and factor it in place.  B's entries equal those of the
-    reversed full-horizon assembled matrix bit for bit, and the asymmetry
-    of every horizon's matrix is recorded."""
+    (``ConnectingKernel.nodes``), symmetrize it, (B + B^T)/2, and factor
+    it in place.  The asymmetry of every horizon's matrix, before the
+    symmetrization, is recorded."""
     from scipy.linalg.lapack import dpotrf
 
     n = cr.shape[0] // 2 - 1
@@ -386,8 +357,8 @@ def nested_factor(cr: np.ndarray, h: float) -> NestedFactor:
     a, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
     # Horizon k needs the factor down to node k.  On failure LAPACK leaves
     # the factor of the leading block of order info - 1.  The reach also
-    # ends before the first horizon whose matrix is too asymmetric (see
-    # _assemble).
+    # ends before the first horizon whose matrix is too asymmetric for
+    # the symmetrization to hide.
     K = n if info == 0 else min(n, max(0, (info - 1) // 2 - 1))
     K = min(K, int(np.argmax(np.append(asym, np.inf) > ASYMMETRY_H2 * h * h)))
     k = np.arange(1, K + 1)
@@ -410,8 +381,7 @@ class AssembledConnecting:
 
     B is a symmetric permutation (time reversal, node-major order) of the
     stacked matrix A = W/2 + W C W of C^T, so the two share their
-    asymmetry and their spectrum.  The dense symmetrized A is formed only
-    when ``matrix`` asks for it.
+    asymmetry and their spectrum.
     """
 
     kernel: ConnectingKernel
@@ -423,20 +393,14 @@ class AssembledConnecting:
         the full horizon, whose node weights are A's."""
         return float(self.factor.asymmetry[-1])
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense symmetrized A (see :func:`_assemble`), formed anew on
-        each access."""
-        return _assemble(self.kernel.nodes, self.kernel.grid.h)[0]
-
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the symmetrized A.
 
         B is positive definite, so this is the inverse of the largest
         eigenvalue of B^{-1}, found by Lanczos (ARPACK) on an operator of
         two triangular solves (``dtrsv``) with the factor.  If Lanczos
-        does not converge, it comes from a dense ``eigvalsh`` of
-        ``matrix``.
+        does not converge, it comes from a dense ``eigvalsh`` of B, read
+        from the factor: its strict upper triangle and ``b_diag``.
         """
         from scipy.linalg.blas import dtrsv
         from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
@@ -456,7 +420,9 @@ class AssembledConnecting:
             mu = eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)
             return float(1.0 / mu[0])
         except ArpackNoConvergence:
-            return float(np.linalg.eigvalsh(self.matrix)[0])
+            b = fac.factor.copy()
+            b[np.diag_indices_from(b)] = fac.b_diag
+            return float(np.linalg.eigvalsh(b, UPLO="U")[0])
 
 
 def assemble_matrix(ck: ConnectingKernel) -> AssembledConnecting:

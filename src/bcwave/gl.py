@@ -1,13 +1,12 @@
 """Gelfand-Levitan route: kernel m of (I+K)^{-1} - I and q from its diagonal.
 
-Two independent constructions of m are provided:
-
-* :func:`invert_volterra` -- from forward kernel data, by block triangular
-  back-substitution of (I+K)(I+M) = I (test-support path);
-* :func:`solve_gl` -- from response data alone, solving the second-kind
-  equation m(x,s) + C~(x,s) + int_0^s C~(x,a) m(a,s) da = 0 column by
-  column, where C~(t,s) = 2 C(T-t, T-s) is twice the connecting kernel's
-  node-major array (the kernel of J (2 C^T) J^T - I = K + K* + K*K).
+:func:`solve_gl` finds m from response data alone, solving the
+second-kind equation m(x,s) + C~(x,s) + int_0^s C~(x,a) m(a,s) da = 0
+column by column, where C~(t,s) = 2 C(T-t, T-s) is twice the connecting
+kernel's node-major array (the kernel of J (2 C^T) J^T - I = K + K* +
+K*K).  The test suite checks it against m built from forward kernel
+data instead, by block triangular back-substitution of (I+K)(I+M) = I
+(``invert_volterra`` in ``tests/oracles.py``).
 
 Scaled by W/2, the column system at s_j is the unsymmetrized matrix of
 the Krein horizon j, so :func:`solve_gl` shares the Krein route's nested
@@ -26,8 +25,8 @@ so it needs no shift.
 m is held once (:class:`OperatorM`), as one node-major (2n+2)^2 array
 laid out as the connecting kernel's, without its time reflection: entry
 (2i + a, 2j + b) is m_ab(x_i, s_j).  The panel solves write into it
-directly, the identity residual multiplies it as it is, and
-:func:`invert_volterra` builds it in that order; m11..m22 are views.
+directly and the identity residual multiplies it as it is; m11..m22
+are views.
 
 On the diagonal m(x,x) = -k(x,x), and the potential follows from
 q(x) = 2 d/dx [m11(x,x) - m12(x,x)] with the left half-line recovered
@@ -43,10 +42,8 @@ import numpy as np
 from .connecting import (AssembledConnecting, ConnectingKernel,
                          NestedFactor, assemble_matrix)
 from .errors import GridMismatchError, ReconstructionError
-from .goursat import KernelField
 from .grid import (UniformGrid, differentiate, row_trapezoid_weights,
                    trapezoid_weights, write_csv)
-from .response import operator_k_matrix
 
 #: Refinement steps against the unsymmetrized column systems after the
 #: solve through the symmetrized factor, and the largest size of the last
@@ -91,44 +88,6 @@ class OperatorM:
                  m22[i, i:]) for i in range(len(t)))
         write_csv(path, ["x", "s", "m11", "m12", "m21", "m22"], rows,
                   coords=t)
-
-
-def invert_volterra(field: KernelField, n_half: int) -> OperatorM:
-    """M with (I+K)(I+M) = I by block back-substitution, K from forward
-    kernel data.
-
-    In node-major ordering I+K is block upper triangular with 2x2
-    diagonal blocks, so the inverse is computed exactly (up to roundoff)
-    bottom-up; no dense solve is involved, and M stays node-major.
-    """
-    K = operator_k_matrix(field, n_half)
-    m = n_half + 1
-    h = field.grid.h
-    # node-major permutation: stacked index (comp*m + i) -> 2*i + comp
-    perm = np.empty(2 * m, dtype=np.intp)
-    perm[0::2] = np.arange(m)
-    perm[1::2] = m + np.arange(m)
-    A = (np.eye(2 * m) + K)[np.ix_(perm, perm)]
-    X = np.zeros_like(A)
-    eye2 = np.eye(2)
-    for i in range(m - 1, -1, -1):
-        r = slice(2 * i, 2 * i + 2)
-        t = slice(2 * i + 2, 2 * m)
-        rhs = np.zeros((2, 2 * m))
-        rhs[:, 2 * i:2 * i + 2] = eye2
-        rhs -= A[r, t] @ X[t]
-        X[r] = np.linalg.solve(A[r, r], rhs)
-    X -= np.eye(2 * m)
-    # divide out the per-row quadrature weights of the Nystrom matrix; the
-    # weightless corner (n, n) is extrapolated quadratically along the
-    # diagonal
-    w = row_trapezoid_weights(n_half, h)[:, None, :, None]
-    x4 = X.reshape(m, 2, m, 2)
-    x4[...] = np.where(w > 0.0, x4 / np.where(w > 0.0, w, 1.0), 0.0)
-    n = n_half
-    x4[n, :, n] = 3.0 * x4[n - 1, :, n - 1] - 3.0 * x4[n - 2, :, n - 2] \
-        + x4[n - 3, :, n - 3]
-    return OperatorM(UniformGrid(n_half * h, n_half), X)
 
 
 def solve_gl(ck: ConnectingKernel,
@@ -217,13 +176,6 @@ def _solve_column(cr: np.ndarray, j: int, h: float) -> np.ndarray:
     ct = 2.0 * cr[np.ix_(stacked, stacked)]
     A = np.eye(2 * k) + ct * np.tile(trapezoid_weights(j, h), 2)
     return np.linalg.solve(A, -ct[:, [k - 1, 2 * k - 1]])
-
-
-def m_action_matrix(M: OperatorM) -> np.ndarray:
-    """Nystrom action matrix of M on stacked nodal controls (per-row
-    trapezoid weights over [x, T], mirroring the K discretization)."""
-    w = row_trapezoid_weights(M.grid.n, M.grid.h)
-    return np.block([[M.m11 * w, M.m12 * w], [M.m21 * w, M.m22 * w]])
 
 
 def operator_identity_residual(ck: ConnectingKernel, M: OperatorM) -> float:

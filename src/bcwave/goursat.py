@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grid import UniformGrid, cumulative_trapezoid, write_csv
+from .grid import UniformGrid, write_csv
 from .potentials import Potential
 
 
@@ -68,9 +68,6 @@ class KernelField:
     holds the nodes i = -k..k (x = i h) at ``[k*k, (k+1)**2)``, so node
     (k, i) sits at ``k*k + k + i``; in characteristic coordinates level k
     is the anti-diagonal xi + eta = 2 k h, read from eta = 2 k h down.
-
-    Grid-node access goes through :meth:`value` and :meth:`column`;
-    points outside the cone are rejected rather than silently read.
     """
 
     def __init__(self, grid: UniformGrid, W1: np.ndarray, W2: np.ndarray):
@@ -78,27 +75,6 @@ class KernelField:
         self.W1 = W1
         self.W2 = W2
         self._traces = None
-
-    @property
-    def horizon(self) -> float:
-        return self.grid.horizon
-
-    def _levels(self, which):
-        return self.W1 if which == "w1" else self.W2
-
-    def value(self, which: str, k: int, i: int) -> float:
-        """Kernel value at (x, t) = (i*h, k*h); requires |i| <= k <= n."""
-        if abs(i) > k or k > self.grid.n:
-            raise DomainError("point (k=%d, i=%d) lies outside the cone" % (k, i))
-        return self._levels(which)[k * k + k + i]
-
-    def column(self, which: str, i: int, ks: np.ndarray) -> np.ndarray:
-        """Values w(x_i, t_k) for an array of time indices |i| <= ks <= n."""
-        if np.any(ks < abs(i)):
-            raise DomainError("time indices dip below the cone boundary")
-        if np.any(ks > self.grid.n):
-            raise DomainError("time indices exceed the kernel horizon")
-        return self._levels(which)[ks * ks + ks + i]
 
     def traces(self) -> Traces:
         if self._traces is None:
@@ -198,45 +174,6 @@ def _march(levels, right, left, qd, h):
         # in full before it is stored, and the ends are set after it
         new[:, 1:s] = P + Q - d2 - coef * qd[m - s + 2:m + s - 1:2] * (P + Q)
         new[:, 0], new[:, s] = left[:, s], right[:, s]
-
-
-def picard_oracle(p: Potential, grid: UniformGrid, iterations: int) -> KernelField:
-    """Independent verification oracle for :func:`solve_kernels`.
-
-    Solves the equivalent characteristic integral equation
-
-        w(xi, eta) = a(xi) + b(eta)
-                     - 1/4 * int_0^xi int_0^eta q((al - be)/2) w(al, be)
-
-    by fixed-point iteration with trapezoid quadrature.  ``iterations``
-    applications of the integral map reproduce the Picard series through
-    order ``iterations`` in q.  The dense lattice is gathered into the
-    level layout of :class:`KernelField`.
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    _check_support(p, grid)
-    m = 2 * grid.n
-    h = grid.h
-    a_idx, b_idx = np.meshgrid(np.arange(m + 1), np.arange(m + 1),
-                               indexing="ij")
-    Q = np.asarray(p(0.5 * h * (a_idx - b_idx)), dtype=float)
-
-    def cum2d(F):
-        return cumulative_trapezoid(cumulative_trapezoid(F, h), h, axis=1)
-
-    levels = np.arange(grid.n + 1)
-    k = np.repeat(levels, 2 * levels + 1)
-    a = np.arange((grid.n + 1) ** 2) - k * k
-    field = []
-    for which in ("w1", "w2"):
-        right, left = _boundary_arrays(p, grid, which)
-        W0 = right[:, None] + left[None, :]
-        W = W0
-        for _ in range(iterations):
-            W = W0 - 0.25 * cum2d(Q * W)
-        field.append(W[a, 2 * k - a])
-    return KernelField(grid, field[0], field[1])
 
 
 def _trace_derivative(W: np.ndarray, n: int, h: float):

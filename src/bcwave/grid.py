@@ -1,6 +1,6 @@
-"""Uniform grids, two-component controls, state vectors and the fixed
-operator algebra (S, time reversal, L2 inner products), plus the one CSV
-output format every stage writes.
+"""Uniform grids, two-component controls, trapezoid quadrature and the
+L2 inner product of controls, plus the one CSV output format every stage
+writes.
 
 Apart from the CSV writer, everything here is a pure function of
 immutable inputs; arrays handed to the constructors are copied and never
@@ -9,15 +9,11 @@ mutated afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-
-#: The constant 2x2 matrix S = 1/2 [[1, -1], [-1, -1]].  It is symmetric
-#: and satisfies S @ S = I/2.
-S_MATRIX = 0.5 * np.array([[1.0, -1.0], [-1.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -159,43 +155,6 @@ class Control:
         return Control(grid, v[:m], v[m:])
 
 
-def zero_control(grid: UniformGrid) -> Control:
-    z = np.zeros(grid.n + 1)
-    return Control(grid, z, z, z, z)
-
-
-def s_apply(obj):
-    """Apply S = 1/2 [[1,-1],[-1,-1]] pointwise.
-
-    Accepts a length-2 vector, a Control or a StateVector and returns the
-    same kind of object.
-    """
-    if isinstance(obj, Control):
-        g1 = 0.5 * (obj.f1 - obj.f2)
-        g2 = 0.5 * (-obj.f1 - obj.f2)
-        d1 = d2 = None
-        if obj.has_analytic_derivative:
-            d1 = 0.5 * (obj.df1 - obj.df2)
-            d2 = 0.5 * (-obj.df1 - obj.df2)
-        return Control(obj.grid, g1, g2, d1, d2)
-    if isinstance(obj, StateVector):
-        return StateVector(
-            obj.grid,
-            0.5 * (obj.a1 - obj.a2),
-            0.5 * (-obj.a1 - obj.a2),
-        )
-    return S_MATRIX @ np.asarray(obj, dtype=float)
-
-
-def jt_apply(f: Control) -> Control:
-    """Time reversal (J^T F)(t) = F(T - t); sample k -> n - k."""
-    d1 = d2 = None
-    if f.has_analytic_derivative:
-        d1 = -f.df1[::-1]
-        d2 = -f.df2[::-1]
-    return Control(f.grid, f.f1[::-1], f.f2[::-1], d1, d2)
-
-
 def _check_same_grid(a, b):
     if a.grid != b.grid:
         raise GridMismatchError("operands live on different grids")
@@ -206,42 +165,6 @@ def inner_outer(f: Control, g: Control) -> float:
     _check_same_grid(f, g)
     w = trapezoid_weights(f.grid.n, f.grid.h)
     return float(np.sum(w * (f.f1 * g.f1 + f.f2 * g.f2)))
-
-
-def control_norm(f: Control) -> float:
-    return float(np.sqrt(max(inner_outer(f, f), 0.0)))
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Element of the inner space L2(-T, T) in the two-component encoding
-    a1(x) = a(x), a2(x) = a(-x) for x in [0, T]."""
-
-    grid: UniformGrid
-    a1: np.ndarray
-    a2: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a1", _as_samples(self.grid, self.a1))
-        object.__setattr__(self, "a2", _as_samples(self.grid, self.a2))
-
-    def to_line(self) -> tuple[np.ndarray, np.ndarray]:
-        """Samples on [-T, T]; the x=0 node takes the x>0 trace a1[0]."""
-        x = np.concatenate([-self.grid.t[::-1], self.grid.t[1:]])
-        u = np.concatenate([self.a2[::-1], self.a1[1:]])
-        return x, u
-
-
-def zero_state(grid: UniformGrid) -> StateVector:
-    z = np.zeros(grid.n + 1)
-    return StateVector(grid, z, z)
-
-
-def inner_inner(a: StateVector, b: StateVector) -> float:
-    """L2(-T, T) inner product = int_0^T (a1 b1 + a2 b2) dx, trapezoid."""
-    _check_same_grid(a, b)
-    w = trapezoid_weights(a.grid.n, a.grid.h)
-    return float(np.sum(w * (a.a1 * b.a1 + a.a2 * b.a2)))
 
 
 def smooth_random_control(grid: UniformGrid, rng, modes: int = 5) -> Control:

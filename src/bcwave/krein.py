@@ -13,9 +13,10 @@ y(+-tau_k) costs O(1), and the full solution, which the per-horizon
 residual needs, O(k^2).  In a pipeline run the kernel and factor are
 the ones the connect and gl stages share
 (:func:`~bcwave.connecting.assemble_matrix`); called alone, the sweep
-builds its own, which raises where the factor stops short.
-:func:`solve_krein` solves one horizon densely, on the leading block of
-the kernel's array, which is C^{tau_k}: it is the sweep's test oracle.
+builds its own, which raises where the factor stops short.  The test
+suite checks the sweep against one dense solve per horizon, on the
+leading block of the kernel's array, which is C^{tau_k} (``solve_krein``
+in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -24,51 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connecting import (AssembledConnecting, _assemble, assemble_matrix,
-                         build_connecting)
+from .connecting import AssembledConnecting, assemble_matrix, build_connecting
 from .errors import ReconstructionError
 from .grid import write_csv
 from .response import ResponseMatrix
 
 #: q = y''/y is recovered only where |y| >= EPS_FRAC * max|y|.
 EPS_FRAC = 0.05
-
-
-@dataclass(frozen=True)
-class KreinSolution:
-    """Solution of the Krein equation at one horizon tau = n_half * h."""
-
-    tau: float
-    h: float
-    f1: np.ndarray
-    f2: np.ndarray
-    residual: float
-
-
-def solve_krein(cr: np.ndarray, h: float) -> KreinSolution:
-    """Solve (C^tau F)(t) = (tau - t)(1,0)^T on [0, tau] from the
-    node-major array ``cr`` of C^tau
-    (:func:`~bcwave.connecting.connecting_nodes`), tau = n_half * h with
-    2 n_half + 2 rows."""
-    from scipy.linalg import cho_factor, cho_solve
-
-    n_half = cr.shape[0] // 2 - 1
-    tau = n_half * h
-    A, weights = _assemble(cr, h)
-    t = h * np.arange(n_half + 1)
-    rhs = np.concatenate([tau - t, np.zeros(n_half + 1)])  # sampled exactly
-    b = weights * rhs
-    f = cho_solve(cho_factor(A), b)
-    resid = float(np.linalg.norm(A @ f - b) / max(np.linalg.norm(b), 1e-300))
-    m = n_half + 1
-    return KreinSolution(tau, h, f[:m], f[m:], resid)
-
-
-def endpoint_values(sol: KreinSolution) -> tuple[float, float]:
-    """(y(tau), y(-tau)) from the t = 0 samples of the control."""
-    y_plus = 0.5 * sol.f1[0] - 0.5 * sol.f2[0]
-    y_minus = -0.5 * sol.f1[0] - 0.5 * sol.f2[0]
-    return float(y_plus), float(y_minus)
 
 
 @dataclass(frozen=True)
@@ -130,7 +93,7 @@ def sweep_reconstruct(r: ResponseMatrix,
     y[n - k] = -0.5 * f1 - 0.5 * f2
     del fac
     x = h * np.arange(-n, n + 1)
-    q, valid = recover_q_from_y(x, y, np.ones(2 * n + 1, dtype=bool))
+    q, valid = recover_q_from_y(x, y)
     return CauchyProfile(x, y, q, valid, residuals,
                          np.zeros(n, dtype=bool))
 
@@ -233,7 +196,7 @@ def _smoothing_spline(x: np.ndarray, y: np.ndarray, lam: float,
     return out
 
 
-def recover_q_from_y(x: np.ndarray, y: np.ndarray, solved: np.ndarray):
+def recover_q_from_y(x: np.ndarray, y: np.ndarray):
     """q = y''/y where |y| >= EPS_FRAC * max|y|; y'' is taken on a light
     cubic smoothing-spline fit (penalty ~ h^4) to stabilize the double
     differentiation of solver output.
@@ -241,9 +204,8 @@ def recover_q_from_y(x: np.ndarray, y: np.ndarray, solved: np.ndarray):
     The fit is :func:`_smoothing_spline`, Woltring's (1986) spline in
     the natural-spline basis of Hutchinson and de Hoog (1985), a numpy
     port that matches scipy 1.17.1's ``make_smoothing_spline`` bit for
-    bit; samples of unsolved horizons are left out of the fit and get
-    its values."""
-    good = solved & np.isfinite(y)
+    bit; non-finite samples are left out of the fit and get its values."""
+    good = np.isfinite(y)
     if np.count_nonzero(good) < 5:
         raise ReconstructionError("fewer than 5 valid y samples")
     h = x[1] - x[0]

@@ -288,7 +288,7 @@ def _stage_spectral(cfg, state, files):
     form_errors = []
     tails = []
     for f, (F, G), sp, spf in zip(controls, pairs, traces, forms):
-        dyn = apply_response(r, f).control
+        dyn = apply_response(r, f)
         dyn_int = np.stack([cumulative_trapezoid(dyn.f1, grid2.h),
                             cumulative_trapezoid(dyn.f2, grid2.h)])
         resp_errors.append(float(np.linalg.norm(sp.value - dyn_int)

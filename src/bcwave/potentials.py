@@ -94,7 +94,6 @@ def _erf(x):
 class Potential:
     """Base class; subclasses implement _eval and _cumint on checked x."""
 
-    kind = "abstract"
     #: support radius; evaluation outside [-L, L] is a DomainError
     support = np.inf
 
@@ -113,13 +112,8 @@ class Potential:
         """Q(x) = int_0^x q(s) ds (signed: Q(x) < 0 possible for x < 0)."""
         return self._cumint(self._check(x))
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 class ConstantPotential(Potential):
-    kind = "constant"
-
     def __init__(self, value: float):
         self.value = finite_number(value, "potential.value")
 
@@ -129,24 +123,14 @@ class ConstantPotential(Potential):
     def _cumint(self, x):
         return self.value * x
 
-    def to_config(self):
-        return {"kind": "constant", "value": self.value}
-
 
 class ZeroPotential(ConstantPotential):
-    kind = "zero"
-
     def __init__(self):
         super().__init__(0.0)
-
-    def to_config(self):
-        return {"kind": "zero"}
 
 
 class GaussianPotential(Potential):
     """q(x) = amplitude * exp(-((x - center)/width)^2)."""
-
-    kind = "gaussian"
 
     def __init__(self, amplitude: float = 1.0, width: float = 1.0,
                  center: float = 0.0):
@@ -167,15 +151,9 @@ class GaussianPotential(Potential):
         s = 0.5 * np.sqrt(np.pi) * a * w
         return s * (_erf((x - c) / w) - _erf(-c / w))
 
-    def to_config(self):
-        return {"kind": "gaussian", "amplitude": self.amplitude,
-                "width": self.width, "center": self.center}
-
 
 class Sech2Potential(Potential):
     """q(x) = amplitude * sech((x - center)/width)^2."""
-
-    kind = "sech2"
 
     def __init__(self, amplitude: float = 1.0, width: float = 1.0,
                  center: float = 0.0):
@@ -193,15 +171,9 @@ class Sech2Potential(Potential):
         a, w, c = self.amplitude, self.width, self.center
         return a * w * (np.tanh((x - c) / w) - np.tanh(-c / w))
 
-    def to_config(self):
-        return {"kind": "sech2", "amplitude": self.amplitude,
-                "width": self.width, "center": self.center}
-
 
 class PolynomialPotential(Potential):
     """q(x) = sum_j coeffs[j] * x**j."""
-
-    kind = "polynomial"
 
     def __init__(self, coeffs):
         self.coeffs = [finite_number(c, "potential.coeffs") for c in coeffs]
@@ -215,15 +187,10 @@ class PolynomialPotential(Potential):
         anti = [0.0] + [c / (j + 1) for j, c in enumerate(self.coeffs)]
         return np.polynomial.polynomial.polyval(x, anti)
 
-    def to_config(self):
-        return {"kind": "polynomial", "coeffs": self.coeffs}
-
 
 class TabulatedPotential(Potential):
     """Sampled potential with natural cubic spline interpolation (C^1,
     consistent with the smoothness the inversion formulas assume)."""
-
-    kind = "tabulated"
 
     def __init__(self, x, q):
         from scipy.interpolate import CubicSpline
@@ -247,9 +214,6 @@ class TabulatedPotential(Potential):
 
     def _cumint(self, x):
         return self._anti(x) - self._anti(0.0)
-
-    def to_config(self):
-        return {"kind": "tabulated", "x": list(self.x), "q": list(self.q)}
 
 
 _KINDS = {

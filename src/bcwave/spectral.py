@@ -9,8 +9,10 @@ self-adjoint boundary conditions
 L2-normalized eigenfunctions y_n define the matrix measure weights
 (beta_n, gamma_n) x (beta_n, gamma_n) with beta_n = y_n'(0) and
 gamma_n = -y_n(0), and the forward solution, response, and connecting
-form all admit sums over (lambda_n, beta_n, gamma_n) that this module
-evaluates and that the tests compare against the dynamic counterparts.
+form all admit sums over (lambda_n, beta_n, gamma_n).  This module
+evaluates the response and connecting-form sums that the spectral stage
+compares against their dynamic counterparts; the raw response and
+forward-solution sums are test oracles (``tests/oracles.py``).
 Response comparisons are done on time-integrated traces, where the
 spectral sums converge uniformly.
 """
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, SpectralError
-from .grid import (Control, StateVector, UniformGrid, conv_trapezoid,
-                   cumulative_trapezoid, trapezoid_weights, write_csv)
+from .grid import (Control, UniformGrid, conv_trapezoid, cumulative_trapezoid,
+                   trapezoid_weights, write_csv)
 from .potentials import Potential, ZeroPotential
 
 #: fraction of leading terms defining the tail-movement indicator
@@ -310,32 +312,6 @@ class SpectralResult:
     tail: float
 
 
-def spectral_response(measure: SpectralMeasure, f: Control,
-                      t: float) -> SpectralResult:
-    """(R^T F)(t) as the raw truncated measure sum; value is a 2-vector.
-
-    The raw sum is formal: its beta-channel grows with the cutoff (the
-    jump of u at x = 0 puts a delta concentration into the first
-    component).  Use :func:`smoothed_response_traces` for quantitative
-    comparisons; this entry point exists to expose the raw partial sums
-    and their tail behaviour.
-    """
-    h = f.grid.h
-    k = int(round(t / h))
-    if abs(k * h - t) > 1e-9 * h or k > f.grid.n:
-        raise DomainError("t must be a grid node within the control horizon")
-    if t >= 2.0 * measure.half_length:
-        raise DomainError("t must stay below 2N")
-    g = _cauchy_coefficients(measure, f)[:, : k + 1]
-    s = wave_kernel(measure.lam[:, None], t - h * np.arange(k + 1))
-    w = trapezoid_weights(k, h) if k else np.zeros(1)
-    amp = np.sum(s * g * w, axis=1)
-    terms = amp[:, None] * np.stack([measure.beta, measure.gamma], axis=1)
-    full = terms.sum(axis=0)
-    head = terms[: int(TAIL_FRACTION * measure.count)].sum(axis=0)
-    return SpectralResult(full, _tail(full, head))
-
-
 def free_reference(measure: SpectralMeasure) -> SpectralMeasure:
     """The q = 0 measure with the same interval, bc, cutoff and mesh,
     without eigenfunctions (the reference sums read lam, beta and gamma
@@ -492,34 +468,3 @@ def spectral_connecting_form(measure: SpectralMeasure,
             full, _tail(np.array([full]), np.array([head]))))
     return results
 
-
-def spectral_forward(measure: SpectralMeasure, f: Control,
-                     t: float) -> SpectralResult:
-    """v^F(., t) = sum_n c_n(t) y_n as a StateVector on [-t, t].
-
-    Valid while the waves have not reached the artificial ends,
-    t < N - T; eigenfunctions are sampled on the dynamic nodes by linear
-    interpolation from the eigensolver mesh.
-    """
-    h = f.grid.h
-    k = int(round(t / h))
-    if abs(k * h - t) > 1e-9 * h or k > f.grid.n:
-        raise DomainError("t must be a grid node within the control horizon")
-    if t >= measure.half_length - f.grid.horizon:
-        raise DomainError("t must stay below N - T")
-    g = _cauchy_coefficients(measure, f)[:, : k + 1]
-    s = wave_kernel(measure.lam[:, None], t - h * np.arange(k + 1))
-    w = trapezoid_weights(k, h) if k else np.zeros(1)
-    c = np.sum(s * g * w, axis=1)
-
-    xq = h * np.arange(k + 1)
-    # (count, k+1) at x = +i h and -i h
-    yp = np.array([np.interp(xq, measure.nodes, v) for v in measure.vecs])
-    ym = np.array([np.interp(-xq, measure.nodes, v) for v in measure.vecs])
-    n_head = int(TAIL_FRACTION * measure.count)
-    a1 = c @ yp
-    a2 = c @ ym
-    head = np.concatenate([c[:n_head] @ yp[:n_head], c[:n_head] @ ym[:n_head]])
-    full = np.concatenate([a1, a2])
-    state = StateVector(f.grid.subgrid(k), a1, a2)
-    return SpectralResult(state, _tail(full, head))

@@ -11,7 +11,6 @@ from bcwave.config import (
     SpectralOptions,
     memory_estimate,
     parse_config,
-    write_config,
 )
 from bcwave.errors import ConfigError
 from bcwave.goursat import solve_kernels
@@ -19,6 +18,8 @@ from bcwave.grid import UniformGrid
 from bcwave.pipeline import run_pipeline
 from bcwave.potentials import GaussianPotential
 from bcwave.response import response_matrix
+
+from oracles import write_config
 
 MINIMAL = '{"potential": {"kind": "gaussian", "amplitude": 1.0}, "T": 1.0, "n": 16}'
 

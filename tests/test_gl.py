@@ -10,8 +10,6 @@ from bcwave.connecting import ConnectingKernel, build_connecting
 from bcwave.errors import ReconstructionError
 from bcwave.gl import (
     OperatorM,
-    invert_volterra,
-    m_action_matrix,
     operator_identity_residual,
     recover_q_from_m,
     solve_gl,
@@ -20,7 +18,14 @@ from bcwave.gl import (
 from bcwave.goursat import solve_kernels
 from bcwave.grid import UniformGrid, trapezoid_weights
 from bcwave.potentials import ConstantPotential, GaussianPotential, ZeroPotential
-from bcwave.response import operator_k_kernel, operator_k_matrix, response_matrix
+from bcwave.response import response_matrix
+
+from oracles import (
+    invert_volterra,
+    m_action_matrix,
+    operator_k_kernel,
+    operator_k_matrix,
+)
 
 
 @pytest.fixture(scope="module")

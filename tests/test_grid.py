@@ -6,19 +6,22 @@ from hypothesis import strategies as st
 from bcwave.errors import ConfigError, GridMismatchError
 from bcwave.grid import (
     Control,
-    StateVector,
     UniformGrid,
-    S_MATRIX,
     conv_trapezoid,
-    control_norm,
     cumulative_trapezoid,
     differentiate,
-    inner_inner,
     inner_outer,
-    jt_apply,
-    s_apply,
     smooth_random_control,
     trapezoid_weights,
+)
+
+from oracles import (
+    S_MATRIX,
+    StateVector,
+    control_norm,
+    inner_inner,
+    jt_apply,
+    s_apply,
     zero_control,
     zero_state,
 )

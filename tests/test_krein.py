@@ -13,15 +13,15 @@ from bcwave.goursat import solve_kernels
 from bcwave.grid import UniformGrid
 from bcwave.krein import (
     _smoothing_spline,
-    endpoint_values,
     recover_q_from_y,
     second_derivative,
-    solve_krein,
     sweep_reconstruct,
 )
 from bcwave.pipeline import run_pipeline
 from bcwave.potentials import ConstantPotential, ZeroPotential
 from bcwave.response import response_matrix
+
+from oracles import endpoint_values, solve_krein
 
 
 def _cauchy_oracle(p, T):
@@ -150,15 +150,14 @@ def test_smoothing_spline_matches_scipy_bit_for_bit(n):
 def test_fewer_than_five_samples_rejected():
     x = 0.1 * np.arange(-5, 6)
     y = np.sinh(x)
-    solved = np.zeros(11, dtype=bool)
-    solved[3:7] = True
+    y[:3] = y[7:] = np.nan  # non-finite samples are left out of the fit
     with pytest.raises(ReconstructionError, match="fewer than 5"):
-        recover_q_from_y(x, y, solved)
-    solved[7] = True
-    recover_q_from_y(x, y, solved)
-    y[7] = np.nan          # a non-finite sample counts as unsolved
+        recover_q_from_y(x, y)
+    y[7] = np.sinh(x[7])
+    recover_q_from_y(x, y)
+    y[7] = np.nan
     with pytest.raises(ReconstructionError, match="fewer than 5"):
-        recover_q_from_y(x, y, solved)
+        recover_q_from_y(x, y)
 
 
 def test_profile_csv(tmp_path, resp128):
@@ -182,7 +181,7 @@ def _oracle_sweep(r):
         sol = solve_krein(connecting_nodes(r, k), r.grid.h)
         y[n + k], y[n - k] = endpoint_values(sol)
     x = r.grid.h * np.arange(-n, n + 1)
-    _, valid = recover_q_from_y(x, y, np.ones(2 * n + 1, dtype=bool))
+    _, valid = recover_q_from_y(x, y)
     return y, valid
 
 

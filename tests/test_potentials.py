@@ -146,10 +146,16 @@ def test_gaussian_width_validation():
 
 
 def test_config_round_trip():
-    for p in (ZeroPotential(), ConstantPotential(2.0),
-              GaussianPotential(1.0, 0.3, 0.1), Sech2Potential(0.5, 0.8),
-              PolynomialPotential([1.0, 2.0])):
-        p2 = potential_from_config(p.to_config())
+    for spec, p in (
+            ({"kind": "zero"}, ZeroPotential()),
+            ({"kind": "constant", "value": 2.0}, ConstantPotential(2.0)),
+            ({"kind": "gaussian", "amplitude": 1.0, "width": 0.3,
+              "center": 0.1}, GaussianPotential(1.0, 0.3, 0.1)),
+            ({"kind": "sech2", "amplitude": 0.5, "width": 0.8},
+             Sech2Potential(0.5, 0.8)),
+            ({"kind": "polynomial", "coeffs": [1.0, 2.0]},
+             PolynomialPotential([1.0, 2.0]))):
+        p2 = potential_from_config(spec)
         x = np.linspace(-0.5, 0.5, 7)
         assert np.allclose(p(x), p2(x))
 

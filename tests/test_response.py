@@ -6,17 +6,17 @@ import pytest
 from bcwave.config import parse_config
 from bcwave.errors import DomainError, IngestionError
 from bcwave.goursat import solve_kernels
-from bcwave.grid import Control, UniformGrid, smooth_random_control
+from bcwave.grid import (Control, UniformGrid, differentiate,
+                         smooth_random_control)
 from bcwave.pipeline import run_pipeline
-from bcwave.potentials import ConstantPotential, ZeroPotential
-from bcwave.response import (
-    apply_response,
+from bcwave.potentials import ConstantPotential, GaussianPotential, ZeroPotential
+from bcwave.response import apply_response, read_response_csv, response_matrix
+
+from oracles import (
     control_operator,
     control_operator_matrix,
     forward_solution,
     operator_k_matrix,
-    read_response_csv,
-    response_matrix,
 )
 
 
@@ -105,12 +105,13 @@ def test_apply_response_free_space(free_field):
     grid = UniformGrid(1.0, 64)
     f = smooth_random_control(grid, np.random.default_rng(5))
     out = apply_response(r, f)
-    assert not out.endpoint_warning
-    assert np.max(np.abs(out.control.f1 + 0.5 * f.df1)) < 1e-13
-    assert np.max(np.abs(out.control.f2 - 0.5 * f.f2)) < 1e-13
-    # sampled control without analytic derivative raises the flag
+    assert np.max(np.abs(out.f1 + 0.5 * f.df1)) < 1e-13
+    assert np.max(np.abs(out.f2 - 0.5 * f.f2)) < 1e-13
+    # a sampled control without analytic derivative: f1' by the grid rule
     raw = Control(grid, f.f1, f.f2)
-    assert apply_response(r, raw).endpoint_warning
+    assert not raw.has_analytic_derivative
+    assert np.array_equal(apply_response(r, raw).f1,
+                          -0.5 * differentiate(f.f1, grid.h))
 
 
 def test_response_csv_round_trip(tmp_path, resp128):
@@ -169,3 +170,23 @@ def test_pipeline_reports_non_finite_response(tmp_path, resp128):
     assert "row 41" in ingest["error"]
     assert all(s["status"] == "skipped" for s in report["stages"][1:])
     assert json.loads((out / "report.json").read_text()) == report
+
+
+@pytest.mark.parametrize("steps", [12, 17])
+def test_ingest_refuses_a_grid_the_inverse_stages_cannot_use(tmp_path, steps):
+    # the inverse stages run on half the file's grid: 12 steps would give
+    # them 6, under the 8 a grid needs, and 17 cannot be halved
+    field = solve_kernels(GaussianPotential(1.0, 0.3), UniformGrid(2.0, steps))
+    path = tmp_path / "response.csv"
+    response_matrix(field).write_csv(path)
+    with pytest.raises(IngestionError, match="has %d time steps" % steps):
+        read_response_csv(path)
+    report = run_pipeline(parse_config(json.dumps(
+        {"response_csv": str(path), "T": 1.0, "n": 16,
+         "out": str(tmp_path / "out")})))
+    status = {s["name"]: s["status"] for s in report["stages"]}
+    assert status == {"ingest": "failed", "connect": "skipped",
+                      "krein": "skipped", "gl": "skipped"}
+    assert report["stages"][0]["error"] == (
+        "response CSV %s has %d time steps; the inverse stages need an even "
+        "number of at least 16" % (path, steps))

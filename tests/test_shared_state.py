@@ -11,14 +11,15 @@ import pytest
 
 from bcwave import krein, pipeline
 from bcwave.config import parse_config
-from bcwave.connecting import (_assemble, assemble_matrix, build_connecting,
-                               nested_factor)
+from bcwave.connecting import assemble_matrix, build_connecting, nested_factor
 from bcwave.errors import ReconstructionError
 from bcwave.gl import GL_PANELS, _solve_column, solve_gl
 from bcwave.goursat import solve_kernels
 from bcwave.grid import UniformGrid, trapezoid_weights
 from bcwave.potentials import ZeroPotential
 from bcwave.response import response_matrix
+
+from oracles import _assemble
 
 
 @pytest.mark.parametrize("resp", ["resp128", "resp_off", "resp_skew"])
@@ -67,8 +68,9 @@ def test_stage_subsets_write_the_same_bytes(tmp_path, resp_off):
         "krein_q.csv": 1, "gl_kernel.csv": 1, "q_gl.csv": 1}
     connect = report["stages"][1]
     assert connect["name"] == "connect"
-    asm = assemble_matrix(build_connecting(resp_off))
-    lam = np.linalg.eigvalsh(asm.matrix)[0]
+    ck = build_connecting(resp_off)
+    asm = assemble_matrix(ck)
+    lam = np.linalg.eigvalsh(_assemble(ck.nodes, ck.grid.h)[0])[0]
     assert abs(connect["metrics"]["min_eigenvalue"] - lam) <= 1e-12 * lam
     assert connect["metrics"]["assembly_asymmetry"] == asm.asymmetry
 
@@ -83,7 +85,7 @@ def test_min_eigenvalue_by_lanczos(request, case):
     ck = request.getfixturevalue("ck128") if case == "gauss" else _free_ck()
     asm = assemble_matrix(ck)
     assert asm.factor.horizons == ck.grid.n      # the Lanczos path
-    lam = np.linalg.eigvalsh(asm.matrix)
+    lam = np.linalg.eigvalsh(_assemble(ck.nodes, ck.grid.h)[0])
     assert abs(asm.min_eigenvalue() - lam[0]) <= 1e-12 * lam[0]
     if case == "zero":
         # W/2: the end nodes' h/4, once per component and end
@@ -103,7 +105,11 @@ def test_min_eigenvalue_dense_when_lanczos_does_not_converge(ck128,
 
     monkeypatch.setattr(sla, "eigsh", no_convergence)
     asm = assemble_matrix(ck128)
-    assert asm.min_eigenvalue() == np.linalg.eigvalsh(asm.matrix)[0] > 0.0
+    # the dense eigensolve reads B from the factor, a symmetric
+    # permutation of the dense A
+    lam = np.linalg.eigvalsh(_assemble(ck128.nodes, ck128.grid.h)[0])[0]
+    assert lam > 0.0
+    assert abs(asm.min_eigenvalue() - lam) <= 1e-12 * lam
 
 
 def test_assemble_matrix_fails_past_the_factor(resp_broken):
