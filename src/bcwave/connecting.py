@@ -29,18 +29,17 @@ inverse routes solve, for every horizon k = 1..n, the Nystrom system of
 C^{tau_k} in reversed time.  Reversal makes the kernel depend only on
 t' + s' and |t' - s'|, so every such matrix is the leading block, on the
 nodes 0..k, of one fixed matrix B = W/2 + W C~ W, except that the
-trapezoid weight of node k is halved.
-:func:`nested_factor` factors B once and solves every horizon by
-bordering its leading Cholesky factor (Levinson 1947; the Krein
+trapezoid weight of node k is halved.  :func:`assemble_matrix` factors B
+once and returns the :class:`NestedFactor`, which solves every horizon
+by bordering its leading Cholesky factor (Levinson 1947; the Krein
 equations of the boundary control method, Belishev 2007).
 
-:func:`assemble_matrix` builds that shared inverse state once per run:
-the kernel and the nested factor of its array, which reaches every
-horizon of a potential's response (its connecting operator is positive
-definite); where it stops short, :func:`assemble_matrix` raises.  The
-connect stage reports from it the assembly asymmetry (the factor's
-full-horizon asymmetry) and the smallest eigenvalue (Lanczos through the
-factor, Lehoucq, Sorensen and Yang 1998); krein and gl solve through it.
+That factor is the one inverse state of a run.  It reaches every horizon
+of a potential's response (its connecting operator is positive
+definite); where it would stop short, :func:`assemble_matrix` raises.
+The connect stage reports from it the assembly asymmetry and the
+smallest eigenvalue (Lanczos through the factor, Lehoucq, Sorensen and
+Yang 1998); krein and gl solve through it.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .response import ResponseMatrix
 #: Largest asymmetry of an assembled connecting matrix, in units of h^2,
 #: that its symmetrization may hide.
 ASYMMETRY_H2 = 100.0
-#: Rows and columns per block of :func:`nested_factor`'s asymmetry scan
+#: Rows and columns per block of :func:`assemble_matrix`'s asymmetry scan
 #: and symmetrization; even, so that a block holds whole nodes.
 _SCAN_BLOCK = 128
 
@@ -136,7 +135,10 @@ class ConnectingKernel:
 
 def build_connecting(r: ResponseMatrix, n_half: int | None = None) -> ConnectingKernel:
     """Assemble the connecting kernel for horizon T = n_half * h (default:
-    half the response horizon)."""
+    half the response horizon).  Response data enter the inverse side
+    here, so non-finite data raise :class:`ReconstructionError`."""
+    if not all(np.isfinite(a).all() for a in (r.r11, r.r12, r.r21, r.r22)):
+        raise ReconstructionError("non-finite response data")
     if n_half is None:
         if r.grid.n % 2:
             raise DomainError("response grid has an odd number of steps")
@@ -181,7 +183,7 @@ def _tri_solve(factor: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NestedFactor:
-    """One Cholesky factor L L^T = B serving the horizons k = 1..K.
+    """One Cholesky factor L L^T = B serving every horizon k = 1..n.
 
     The reversed-time matrix of horizon k is
     A_k = [[B_11, d B_12], [d B_21, A_kk]]: B_11 is the block of B on the
@@ -192,28 +194,26 @@ class NestedFactor:
         S f_b = b_b - X z,   L_11^T f_a = z - X^T f_b,
 
     where the 2x2 Schur complement S = A_kk - X X^T equals
-    d^2 L_kk L_kk^T + (h/4)(1 - d) I, positive definite wherever the
-    factor reaches node k.  Factoring costs O(n^3/3) once; each horizon
-    then costs O(k^2) for f, and O(1) more for f_b given z.
+    d^2 L_kk L_kk^T + (h/4)(1 - d) I, positive definite since the factor
+    reaches node k.  Factoring costs O(n^3/3) once; each horizon then
+    costs O(k^2) for f, and O(1) more for f_b given z.
 
     ``factor`` holds L in its lower triangle and B in its strict upper
-    triangle (Fortran order), ``b_diag`` the diagonal of B.
-    K, the factor's reach, is n unless the factorization stops at node
-    p, when K = p - 1, or the asymmetry of A_k, which the symmetrization
-    hides, exceeds ASYMMETRY_H2 h^2, when K = k - 1;
-    :func:`assemble_matrix` accepts only K = n.  A :meth:`panel` serves
-    the horizons first..last only.
+    triangle (Fortran order), ``b_diag`` the diagonal of B.  B is a
+    symmetric permutation (time reversal, node-major order) of the
+    stacked matrix A = W/2 + W C W of C^T, so the two share their
+    asymmetry and their spectrum.  A :meth:`panel` serves the horizons
+    first..last only.
     """
 
     h: float
     factor: np.ndarray
     b_diag: np.ndarray
     node_weights: np.ndarray  # trapezoid weights of B, node-major
-    border: np.ndarray        # d, horizons first..K
-    l_kk: np.ndarray          # the 2x2 diagonal blocks of L, nodes first..K
-    s_inv: np.ndarray         # S^{-1}, horizons first..K
-    asymmetry: np.ndarray     # max |A_k - A_k^T|, horizons first..n
-                              # (first..last in a panel)
+    border: np.ndarray        # d, horizons first..last
+    l_kk: np.ndarray          # the 2x2 diagonal blocks of L, nodes first..last
+    s_inv: np.ndarray         # S^{-1}, horizons first..last
+    asymmetry: float          # max |A - A^T| before the symmetrization
     first: int = 1
 
     @property
@@ -221,7 +221,7 @@ class NestedFactor:
         return len(self.border)
 
     def panel(self, first: int, last: int) -> "NestedFactor":
-        """The factor of the horizons first..last (1 <= first <= last <= K)
+        """The factor of the horizons first..last (1 <= first <= last <= n)
         on the leading 2 last + 2 rows, the only ones they use, so that
         its solves run on that leading block alone.  The block is copied
         to Fortran order unless it is the whole factor."""
@@ -231,7 +231,37 @@ class NestedFactor:
                             np.asfortranarray(self.factor[:rows, :rows]),
                             self.b_diag[:rows], self.node_weights[:rows],
                             self.border[own], self.l_kk[own], self.s_inv[own],
-                            self.asymmetry[own], first)
+                            self.asymmetry, first)
+
+    def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the symmetrized A.
+
+        B is positive definite, so this is the inverse of the largest
+        eigenvalue of B^{-1}, found by Lanczos (ARPACK) on an operator of
+        two triangular solves (``dtrsv``) with the factor.  If Lanczos
+        does not converge, it comes from a dense ``eigvalsh`` of B, read
+        from the factor: its strict upper triangle and ``b_diag``.
+        """
+        from scipy.linalg.blas import dtrsv
+        from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
+                                         eigsh)
+
+        size = self.factor.shape[0]
+
+        def b_inverse(x):
+            z = dtrsv(self.factor, np.ravel(x), lower=1)
+            return dtrsv(self.factor, z, lower=1, trans=1, overwrite_x=1)
+
+        op = LinearOperator((size, size), matvec=b_inverse, dtype=float)
+        # a fixed start vector keeps the result deterministic
+        v0 = np.random.default_rng(0).standard_normal(size)
+        try:
+            mu = eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)
+            return float(1.0 / mu[0])
+        except ArpackNoConvergence:
+            b = self.factor.copy()
+            b[np.diag_indices_from(b)] = self.b_diag
+            return float(np.linalg.eigvalsh(b, UPLO="U")[0])
 
     def _border(self):
         """Row and column indices of node k in horizon k's columns, in
@@ -335,16 +365,20 @@ def _symmetrize(a: np.ndarray):
     return row, own
 
 
-def nested_factor(cr: np.ndarray, h: float) -> NestedFactor:
-    """Form B = W/2 + W C~ W from the node-major reflected kernel ``cr``
-    (``ConnectingKernel.nodes``), symmetrize it, (B + B^T)/2, and factor
-    it in place.  The asymmetry of every horizon's matrix, before the
-    symmetrization, is recorded."""
+def assemble_matrix(ck: ConnectingKernel) -> NestedFactor:
+    """The inverse state of ``ck``, built once: form B = W/2 + W C~ W
+    from its node-major reflected array, symmetrize it, (B + B^T)/2, and
+    factor it in place.
+
+    :class:`ReconstructionError` if the factor stops short of the full
+    horizon, naming the first horizon it misses and why: B is not
+    positive definite, or that horizon's matrix A_k is more asymmetric,
+    before the symmetrization, than ASYMMETRY_H2 h^2."""
     from scipy.linalg.lapack import dpotrf
 
-    n = cr.shape[0] // 2 - 1
+    n, h = ck.grid.n, ck.grid.h
     w = np.repeat(trapezoid_weights(n, h), 2)
-    a = np.multiply(cr, w[:, None], order="F")
+    a = np.multiply(ck.nodes, w[:, None], order="F")
     a *= w[None, :]
     a[np.diag_indices_from(a)] += 0.5 * w
     # asymmetry of A_k: the node pairs within 0..k-1 as in B, node k's
@@ -356,89 +390,25 @@ def nested_factor(cr: np.ndarray, h: float) -> NestedFactor:
     b_diag = np.diag(a).copy()
     a, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
     # Horizon k needs the factor down to node k.  On failure LAPACK leaves
-    # the factor of the leading block of order info - 1.  The reach also
-    # ends before the first horizon whose matrix is too asymmetric for
+    # the factor of the leading block of order info - 1.  The horizons
+    # served also end before the first whose matrix is too asymmetric for
     # the symmetrization to hide.
     K = n if info == 0 else min(n, max(0, (info - 1) // 2 - 1))
     K = min(K, int(np.argmax(np.append(asym, np.inf) > ASYMMETRY_H2 * h * h)))
-    k = np.arange(1, K + 1)
-    border = d[k]
-    l_kk = np.zeros((K, 2, 2))
+    if K < n:
+        cause = ("its connecting matrix has asymmetry %.3g above %g h^2"
+                 % (asym[K], ASYMMETRY_H2) if asym[K] > ASYMMETRY_H2 * h * h
+                 else "the connecting matrix is not positive definite")
+        raise ReconstructionError(
+            "the nested factor stops short of horizon %d of %d: %s, so the "
+            "response belongs to no potential" % (K + 1, n, cause))
+    k = np.arange(1, n + 1)
+    border = d[1:]
+    l_kk = np.zeros((n, 2, 2))
     l_kk[:, 0, 0] = a[2 * k, 2 * k]
     l_kk[:, 1, 0] = a[2 * k + 1, 2 * k]
     l_kk[:, 1, 1] = a[2 * k + 1, 2 * k + 1]
     s = (border * border)[:, None, None] * (l_kk @ l_kk.transpose(0, 2, 1))
     s[:, [0, 1], [0, 1]] += (0.25 * h * (1.0 - border))[:, None]
     return NestedFactor(h, a, b_diag, w, border, l_kk, np.linalg.inv(s),
-                        asym)
-
-
-@dataclass(frozen=True)
-class AssembledConnecting:
-    """The inverse state of one connecting kernel, shared by the connect,
-    krein and gl stages: the kernel, whose node-major array is C~, and
-    the nested factor of B = W/2 + W C~ W (:func:`nested_factor`).
-
-    B is a symmetric permutation (time reversal, node-major order) of the
-    stacked matrix A = W/2 + W C W of C^T, so the two share their
-    asymmetry and their spectrum.
-    """
-
-    kernel: ConnectingKernel
-    factor: NestedFactor
-
-    @property
-    def asymmetry(self) -> float:
-        """max |A - A^T| before symmetrization: the factor's asymmetry of
-        the full horizon, whose node weights are A's."""
-        return float(self.factor.asymmetry[-1])
-
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the symmetrized A.
-
-        B is positive definite, so this is the inverse of the largest
-        eigenvalue of B^{-1}, found by Lanczos (ARPACK) on an operator of
-        two triangular solves (``dtrsv``) with the factor.  If Lanczos
-        does not converge, it comes from a dense ``eigvalsh`` of B, read
-        from the factor: its strict upper triangle and ``b_diag``.
-        """
-        from scipy.linalg.blas import dtrsv
-        from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
-                                         eigsh)
-
-        fac = self.factor
-        size = fac.factor.shape[0]
-
-        def b_inverse(x):
-            z = dtrsv(fac.factor, np.ravel(x), lower=1)
-            return dtrsv(fac.factor, z, lower=1, trans=1, overwrite_x=1)
-
-        op = LinearOperator((size, size), matvec=b_inverse, dtype=float)
-        # a fixed start vector keeps the result deterministic
-        v0 = np.random.default_rng(0).standard_normal(size)
-        try:
-            mu = eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)
-            return float(1.0 / mu[0])
-        except ArpackNoConvergence:
-            b = fac.factor.copy()
-            b[np.diag_indices_from(b)] = fac.b_diag
-            return float(np.linalg.eigvalsh(b, UPLO="U")[0])
-
-
-def assemble_matrix(ck: ConnectingKernel) -> AssembledConnecting:
-    """The shared inverse state of ``ck``: the nested factor of its
-    node-major array, built once.  :class:`ReconstructionError` if the
-    factor stops short of the full horizon, naming the first horizon it
-    misses and why: B is not positive definite, or that horizon's matrix
-    is more asymmetric than ASYMMETRY_H2 h^2."""
-    n, h = ck.grid.n, ck.grid.h
-    fac = nested_factor(ck.nodes, h)
-    if fac.horizons == n:
-        return AssembledConnecting(ck, fac)
-    k, asym = fac.horizons + 1, fac.asymmetry[fac.horizons]
-    cause = ("its connecting matrix has asymmetry %.3g above %g h^2"
-             % (asym, ASYMMETRY_H2) if asym > ASYMMETRY_H2 * h * h
-             else "the connecting matrix is not positive definite")
-    raise ReconstructionError(
-        "the nested factor stops short of horizon %d of %d: %s, so the "
-        "response belongs to no potential" % (k, n, cause))
+                        float(asym[-1]))

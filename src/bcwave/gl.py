@@ -10,8 +10,7 @@ data instead, by block triangular back-substitution of (I+K)(I+M) = I
 
 Scaled by W/2, the column system at s_j is the unsymmetrized matrix of
 the Krein horizon j, so :func:`solve_gl` shares the Krein route's nested
-Cholesky factor (:func:`~bcwave.connecting.nested_factor`), built once
-per run from the kernel's array
+Cholesky factor, built once per run from the kernel's array
 (:func:`~bcwave.connecting.assemble_matrix`): O(n^3/3) once, then
 O(j^2) per column.  Column j uses only the rows of the nodes 0..j, so
 the columns go in GL_PANELS panels, each solved and refined on the
@@ -39,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connecting import (AssembledConnecting, ConnectingKernel,
-                         NestedFactor, assemble_matrix)
+from .connecting import ConnectingKernel, NestedFactor, assemble_matrix
 from .errors import GridMismatchError, ReconstructionError
 from .grid import (UniformGrid, differentiate, row_trapezoid_weights,
                    trapezoid_weights, write_csv)
@@ -91,28 +89,28 @@ class OperatorM:
 
 
 def solve_gl(ck: ConnectingKernel,
-             inverse: AssembledConnecting | None = None) -> OperatorM:
+             fac: NestedFactor | None = None) -> OperatorM:
     """Solve the second-kind equation for m column by column.
 
     For fixed s_j the unknown column m(., s_j) lives on the x-nodes
     0..j and satisfies (I + C~|_{[0,s_j]^2} W) m = -C~(., s_j); both
     matrix columns share the system matrix.  The columns are solved
-    through the nested factor and refined, GL_PANELS panels of them at a
-    time on the panel's leading rows; a column whose refinement does not
-    converge is solved densely.  ``inverse`` is the shared state of
-    ``ck`` (:func:`~bcwave.connecting.assemble_matrix`, which raises
-    :class:`ReconstructionError` where the factor stops short); without
-    it the solve builds its own.  A non-finite m (from non-finite kernel
-    data) raises :class:`ReconstructionError`.
+    through ``fac``, the nested factor of ``ck``
+    (:func:`~bcwave.connecting.assemble_matrix`, which raises
+    :class:`ReconstructionError` where the factor stops short), and
+    refined, GL_PANELS panels of them at a time on the panel's leading
+    rows; a column whose refinement does not converge is solved densely.
+    A one-off call without ``fac`` (perfbench's accuracy check) builds
+    it.  A non-finite m (from non-finite kernel data) raises
+    :class:`ReconstructionError`.
     """
     n = ck.grid.n
     h = ck.grid.h
+    cr = ck.nodes
     # the result first, below the work arrays on the heap
     m = np.zeros((2 * n + 2, 2 * n + 2))
-    if inverse is None:
-        inverse = assemble_matrix(ck)
-    cr, fac = inverse.kernel.nodes, inverse.factor
-    del inverse
+    if fac is None:
+        fac = assemble_matrix(ck)
     converged = np.zeros(n, dtype=bool)
     for cols in np.array_split(np.arange(1, n + 1), GL_PANELS):
         if len(cols):
@@ -122,12 +120,8 @@ def solve_gl(ck: ConnectingKernel,
     m[:2, :2] = -2.0 * cr[:2, :2]   # s = 0: the system is the identity
     del fac
     for j in range(1, n + 1):
-        if converged[j - 1]:
-            continue
-        k = j + 1
-        sol = _solve_column(cr, j, h)
-        m[:2 * k:2, 2 * j:2 * j + 2] = sol[:k]
-        m[1:2 * k:2, 2 * j:2 * j + 2] = sol[k:]
+        if not converged[j - 1]:
+            m[:2 * j + 2, 2 * j:2 * j + 2] = _solve_column(cr, j, h)
     if not np.isfinite(m).all():
         raise ReconstructionError("non-finite GL kernel m")
     return OperatorM(ck.grid, m)
@@ -167,15 +161,13 @@ def _solve_panel(cr: np.ndarray, fac: NestedFactor,
 
 
 def _solve_column(cr: np.ndarray, j: int, h: float) -> np.ndarray:
-    """Dense solve of the column system at s_j (j >= 1), stacked
-    [m1; m2] by two right-hand sides; ``cr`` is the node-major array
-    C~/2."""
-    k = j + 1
-    stacked = np.concatenate([np.arange(0, 2 * k, 2),
-                              np.arange(1, 2 * k, 2)])
-    ct = 2.0 * cr[np.ix_(stacked, stacked)]
-    A = np.eye(2 * k) + ct * np.tile(trapezoid_weights(j, h), 2)
-    return np.linalg.solve(A, -ct[:, [k - 1, 2 * k - 1]])
+    """Dense solve of the column system at s_j (j >= 1) on the node-major
+    rows of the nodes 0..j, by two right-hand sides: m_ab(x_i, s_j) in
+    row 2i + a, column b.  ``cr`` is the node-major array C~/2."""
+    c = 2.0 * cr[:2 * j + 2, :2 * j + 2]
+    a = c * np.repeat(trapezoid_weights(j, h), 2)
+    a[np.diag_indices_from(a)] += 1.0
+    return np.linalg.solve(a, -c[:, 2 * j:])
 
 
 def operator_identity_residual(ck: ConnectingKernel, M: OperatorM) -> float:

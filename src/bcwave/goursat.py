@@ -132,6 +132,9 @@ def solve_kernels(p: Potential, grid: UniformGrid) -> KernelField:
     unmapped again when the field is dropped.  A block below glibc's
     32 MB mmap ceiling would be served from the heap and stay there after
     it is freed, so a later large allocation would stack on top of it.
+
+    A march that overflows (q h^2 too large for the grid) raises
+    :class:`DomainError`, so no non-finite field leaves it.
     """
     _check_support(p, grid)
     n = grid.n
@@ -139,8 +142,14 @@ def solve_kernels(p: Potential, grid: UniformGrid) -> KernelField:
     block = np.frombuffer(mmap.mmap(-1, 2 * size * 8)).reshape(2, size)
     right, left = zip(*(_boundary_arrays(p, grid, which)
                         for which in ("w1", "w2")))
-    _march(block, np.array(right), np.array(left), _midpoint_q(p, grid),
-           grid.h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _march(block, np.array(right), np.array(left), _midpoint_q(p, grid),
+               grid.h)
+        # min and max hold any NaN or infinity, with no store-sized mask
+        finite = np.isfinite([block.min(), block.max()]).all()
+    if not finite:
+        raise DomainError("the Goursat march overflows at step h = %g: "
+                          "non-finite kernel values" % grid.h)
     return KernelField(grid, block[0], block[1])
 
 

@@ -7,16 +7,14 @@ and the potential follows as q = y''/y away from zeros of y.
 
 In reversed time every horizon's matrix is a leading block of one fixed
 matrix, so :func:`sweep_reconstruct` uses one Cholesky factor of that
-matrix (:func:`~bcwave.connecting.nested_factor`, O(n^3/3)) and borders
-the leading factor for each horizon: after one forward substitution
-y(+-tau_k) costs O(1), and the full solution, which the per-horizon
-residual needs, O(k^2).  In a pipeline run the kernel and factor are
-the ones the connect and gl stages share
-(:func:`~bcwave.connecting.assemble_matrix`); called alone, the sweep
-builds its own, which raises where the factor stops short.  The test
-suite checks the sweep against one dense solve per horizon, on the
-leading block of the kernel's array, which is C^{tau_k} (``solve_krein``
-in ``tests/oracles.py``).
+matrix (:func:`~bcwave.connecting.assemble_matrix`, O(n^3/3)) and
+borders the leading factor for each horizon: after one forward
+substitution y(+-tau_k) costs O(1), and the full solution, which the
+per-horizon residual needs, O(k^2).  In a pipeline run the factor is the
+one the connect and gl stages share.  The test suite checks the sweep
+against one dense solve per horizon, on the leading block of the
+kernel's array, which is C^{tau_k} (``solve_krein`` in
+``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connecting import AssembledConnecting, assemble_matrix, build_connecting
+from .connecting import NestedFactor, assemble_matrix, build_connecting
 from .errors import ReconstructionError
 from .grid import write_csv
 from .response import ResponseMatrix
@@ -59,24 +57,20 @@ class CauchyProfile:
 
 
 def sweep_reconstruct(r: ResponseMatrix,
-                      inverse: AssembledConnecting | None = None
-                      ) -> CauchyProfile:
+                      fac: NestedFactor | None = None) -> CauchyProfile:
     """Sweep horizons tau_k = k*h, k = 1..n, and assemble y on [-T, T];
     then recover q = y''/y on the valid band.
 
-    Every horizon is solved through the nested factor at once.
-    ``inverse`` is the shared state of the connecting kernel of ``r``
-    (:func:`~bcwave.connecting.assemble_matrix`); without it the sweep
-    builds its own.
+    Every horizon is solved at once through ``fac``, the nested factor of
+    the connecting kernel of ``r`` (:func:`~bcwave.connecting.assemble_matrix`,
+    which raises where the factor stops short).  ``r`` still sets the
+    step: the kernel's grid step can differ from it by an ulp.  A
+    one-off call without ``fac`` (perfbench's accuracy check) builds it.
     """
     if r.grid.n % 2:
         raise ReconstructionError("response grid has an odd step count")
-    if not all(np.isfinite(a).all() for a in (r.r11, r.r12, r.r21, r.r22)):
-        raise ReconstructionError("non-finite response data")
-    if inverse is None:
-        inverse = assemble_matrix(build_connecting(r))
-    fac = inverse.factor
-    del inverse
+    if fac is None:
+        fac = assemble_matrix(build_connecting(r))
     n = r.grid.n // 2
     h = r.grid.h
     y = np.zeros(2 * n + 1)

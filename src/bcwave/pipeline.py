@@ -8,16 +8,21 @@ matrix; on the response CSV route the config holds no forward stage,
 and the memory budget is checked again at the file's size once read.
 
 The inverse stages share one state (:func:`_inverse_state`): the
-connecting kernel, held once as one node-major array, and one nested
-Cholesky factor, built by the first of them to run and let go by the
-last, so that the factor is freed before the spectral stage.  Where the
+nested Cholesky factor of the connecting kernel and the kernel it was
+built from, built by the first of them to run and let go by the last,
+so that the factor is freed before the spectral stage.  Where the
 factor stops short, the state is that failure, and every inverse stage
-fails with its message.  :data:`GATES` holds every bound on a metric.
+fails with its message.
+
+:data:`GATES` holds every bound on a metric.  After its rows, one rule
+holds for every stage: a metric that is not finite fails the stage,
+and report.json writes it as null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 
@@ -62,17 +67,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     if cfg.response_csv is not None:
         entry = {"name": "ingest", "files": [cfg.response_csv]}
-        try:
-            state["response"] = read_response_csv(cfg.response_csv,
-                                                  min_horizon=2.0 * cfg.T)
-            entry["status"] = "ok"
-            entry["metrics"] = {
-                "horizon": state["response"].grid.horizon,
-                "compatibility_residual":
-                    state["response"].compatibility_residual()}
-        except BCWaveError as exc:
-            entry["status"] = "failed"
-            entry["error"] = str(exc)
+        if not _run_stage(entry, _stage_ingest, cfg, state):
             report["ok"] = False
         report["stages"].append(entry)
         if "response" in state:
@@ -88,15 +83,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
             entry["status"] = "skipped"
             entry["error"] = "missing prerequisite stage '%s'" % missing[0]
             report["ok"] = False
-        else:
-            try:
-                entry["metrics"] = runners[name](cfg, state, entry["files"])
-                _apply_fail_gates(name, entry["metrics"])
-                entry["status"] = "ok"
-            except (BCWaveError, np.linalg.LinAlgError) as exc:
-                entry["status"] = "failed"
-                entry["error"] = str(exc)
-                report["ok"] = False
+        elif not _run_stage(entry, runners[name], cfg, state):
+            report["ok"] = False
         report["stages"].append(entry)
 
     path = os.path.join(cfg.out, "report.json")
@@ -104,6 +92,44 @@ def run_pipeline(cfg: RunConfig) -> dict:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return report
+
+
+def _run_stage(entry, runner, cfg, state) -> bool:
+    """Run one stage into its report ``entry`` and return whether it
+    passed.  A stage fails on an error, on a "fail" row of GATES, and
+    then on a metric that holds a NaN or an infinity; such a number is
+    written as None, null in report.json, whether the stage failed or
+    not."""
+    try:
+        entry["metrics"] = runner(cfg, state, entry["files"])
+        _apply_fail_gates(entry["name"], entry["metrics"])
+        entry["status"] = "ok"
+    except (BCWaveError, np.linalg.LinAlgError) as exc:
+        entry["status"] = "failed"
+        entry["error"] = str(exc)
+    metrics = entry.get("metrics", {})
+    for key, value in metrics.items():
+        metrics[key] = _nulled(value)
+        # a NaN that became None compares unequal
+        if metrics[key] != value and entry["status"] == "ok":
+            entry["status"] = "failed"
+            entry["error"] = "metric %s is not finite" % key
+    return entry["status"] == "ok"
+
+
+def _nulled(value):
+    """A metric (a number, None or a list of them) with each NaN or
+    infinity replaced by None."""
+    if isinstance(value, list):
+        return [_nulled(v) for v in value]
+    return value if value is None or math.isfinite(value) else None
+
+
+def _stage_ingest(cfg, state, files):
+    r = read_response_csv(cfg.response_csv, min_horizon=2.0 * cfg.T)
+    state["response"] = r
+    return {"horizon": r.grid.horizon,
+            "compatibility_residual": r.compatibility_residual()}
 
 
 def _stage_kernels(cfg, state, files):
@@ -128,16 +154,16 @@ def _stage_response(cfg, state, files):
 
 
 def _inverse_state(state):
-    """The inverse stages' shared state (connecting.AssembledConnecting),
-    built on first use.  The last inverse stage of the run takes it out
-    of ``state``, so it is freed once that stage lets go of it.  If the
+    """The inverse stages' shared state, (kernel, nested factor), built
+    on first use.  The last inverse stage of the run takes it out of
+    ``state``, so it is freed once that stage lets go of it.  If the
     assembly fails, the state is its message, and each inverse stage
     raises it again without assembling anew."""
     inverse = state.pop("inverse", None)
     if inverse is None:
         ck = state.get("connect") or build_connecting(state["response"])
         try:
-            inverse = assemble_matrix(ck)
+            inverse = ck, assemble_matrix(ck)
         except ReconstructionError as exc:
             inverse = str(exc)
     if state.get("keep_inverse"):
@@ -192,12 +218,11 @@ def _stage_connect(cfg, state, files):
     path = os.path.join(cfg.out, "connecting.csv")
     ck.dump_csv(path)
     files.append(path)
-    inverse = _inverse_state(state)
-    lam = inverse.min_eigenvalue()
+    fac = _inverse_state(state)[1]
     return {"symmetry_residual": ck.symmetry_residual(),
             "block_symmetry_residual": ck.block_symmetry_residual(),
-            "assembly_asymmetry": inverse.asymmetry,
-            "min_eigenvalue": lam}
+            "assembly_asymmetry": fac.asymmetry,
+            "min_eigenvalue": fac.min_eigenvalue()}
 
 
 def _band_error(x, q, p, mask=None):
@@ -214,7 +239,7 @@ def _band_error(x, q, p, mask=None):
 
 
 def _stage_krein(cfg, state, files):
-    prof = sweep_reconstruct(state["response"], _inverse_state(state))
+    prof = sweep_reconstruct(state["response"], _inverse_state(state)[1])
     state["krein"] = prof
     path = os.path.join(cfg.out, "krein_q.csv")
     prof.write_csv(path)
@@ -234,10 +259,9 @@ def _stage_krein(cfg, state, files):
 
 
 def _stage_gl(cfg, state, files):
-    inverse = _inverse_state(state)
-    ck = inverse.kernel
-    M = solve_gl(ck, inverse)
-    del inverse
+    ck, fac = _inverse_state(state)
+    M = solve_gl(ck, fac)
+    del fac
     kpath = os.path.join(cfg.out, "gl_kernel.csv")
     M.dump_csv(kpath)
     x, q = recover_q_from_m(M, cfg.sign)
@@ -287,15 +311,22 @@ def _stage_spectral(cfg, state, files):
     resp_errors = []
     form_errors = []
     tails = []
-    for f, (F, G), sp, spf in zip(controls, pairs, traces, forms):
-        dyn = apply_response(r, f)
-        dyn_int = np.stack([cumulative_trapezoid(dyn.f1, grid2.h),
-                            cumulative_trapezoid(dyn.f2, grid2.h)])
-        resp_errors.append(float(np.linalg.norm(sp.value - dyn_int)
-                                 / np.linalg.norm(dyn_int)))
-        dynf = connecting_form(ck, F, G)
-        form_errors.append(float(abs(spf.value - dynf) / abs(dynf)))
-        tails.extend([sp.tail, spf.tail])
+    # a response too large for its norms gives a NaN error, which fails
+    # the stage, not a warning
+    with np.errstate(all="ignore"):
+        for f, (F, G), sp, spf in zip(controls, pairs, traces, forms):
+            dyn = apply_response(r, f)
+            dyn_int = np.stack([cumulative_trapezoid(dyn.f1, grid2.h),
+                                cumulative_trapezoid(dyn.f2, grid2.h)])
+            resp_errors.append(float(np.linalg.norm(sp.value - dyn_int)
+                                     / np.linalg.norm(dyn_int)))
+            # relative to sqrt((C F, F)(C G, G)), the scale of (C F, G),
+            # which may itself be near zero
+            scale = (np.sqrt(connecting_form(ck, F, F))
+                     * np.sqrt(connecting_form(ck, G, G)))
+            form_errors.append(float(
+                abs(spf.value - connecting_form(ck, F, G)) / scale))
+            tails.extend([sp.tail, spf.tail])
     return {"lambda_min": float(measure.lam[0]),
             "lambda_max": float(measure.lam[-1]),
             "smoothed_response_rel_errors": resp_errors,

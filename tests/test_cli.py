@@ -502,6 +502,84 @@ def test_krein_stage_with_an_empty_error_band(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text()) == report
 
 
+def _strict_json(text):
+    """A report.json read as strict JSON: NaN or Infinity raises."""
+    def refuse(token):
+        raise ValueError("%s in report.json" % token)
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_overflowing_march_fails_kernels(tmp_path, capsys):
+    # at amplitude 1e8 the march overflows: kernels fails, writes no
+    # kernels.csv, and response is skipped
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "potential": {"kind": "gaussian", "amplitude": 1e8, "width": 0.3},
+        "T": 1.0, "n": 32}))
+    out = tmp_path / "out"
+    assert main(["response", "--config", str(cfg), "--out", str(out)]) == 1
+    report = _strict_json((out / "report.json").read_text())
+    status = {s["name"]: s["status"] for s in report["stages"]}
+    assert status == {"kernels": "failed", "response": "skipped"}
+    assert "march overflows" in report["stages"][0]["error"]
+    assert "metrics" not in report["stages"][0]
+    assert not (out / "kernels.csv").exists()
+
+
+def test_overflowing_response_norm_fails_spectral(tmp_path):
+    # at amplitude 1e5 the kernels stay finite, but the norm of the
+    # dynamic response overflows, so its errors are NaN
+    report = run_pipeline(parse_config(json.dumps({
+        "potential": {"kind": "gaussian", "amplitude": 1e5, "width": 0.3},
+        "T": 1.0, "n": 32, "spectral": {"cutoff": 40, "mesh": 256},
+        "stages": ["spectral"], "out": str(tmp_path)})))
+    status = {s["name"]: s["status"] for s in report["stages"]}
+    assert status == {"kernels": "ok", "response": "ok", "spectral": "failed"}
+    spectral = report["stages"][-1]
+    assert spectral["error"] == \
+        "metric smoothed_response_rel_errors is not finite"
+    assert spectral["metrics"]["smoothed_response_rel_errors"] == [None] * 3
+    assert _strict_json((tmp_path / "report.json").read_text()) == report
+
+
+@pytest.mark.parametrize("stage, key, value, written, error", [
+    ("kernels", "continuity_residual", float("inf"), None,
+     "metric continuity_residual is not finite"),
+    ("spectral", "smoothed_response_rel_errors", [0.1, float("nan"), 0.2],
+     [0.1, None, 0.2], "metric smoothed_response_rel_errors is not finite"),
+    # a GATES row that fails first keeps its message
+    ("gl", "operator_identity_residual", float("nan"), None,
+     "GL operator identity residual is out of bounds "
+     "(operator_identity_residual nan, bound <= 0.5): the response belongs "
+     "to no potential"),
+], ids=["kernels", "spectral", "gl-gate"])
+def test_non_finite_metric_fails_its_stage(tmp_path, monkeypatch, stage, key,
+                                           value, written, error):
+    from bcwave import pipeline
+
+    runner = getattr(pipeline, "_stage_" + stage)
+
+    def non_finite(cfg, state, files):
+        metrics = runner(cfg, state, files)
+        metrics[key] = value
+        return metrics
+
+    monkeypatch.setattr(pipeline, "_stage_" + stage, non_finite)
+    cfg = json.loads(MINIMAL)
+    cfg.update({"spectral": {"cutoff": 20, "mesh": 128},
+                "out": str(tmp_path / "out")})
+    report = run_pipeline(parse_config(json.dumps(cfg)))
+    assert report["ok"] is False
+    for entry in report["stages"]:
+        assert entry["status"] == ("failed" if entry["name"] == stage
+                                   else "ok")
+    entry = next(s for s in report["stages"] if s["name"] == stage)
+    assert entry["error"] == error
+    assert entry["metrics"][key] == written
+    saved = _strict_json((tmp_path / "out" / "report.json").read_text())
+    assert saved == report
+
+
 @pytest.mark.parametrize("where", ["config", "override"])
 def test_negative_seed_exits_2(tmp_path, capsys, where):
     out = tmp_path / "out"

@@ -144,5 +144,5 @@ def test_horizon_and_grid_guards(resp128, ck128):
 def test_quadrature_weights_in_assembly(ck128):
     asm = assemble_matrix(ck128)
     w = trapezoid_weights(ck128.grid.n, ck128.grid.h)
-    assert np.allclose(asm.factor.node_weights[0::2], w)
-    assert np.allclose(asm.factor.node_weights[1::2], w)
+    assert np.allclose(asm.node_weights[0::2], w)
+    assert np.allclose(asm.node_weights[1::2], w)

@@ -263,7 +263,7 @@ def test_solve_gl_matches_per_column_solves(request, monkeypatch, resp):
 
 def test_solve_gl_fails_past_the_factor(resp_broken):
     ck = build_connecting(resp_broken)
-    # the factor reaches the columns 1..p-1 only
+    # the factor misses column p first
     p = max(int(np.ceil(-0.5 / (resp_broken.r22[0] * ck.grid.h) - 0.5)), 1)
     with pytest.raises(ReconstructionError,
                        match="stops short of horizon %d of %d: the "

@@ -108,6 +108,14 @@ def test_support_checked():
         solve_kernels(p, UniformGrid(2.0, 32))
 
 
+def test_overflowing_march_raises():
+    # q h^2 far too large for the grid: the march overflows, and no
+    # non-finite field leaves solve_kernels
+    with pytest.raises(DomainError, match="overflows"):
+        solve_kernels(GaussianPotential(amplitude=1e8, width=0.3),
+                      UniformGrid(2.0, 64))
+
+
 def test_picard_oracle_equivalence():
     grid = UniformGrid(2.0, 128)
     for p in (GaussianPotential(1.0, 0.3, 0.1), Sech2Potential(0.8, 0.5)):

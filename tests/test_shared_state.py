@@ -11,7 +11,7 @@ import pytest
 
 from bcwave import krein, pipeline
 from bcwave.config import parse_config
-from bcwave.connecting import assemble_matrix, build_connecting, nested_factor
+from bcwave.connecting import assemble_matrix, build_connecting
 from bcwave.errors import ReconstructionError
 from bcwave.gl import GL_PANELS, _solve_column, solve_gl
 from bcwave.goursat import solve_kernels
@@ -24,8 +24,8 @@ from oracles import _assemble
 
 @pytest.mark.parametrize("resp", ["resp128", "resp_off", "resp_skew"])
 def test_panelled_gl_matches_column_solves(request, resp):
-    # 127 columns make panels of 32, 32, 32 and 31; resp_skew has columns
-    # past the factor's reach, so no panel is solved
+    # 127 columns make panels of 32, 32, 32 and 31; resp_skew's factor
+    # stops short, so no panel is solved
     ck = build_connecting(request.getfixturevalue(resp), 127)
     assert ck.grid.n % GL_PANELS
     if resp == "resp_skew":
@@ -38,9 +38,10 @@ def test_panelled_gl_matches_column_solves(request, resp):
     ref[:, 0, 0] = -2.0 * ck.nodes[:2, :2].ravel()
     for j in range(1, ck.grid.n + 1):
         k = j + 1
+        # node-major rows: m_ab(x_i, s_j) in row 2i + a, column b
         sol = _solve_column(ck.nodes, j, ck.grid.h)
-        ref[0, :k, j], ref[2, :k, j] = sol[:k, 0], sol[k:, 0]
-        ref[1, :k, j], ref[3, :k, j] = sol[:k, 1], sol[k:, 1]
+        ref[0, :k, j], ref[2, :k, j] = sol[0::2, 0], sol[1::2, 0]
+        ref[1, :k, j], ref[3, :k, j] = sol[0::2, 1], sol[1::2, 1]
     for blk, r in zip((M.m11, M.m12, M.m21, M.m22), ref):
         assert np.max(np.abs(blk - r)) <= 1e-12 * np.max(np.abs(r))
     # the shared state gives the same bits as a solve that builds its own
@@ -84,7 +85,7 @@ def _free_ck():
 def test_min_eigenvalue_by_lanczos(request, case):
     ck = request.getfixturevalue("ck128") if case == "gauss" else _free_ck()
     asm = assemble_matrix(ck)
-    assert asm.factor.horizons == ck.grid.n      # the Lanczos path
+    assert asm.horizons == ck.grid.n      # the Lanczos path
     lam = np.linalg.eigvalsh(_assemble(ck.nodes, ck.grid.h)[0])
     assert abs(asm.min_eigenvalue() - lam[0]) <= 1e-12 * lam[0]
     if case == "zero":
@@ -112,10 +113,25 @@ def test_min_eigenvalue_dense_when_lanczos_does_not_converge(ck128,
     assert abs(asm.min_eigenvalue() - lam) <= 1e-12 * lam
 
 
+def _first_missed_horizon(ck):
+    """The first horizon p whose nodes 0..p hold a leading block of the
+    symmetrized B = W/2 + W C~ W that is not positive definite (at least
+    1), found by dense Cholesky factorizations of the leading blocks."""
+    w = np.repeat(trapezoid_weights(ck.grid.n, ck.grid.h), 2)
+    b = w[:, None] * ck.nodes * w + np.diag(0.5 * w)
+    b = 0.5 * (b + b.T)
+    for p in range(ck.grid.n + 1):
+        try:
+            np.linalg.cholesky(b[:2 * p + 2, :2 * p + 2])
+        except np.linalg.LinAlgError:
+            return max(p, 1)
+    return None
+
+
 def test_assemble_matrix_fails_past_the_factor(resp_broken):
     ck = build_connecting(resp_broken)
-    fac = nested_factor(ck.nodes, ck.grid.h)
-    assert fac.horizons < ck.grid.n
+    missed = _first_missed_horizon(ck)
+    assert missed is not None
     # the dense eigensolve agrees: the connecting matrix is indefinite
     assert np.linalg.eigvalsh(_assemble(ck.nodes, ck.grid.h)[0])[0] < 0.0
     with pytest.raises(ReconstructionError) as err:
@@ -123,7 +139,7 @@ def test_assemble_matrix_fails_past_the_factor(resp_broken):
     assert str(err.value) == (
         "the nested factor stops short of horizon %d of 96: the connecting "
         "matrix is not positive definite, so the response belongs to no "
-        "potential" % (fac.horizons + 1))
+        "potential" % missed)
 
 
 def _inverse_stages_fail_once(tmp_path, monkeypatch, r, needle):
@@ -182,9 +198,11 @@ def test_assembly_asymmetry_from_the_factor(resp_off, resp_skew):
         A = 0.5 * np.diag(w) + (w[:, None] * np.block(
             [[ck.c11, ck.c12], [ck.c21, ck.c22]]) * w[None, :])
         asym = np.max(np.abs(A - A.T))
-        assert nested_factor(ck.nodes, ck.grid.h).asymmetry[-1] == asym
-        if r is resp_off:   # resp_skew's factor stops short
+        if r is resp_off:
             assert assemble_matrix(ck).asymmetry == asym
+        else:   # resp_skew's factor stops short
+            with pytest.raises(ReconstructionError, match="has asymmetry"):
+                assemble_matrix(ck)
 
 
 def test_one_state_per_run_freed_before_spectral(tmp_path, monkeypatch):
@@ -244,5 +262,5 @@ def test_inverse_state_holds_one_matrix(ck128):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert inverse.factor.factor.nbytes == size
+    assert inverse.factor.nbytes == size
     assert held <= 1.1 * size

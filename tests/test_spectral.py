@@ -502,3 +502,21 @@ def test_spectral_stage_builds_kernels_once(monkeypatch, tmp_path):
     assert run_pipeline(cfg)["ok"]
     assert sorted(calls) == ["wave_kernel", "wave_kernel_antiderivative",
                              "wave_kernel_antiderivative"]
+
+
+@pytest.mark.parametrize("bc", [(1, 0, 1, 0), (0, 1, 1, 2)],
+                         ids=["dirichlet", "robin"])
+def test_form_errors_on_the_scale_of_the_form(tmp_path, bc):
+    # the first pair's (C F, G) is 1.55e-3 here: relative to it the
+    # spectral form is off by 0.93, relative to sqrt((C F, F)(C G, G))
+    # by 0.2%
+    cfg = parse_config(json.dumps({
+        "potential": {"kind": "gaussian", "amplitude": 1.0, "width": 0.3},
+        "T": 1.0, "n": 16, "spectral": {"cutoff": 40, "mesh": 256,
+                                        "bc": list(bc)},
+        "stages": ["kernels", "response", "spectral"],
+        "out": str(tmp_path)}))
+    report = run_pipeline(cfg)
+    errors = report["stages"][2]["metrics"]["connecting_form_rel_errors"]
+    assert report["ok"] and len(errors) == 3
+    assert max(errors) < 0.01
