@@ -6,10 +6,13 @@ connecting operator.  Inverse side: Krein and Gelfand-Levitan potential
 reconstruction from response data alone, plus a finite-interval spectral
 bridge cross-validating the dynamic representations.
 
-Importing the package loads numpy only; each scipy submodule is imported
-by the function that first calls it.  A forward run (kernels, response)
-of an analytic potential loads no scipy at all: the Gaussian's erf is a
-numpy port of scipy's own Cephes algorithm, bit for bit on scipy 1.17.1.
+Importing the package loads numpy only.  The inverse stages and the
+spectral eigensolve call scipy's compiled BLAS and LAPACK modules, which
+the first call loads without importing any scipy package (``_lapack``).
+A forward run (kernels, response) of an analytic potential loads no
+scipy at all: the Gaussian's erf is a numpy port of scipy's own Cephes
+algorithm, bit for bit on scipy 1.17.1.  Only a tabulated potential
+imports a scipy package, ``scipy.interpolate``.
 """
 
 from .grid import Control, UniformGrid

@@ -38,8 +38,8 @@ That factor is the one inverse state of a run.  It reaches every horizon
 of a potential's response (its connecting operator is positive
 definite); where it would stop short, :func:`assemble_matrix` raises.
 The connect stage reports from it the assembly asymmetry and the
-smallest eigenvalue (Lanczos through the factor, Lehoucq, Sorensen and
-Yang 1998); krein and gl solve through it.
+smallest eigenvalue (Lanczos through the factor, Lanczos 1950); krein
+and gl solve through it.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import DomainError, GridMismatchError, ReconstructionError
 from .grid import (Control, UniformGrid, cumulative_trapezoid,
                    trapezoid_weights, write_csv)
@@ -57,6 +58,9 @@ from .response import ResponseMatrix
 #: Largest asymmetry of an assembled connecting matrix, in units of h^2,
 #: that its symmetrization may hide.
 ASYMMETRY_H2 = 100.0
+#: Lanczos steps of :meth:`NestedFactor.min_eigenvalue` before it falls
+#: back to a dense eigensolve.
+LANCZOS_STEPS = 100
 #: Rows and columns per block of :func:`assemble_matrix`'s asymmetry scan
 #: and symmetrization; even, so that a block holds whole nodes.
 _SCAN_BLOCK = 128
@@ -175,10 +179,36 @@ def _tri_solve(factor: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
     """Solve L x = b (trans 0) or L^T x = b (trans 1) in place for a
     C-ordered b.  Its transpose is Fortran-ordered, so BLAS solves
     x^T op(L)^T = b^T from the right without copying b."""
-    from scipy.linalg.blas import dtrsm
+    return _lapack.blas().dtrsm(1.0, factor, b.T, side=1, lower=1,
+                                trans_a=1 - trans, overwrite_b=1).T
 
-    return dtrsm(1.0, factor, b.T, side=1, lower=1, trans_a=1 - trans,
-                 overwrite_b=1).T
+
+def _lanczos_top(op, v0: np.ndarray) -> float | None:
+    """Largest eigenvalue of the symmetric operator ``op``, by Lanczos
+    (Lanczos 1950) from ``v0`` with full reorthogonalisation, or None if
+    it has not converged after LANCZOS_STEPS steps.
+
+    It stops when the Ritz residual |beta_j s_j| of the largest Ritz value
+    theta is at roundoff, eps max(|theta|, eps^(2/3)): ARPACK's test at its
+    default tolerance (Lehoucq, Sorensen and Yang 1998)."""
+    eps = np.finfo(float).eps
+    steps = min(LANCZOS_STEPS, len(v0))
+    basis = np.empty((steps + 1, len(v0)))
+    basis[0] = v0 / np.linalg.norm(v0)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    for j in range(steps):
+        w = op(basis[j])
+        alpha[j] = basis[j] @ w
+        for _ in range(2):          # Gram-Schmidt twice is enough
+            w -= (basis[:j + 1] @ w) @ basis[:j + 1]
+        beta[j] = np.linalg.norm(w)
+        tri = np.diag(alpha[:j + 1]) + np.diag(beta[:j], -1)
+        theta, s = np.linalg.eigh(tri)
+        if beta[j] * abs(s[-1, -1]) <= eps * max(abs(theta[-1]),
+                                                 eps ** (2 / 3)):
+            return float(theta[-1])
+        basis[j + 1] = w / beta[j]
+    return None
 
 
 @dataclass(frozen=True)
@@ -237,31 +267,26 @@ class NestedFactor:
         """Smallest eigenvalue of the symmetrized A.
 
         B is positive definite, so this is the inverse of the largest
-        eigenvalue of B^{-1}, found by Lanczos (ARPACK) on an operator of
-        two triangular solves (``dtrsv``) with the factor.  If Lanczos
-        does not converge, it comes from a dense ``eigvalsh`` of B, read
-        from the factor: its strict upper triangle and ``b_diag``.
+        eigenvalue of B^{-1}, found by :func:`_lanczos_top` on an operator
+        of two triangular solves (``dtrsv``) with the factor.  If Lanczos
+        does not converge in LANCZOS_STEPS steps, it comes from a dense
+        ``eigvalsh`` of B, read from the factor: its strict upper triangle
+        and ``b_diag``.
         """
-        from scipy.linalg.blas import dtrsv
-        from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
-                                         eigsh)
-
-        size = self.factor.shape[0]
+        dtrsv = _lapack.blas().dtrsv
 
         def b_inverse(x):
-            z = dtrsv(self.factor, np.ravel(x), lower=1)
+            z = dtrsv(self.factor, x, lower=1)
             return dtrsv(self.factor, z, lower=1, trans=1, overwrite_x=1)
 
-        op = LinearOperator((size, size), matvec=b_inverse, dtype=float)
         # a fixed start vector keeps the result deterministic
-        v0 = np.random.default_rng(0).standard_normal(size)
-        try:
-            mu = eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)
-            return float(1.0 / mu[0])
-        except ArpackNoConvergence:
-            b = self.factor.copy()
-            b[np.diag_indices_from(b)] = self.b_diag
-            return float(np.linalg.eigvalsh(b, UPLO="U")[0])
+        v0 = np.random.default_rng(0).standard_normal(self.factor.shape[0])
+        mu = _lanczos_top(b_inverse, v0)
+        if mu is not None:
+            return float(1.0 / mu)
+        b = self.factor.copy()
+        b[np.diag_indices_from(b)] = self.b_diag
+        return float(np.linalg.eigvalsh(b, UPLO="U")[0])
 
     def _border(self):
         """Row and column indices of node k in horizon k's columns, in
@@ -318,14 +343,13 @@ class NestedFactor:
         below node k), from the stored triangle of B:
         A_k f = D B D f + (h/4)(1 - D) f with D = 1 on the nodes 0..k-1,
         d on node k and 0 below."""
-        from scipy.linalg.blas import dsymm
-
         # dsymm reads the diagonal, where the factor keeps L's; swap B's in
         diag = np.diag_indices_from(self.factor)
         l_diag = self.factor[diag]
         self.factor[diag] = self.b_diag
         try:
-            p = dsymm(1.0, self.factor, self._cut(f.copy()).T, side=1).T
+            p = _lapack.blas().dsymm(1.0, self.factor, self._cut(f.copy()).T,
+                                     side=1).T
         finally:
             self.factor[diag] = l_diag
         N, K = f.shape[0], self.horizons
@@ -374,8 +398,6 @@ def assemble_matrix(ck: ConnectingKernel) -> NestedFactor:
     horizon, naming the first horizon it misses and why: B is not
     positive definite, or that horizon's matrix A_k is more asymmetric,
     before the symmetrization, than ASYMMETRY_H2 h^2."""
-    from scipy.linalg.lapack import dpotrf
-
     n, h = ck.grid.n, ck.grid.h
     w = np.repeat(trapezoid_weights(n, h), 2)
     a = np.multiply(ck.nodes, w[:, None], order="F")
@@ -388,7 +410,7 @@ def assemble_matrix(ck: ConnectingKernel) -> NestedFactor:
     inner = np.maximum.accumulate(np.maximum(row, own))[:-1]
     asym = np.maximum(inner, np.maximum(d[1:] * row[1:], d[1:] ** 2 * own[1:]))
     b_diag = np.diag(a).copy()
-    a, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    a, info = _lapack.lapack().dpotrf(a, lower=1, clean=0, overwrite_a=1)
     # Horizon k needs the factor down to node k.  On failure LAPACK leaves
     # the factor of the leading block of order info - 1.  The horizons
     # served also end before the first whose matrix is too asymmetric for

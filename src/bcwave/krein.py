@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .connecting import NestedFactor, assemble_matrix, build_connecting
 from .errors import ReconstructionError
 from .grid import write_csv
@@ -148,10 +149,10 @@ def _smoothing_spline(x: np.ndarray, y: np.ndarray, lam: float,
     = y, and mapped back to B-spline coefficients on the knots
     (x0, x0, x0, x, xn, xn, xn).  Every operation follows scipy's
     ``make_smoothing_spline(x, y, lam=lam)(at)``, whose bits it gives
-    on scipy 1.17.1.
+    on scipy 1.17.1; the banded solve is the ``dgbsv`` call of scipy's
+    ``solve_banded((2, 2), ...)``, on the band with two zero rows on top
+    for the fill-in of the pivoting.
     """
-    from scipy.linalg import solve_banded
-
     n = len(x)
     t = np.concatenate([[x[0]] * 3, x, [x[-1]] * 3])
     # row r of the design matrix holds B_r..B_{r+3}(x_r), the last row
@@ -177,7 +178,11 @@ def _smoothing_spline(x: np.ndarray, y: np.ndarray, lam: float,
     wE[:-2, -1] = _divided_difference(x[-3:])
     wE *= 6
 
-    c = solve_banded((2, 2), X + lam * wE, y)
+    band = np.zeros((7, n))
+    band[2:] = X + lam * wE
+    _, _, c, info = _lapack.lapack().dgbsv(2, 2, band, y, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
     c = np.concatenate([[c[0] * (t[5] + t[4] - 2 * t[3]) + c[1],
                          c[0] * (t[5] - t[3]) + c[1]],
                         c[1:-1],

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import ConfigError, DomainError, SpectralError
 from .grid import (Control, UniformGrid, conv_trapezoid, cumulative_trapezoid,
                    trapezoid_weights, write_csv)
@@ -142,10 +143,9 @@ def _cauchy_data(yc: np.ndarray, step: float):
 
 def dsterf(d: np.ndarray, e: np.ndarray):
     """LAPACK ``dsterf``: every eigenvalue of the symmetric tridiagonal
-    (d, e), and its info code.  scipy.linalg is loaded on the first call."""
-    from scipy.linalg.lapack import dsterf as lapack_dsterf
-
-    return lapack_dsterf(d, e)
+    (d, e), and its info code.  It is scipy's own compiled routine, loaded
+    without the scipy packages on the first call (see :mod:`._lapack`)."""
+    return _lapack.lapack().dsterf(d, e)
 
 
 def _twisted_eigenpairs(a: np.ndarray, b: np.ndarray, count: int):

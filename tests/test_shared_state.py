@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from bcwave import krein, pipeline
+from bcwave import connecting, krein, pipeline
 from bcwave.config import parse_config
 from bcwave.connecting import assemble_matrix, build_connecting
 from bcwave.errors import ReconstructionError
@@ -98,19 +98,59 @@ def test_min_eigenvalue_by_lanczos(request, case):
 
 def test_min_eigenvalue_dense_when_lanczos_does_not_converge(ck128,
                                                             monkeypatch):
-    import scipy.sparse.linalg as sla
+    # one Lanczos step leaves the residual far above roundoff
+    monkeypatch.setattr(connecting, "LANCZOS_STEPS", 1)
+    eigvalsh, dense = np.linalg.eigvalsh, []
 
-    def no_convergence(*args, **kwargs):
-        raise sla.ArpackNoConvergence("no convergence", np.empty(0),
-                                      np.empty((0, 0)))
+    def counted(b, **kwargs):
+        dense.append(b.shape)
+        return eigvalsh(b, **kwargs)
 
-    monkeypatch.setattr(sla, "eigsh", no_convergence)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     asm = assemble_matrix(ck128)
     # the dense eigensolve reads B from the factor, a symmetric
     # permutation of the dense A
-    lam = np.linalg.eigvalsh(_assemble(ck128.nodes, ck128.grid.h)[0])[0]
+    lam = eigvalsh(_assemble(ck128.nodes, ck128.grid.h)[0])[0]
     assert lam > 0.0
     assert abs(asm.min_eigenvalue() - lam) <= 1e-12 * lam
+    assert dense == [asm.factor.shape]
+
+
+def _spd(rng, size, top=None, fold=1):
+    """A seeded SPD matrix of order ``size``: eigenvalues uniform in
+    [0.1, 1] and, if ``top`` is given, that value ``fold``-fold above
+    them."""
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    lam = rng.uniform(0.1, 1.0, size)
+    if top is not None:
+        lam[:fold] = top
+    a = (q * lam) @ q.T
+    return 0.5 * (a + a.T)
+
+
+@pytest.mark.parametrize("size,top,fold", [
+    (5, None, 1), (60, None, 1), (200, 1.5, 1),
+    # repeated, as the zero potential's h/4 is 4-fold
+    (200, 1.5, 4), (64, 1.001, 4)])
+def test_lanczos_top_matches_eigvalsh(size, top, fold):
+    rng = np.random.default_rng(size)
+    a = _spd(rng, size, top, fold)
+    v0 = rng.standard_normal(size)
+    mu = connecting._lanczos_top(lambda x: a @ x, v0)
+    ref = np.linalg.eigvalsh(a)[-1]
+    assert mu is not None
+    assert abs(mu - ref) <= 1e-13 * ref
+    assert connecting._lanczos_top(lambda x: a @ x, v0.copy()) == mu
+
+
+def test_lanczos_top_reports_no_convergence():
+    # 200 eigenvalues packed in [0.1, 1]: the top one is not separated
+    # to roundoff within LANCZOS_STEPS steps
+    rng = np.random.default_rng(200)
+    a = _spd(rng, 200)
+    assert connecting.LANCZOS_STEPS < 200
+    assert connecting._lanczos_top(lambda x: a @ x,
+                                   rng.standard_normal(200)) is None
 
 
 def _first_missed_horizon(ck):
@@ -253,7 +293,7 @@ def test_one_state_per_run_freed_before_spectral(tmp_path, monkeypatch):
 def test_inverse_state_holds_one_matrix(ck128):
     # beyond the kernel, whose node-major array is the only copy of C, the
     # shared state holds the factor and a few vectors
-    assemble_matrix(ck128)           # loads scipy.linalg first
+    assemble_matrix(ck128)           # loads the LAPACK module first
     size = 8 * (2 * ck128.grid.n + 2) ** 2
     tracemalloc.start()
     try:
