@@ -47,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _lapack
 from .errors import DomainError, GridMismatchError, ReconstructionError
@@ -85,18 +86,22 @@ def connecting_nodes(r: ResponseMatrix, n_half: int) -> np.ndarray:
     p1 = cumulative_trapezoid(r.r11, h)
     p2 = cumulative_trapezoid(r.r12, h)
 
-    i, j = np.meshgrid(np.arange(n_half + 1), np.arange(n_half + 1),
-                       indexing="ij")
-    refl = i + j                       # index of 2*tau - t - s
-    diff = j - i                       # index of t - s (signed)
-    adiff = np.abs(diff)
-    sgn = np.sign(diff)
+    # each block is a sum of Hankel views v[i + j] = win(v) and Toeplitz
+    # views v[|j - i|] = win(v[|k|])[::-1], k = j - i, written into its
+    # strided place in ``nodes``
+    m = n_half + 1
+    k = np.arange(1 - m, m)
+    ak, sk = np.abs(k), np.sign(k)
 
-    nodes = np.empty((2 * n_half + 2, 2 * n_half + 2))
-    nodes[0::2, 0::2] = 0.5 * (p1[refl] - p1[adiff])
-    nodes[0::2, 1::2] = 0.5 * (p2[refl] - sgn * p2[adiff])
-    nodes[1::2, 0::2] = 0.5 * (sgn * r.r21[adiff] + r.r21[refl])
-    nodes[1::2, 1::2] = 0.5 * (r.r22[adiff] + r.r22[refl])
+    def win(v):
+        return sliding_window_view(v[:2 * m - 1], m)
+
+    nodes = np.empty((2 * m, 2 * m))
+    np.subtract(win(p1), win(p1[ak])[::-1], out=nodes[0::2, 0::2])
+    np.subtract(win(p2), win(sk * p2[ak])[::-1], out=nodes[0::2, 1::2])
+    np.add(win(sk * r.r21[ak])[::-1], win(r.r21), out=nodes[1::2, 0::2])
+    np.add(win(r.r22[ak])[::-1], win(r.r22), out=nodes[1::2, 1::2])
+    nodes *= 0.5
     return nodes
 
 

@@ -158,7 +158,9 @@ def _inverse_state(state):
     on first use.  The last inverse stage of the run takes it out of
     ``state``, so it is freed once that stage lets go of it.  If the
     assembly fails, the state is its message, and each inverse stage
-    raises it again without assembling anew."""
+    raises it again without assembling anew.  On the potential route
+    the response is a potential's by construction, so the message then
+    also gives max|q| h^2, the likelier cause."""
     inverse = state.pop("inverse", None)
     if inverse is None:
         ck = state.get("connect") or build_connecting(state["response"])
@@ -166,6 +168,13 @@ def _inverse_state(state):
             inverse = ck, assemble_matrix(ck)
         except ReconstructionError as exc:
             inverse = str(exc)
+            if "potential" in state:
+                grid = state["response"].grid
+                q = state["potential"](grid.t - 0.5 * grid.horizon)
+                inverse += ("; but this response was computed from the "
+                            "potential, whose max|q| h^2 is %.3g on the "
+                            "run's grid (h = %g): a larger n may resolve it"
+                            % (np.max(np.abs(q)) * grid.h ** 2, grid.h))
     if state.get("keep_inverse"):
         state["inverse"] = inverse
     if isinstance(inverse, str):

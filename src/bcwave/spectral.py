@@ -31,8 +31,6 @@ from .potentials import Potential, ZeroPotential
 
 #: fraction of leading terms defining the tail-movement indicator
 TAIL_FRACTION = 0.9
-#: mesh rows per vectorised block in the eigensolver's twist search
-_TWIST_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,8 @@ def eigensolve(p: Potential, half_length: float, bc=(1.0, 0.0, 1.0, 0.0),
     scaled to an ordinary symmetric tridiagonal one (diagonal a,
     off-diagonal b).  Every eigenvalue of it comes from LAPACK's
     root-free QR (``dsterf``); the lowest ``count`` are then refined and
-    given eigenvectors by a twisted factorisation, the core of MRRR
-    (Dhillon and Parlett, LAA 387, 2004), see :func:`_twisted_eigenpairs`.
+    given eigenvectors by two steps of inverse iteration each, through
+    LAPACK's tridiagonal solver ``dgtsv``, see :func:`_inverse_eigenpairs`.
     With ``vecs=False`` the eigenfunctions are not kept (``vecs`` is
     None): beta and gamma need only their five samples around x = 0, and
     come out bit for bit the same.
@@ -94,15 +92,11 @@ def eigensolve(p: Potential, half_length: float, bc=(1.0, 0.0, 1.0, 0.0),
     diag[-1] = 1.0 / step + q[-1] * mass[-1]
     off = np.full(mesh, -1.0 / step)
 
-    lo = 0
-    hi = mesh + 1
-    if b1 == 0.0:
-        lo = 1           # Dirichlet: drop the end node
-    else:
+    # a Dirichlet end drops its node; a Robin end adds a/b to its diagonal
+    lo, hi = int(b1 == 0.0), mesh + int(b2 != 0.0)
+    if b1 != 0.0:
         diag[0] += a1 / b1
-    if b2 == 0.0:
-        hi = mesh
-    else:
+    if b2 != 0.0:
         diag[-1] += a2 / b2
 
     d = diag[lo:hi]
@@ -110,7 +104,7 @@ def eigensolve(p: Potential, half_length: float, bc=(1.0, 0.0, 1.0, 0.0),
     scale = 1.0 / np.sqrt(mass[lo:hi])
     dt = d * scale * scale
     et = e * scale[:-1] * scale[1:]
-    w, z = _twisted_eigenpairs(dt, et, count)
+    w, z = _inverse_eigenpairs(dt, et, count)
 
     # rows L2-normalized by trapezoid; the five central nodes give beta
     # and gamma
@@ -118,12 +112,12 @@ def eigensolve(p: Potential, half_length: float, bc=(1.0, 0.0, 1.0, 0.0),
     centre = np.arange(c - 2, c + 3)
     inside = (centre >= lo) & (centre < hi)
     yc = np.zeros((count, 5))
-    yc[:, inside] = z[centre[inside] - lo].T * scale[centre[inside] - lo]
+    yc[:, inside] = z[:, centre[inside] - lo] * scale[centre[inside] - lo]
     beta, gamma, flip = _cauchy_data(yc, step)
     y = None
     if vecs:
         y = np.zeros((count, mesh + 1))
-        np.multiply(z.T, scale, out=y[:, lo:hi])
+        np.multiply(z, scale, out=y[:, lo:hi])
         y *= flip[:, None]
     return SpectralMeasure(N, (a1, b1, a2, b2), w, beta, gamma, x, y)
 
@@ -148,107 +142,48 @@ def dsterf(d: np.ndarray, e: np.ndarray):
     return _lapack.lapack().dsterf(d, e)
 
 
-def _twisted_eigenpairs(a: np.ndarray, b: np.ndarray, count: int):
-    """Lowest ``count`` eigenpairs of the symmetric tridiagonal (a, b).
-
-    All eigenvalues come from ``dsterf``; the lowest ``count`` are kept.
-    :func:`_twisted_vectors` at those shifts gives one Rayleigh-quotient
-    correction of each, and a second call at the corrected shifts gives
-    the eigenvectors.  A vector's error is about its shift's error over
-    the gap, so vectors taken at the ``dsterf`` values themselves would
-    be 10-50x less accurate than the refined ones.  The two (m, count)
-    pivot arrays are the only work arrays; the unit eigenvectors are
-    returned as the columns of the first.
-    """
+def _inverse_eigenpairs(a: np.ndarray, b: np.ndarray, count: int):
+    """Lowest ``count`` eigenpairs of the symmetric tridiagonal (a, b):
+    the lowest ``dsterf`` eigenvalues, each refined by
+    :func:`_inverse_step`, and their unit eigenvectors as the rows of one
+    (count, m) array.  A vector's error is about its shift's error over
+    the gap, so vectors at the ``dsterf`` values would be 10-50x worse."""
     vals, info = dsterf(a, b)
     if info != 0:
         raise SpectralError("dsterf failed to converge (info %d)" % info)
     lam = np.sort(vals)[:count]
-    z = np.empty((len(a), count))
-    work = np.empty_like(z)
-    lam = lam + _twisted_vectors(a, b, lam, z, work)
-    _twisted_vectors(a, b, lam, z, work)
-    z /= np.sqrt(np.einsum("ij,ij->j", z, z))
+    start = np.random.default_rng(0).standard_normal(len(a))
+    z = np.empty((count, len(a)))
+    with np.errstate(all="ignore"):
+        for k in range(count):
+            lam[k], z[k] = _inverse_step(a, b, lam[k], start)
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(z))):
-        raise SpectralError("non-finite eigendata from the twisted "
-                            "factorisation")
+        raise SpectralError("non-finite eigendata from inverse iteration")
     return lam, z
 
 
-def _twisted_vectors(a, b, lam, fwd, bwd):
-    """Twisted-factorisation eigenvectors of T - lam, one per shift.
+def _inverse_step(a, b, shift, start):
+    """Two steps of inverse iteration on T - shift (Ipsen, SIAM Review
+    39, 1997): the refined shift and the unit eigenvector.
 
-    The forward and backward LDL^T pivots of T - lam,
-
-        D+_0 = a_0 - lam,          D+_i = a_i - lam - b_{i-1}^2 / D+_{i-1},
-        D-_{m-1} = a_{m-1} - lam,  D-_i = a_i - lam - b_i^2 / D-_{i+1},
-
-    go into ``fwd`` and ``bwd`` (a Python loop over the rows, vectorised
-    over the shifts).  The twist r minimising |gamma_i|,
-    gamma_i = D+_i + D-_i - (a_i - lam), fixes z_r = 1, and z follows
-    outwards: z_i = -b_i z_{i+1} / D+_i above r, z_i = -b_{i-1} z_{i-1} / D-_i
-    below.  Each side is a cumulative product of ratios that are 1 on
-    the other side, so z, unnormalised, overwrites ``fwd``.  As
-    (T - lam) z = gamma_r e_r, the Rayleigh quotient of z is
-    lam + gamma_r / |z|^2; the correction gamma_r / |z|^2 is returned.
-    An exactly vanishing pivot (the free Neumann lam = 0 yields some)
-    would make a ratio infinite: it is lifted to -eps max|a|, and its
-    shift gets no correction.
+    x solves (T - s) x = ``start``, so x.(T - s)x = x.start, and the
+    Rayleigh quotient of x is s + (x.start)/(x.x), without the
+    cancellation of x.Tx.  A second solve at that quotient, from x/|x|,
+    gives the vector.  LAPACK's ``dgtsv`` does each solve; where it
+    meets an exactly singular pivot (the free Neumann lam = 0 gives
+    one), it solves again at s - eps max|a|.
     """
-    m, count = fwd.shape
-    cols = np.arange(count)
-    b2 = b * b
-    best = np.full(count, np.inf)
-    twist = np.zeros(count, dtype=np.intp)
-    gam = np.zeros(count)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.subtract(a[:, None], lam, out=fwd)
-        np.copyto(bwd, fwd)
-        # the rows as views made once, Python-float coefficients and one
-        # row buffer: a row step allocates nothing
-        ratio = np.empty(count)
-        c = b2.tolist()
-        f, g = list(fwd), list(bwd)
-        for i in range(1, m):
-            np.divide(c[i - 1], f[i - 1], ratio)
-            f[i] -= ratio
-        for i in range(m - 2, -1, -1):
-            np.divide(c[i], g[i + 1], ratio)
-            g[i] -= ratio
-        # Lift the zero pivots that feed z and recompute their neighbour;
-        # past that the recurrence already is the limit of the lifted one.
-        tiny = np.finfo(float).eps * np.max(np.abs(a))
-        k, j = np.nonzero(fwd[:-1] == 0.0)
-        fwd[k, j] = -tiny
-        fwd[k + 1, j] = (a[k + 1] - lam[j]) + b2[k] / tiny
-        lifted = np.isin(cols, j)
-        k, j = np.nonzero(bwd[1:] == 0.0)
-        bwd[k + 1, j] = -tiny
-        bwd[k, j] = (a[k] - lam[j]) + b2[k] / tiny
-        lifted |= np.isin(cols, j)
-        for s in range(0, m, _TWIST_BLOCK):
-            g = fwd[s:s + _TWIST_BLOCK] + bwd[s:s + _TWIST_BLOCK] \
-                - (a[s:s + _TWIST_BLOCK, None] - lam)
-            mag = np.abs(g)
-            mag[np.isnan(mag)] = np.inf
-            k = np.argmin(mag, axis=0)
-            low = mag[k, cols]
-            win = low < best
-            best[win] = low[win]
-            gam[win] = g[k, cols][win]
-            twist[win] = s + k[win]
+    gtsv = _lapack.lapack().dgtsv
 
-        rows = np.arange(m)[:, None]
-        np.divide(-b[:, None], bwd[1:], out=bwd[1:])
-        np.copyto(bwd[1:], 1.0, where=rows[1:] <= twist)
-        bwd[0] = 1.0
-        np.cumprod(bwd, axis=0, out=bwd)
-        np.divide(-b[:, None], fwd[:-1], out=fwd[:-1])
-        np.copyto(fwd[:-1], 1.0, where=rows[:-1] >= twist)
-        fwd[-1] = 1.0
-        np.cumprod(fwd[::-1], axis=0, out=fwd[::-1])
-        fwd *= bwd
-        return np.where(lifted, 0.0, gam / np.einsum("ij,ij->j", fwd, fwd))
+    def solve(s, rhs):
+        x, info = gtsv(b, a - s, b, rhs)[3:]
+        return (s, x) if info <= 0 else solve(
+            s - np.finfo(float).eps * np.max(np.abs(a)), rhs)
+
+    s, x = solve(shift, start)
+    lam = s + (x @ start) / (x @ x)
+    x = solve(lam, x / np.sqrt(x @ x))[1]
+    return lam, x / np.sqrt(x @ x)
 
 
 def wave_kernel(lam, t):

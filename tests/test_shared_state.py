@@ -213,7 +213,10 @@ def _inverse_stages_fail_once(tmp_path, monkeypatch, r, needle):
             files = [str(out / "connecting.csv")] * (s["name"] == "connect")
             assert s["files"] == files
     assert len(errors) == 1
-    assert needle in errors.pop()
+    error = errors.pop()
+    assert needle in error
+    # no potential to blame the grid on
+    assert error.endswith("so the response belongs to no potential")
 
 
 def test_response_of_no_potential_fails_connect_and_gl(tmp_path, monkeypatch,
@@ -229,6 +232,29 @@ def test_skewed_response_fails_every_inverse_stage(tmp_path, monkeypatch,
     # r21' = r12 broken: the horizon matrices grow too asymmetric
     _inverse_stages_fail_once(tmp_path, monkeypatch, resp_skew,
                               "has asymmetry")
+
+
+@pytest.mark.parametrize("amplitude,qh2", [(1e3, "0.977"), (300.0, None)])
+def test_coarse_grid_named_on_the_potential_route(tmp_path, amplitude, qh2):
+    # at n = 32 (h = 1/32) a Gaussian of amplitude 1e3 has max|q| h^2 =
+    # 0.98, and its response's factor stops short; 300 (0.29) inverts
+    report = pipeline.run_pipeline(parse_config(json.dumps(
+        {"potential": {"kind": "gaussian", "amplitude": amplitude,
+                       "width": 0.3},
+         "T": 1.0, "n": 32, "stages": ["connect", "krein", "gl"],
+         "out": str(tmp_path)})))
+    inverse = report["stages"][2:]
+    assert [s["name"] for s in inverse] == ["connect", "krein", "gl"]
+    if qh2 is None:
+        assert report["ok"]
+        return
+    for s in inverse:
+        assert s["status"] == "failed"
+        assert s["error"].startswith("the nested factor stops short of "
+                                     "horizon 19 of 32: the connecting "
+                                     "matrix is not positive definite")
+        assert "max|q| h^2 is %s" % qh2 in s["error"]
+        assert "a larger n may resolve it" in s["error"]
 
 
 def test_assembly_asymmetry_from_the_factor(resp_off, resp_skew):

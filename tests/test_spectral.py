@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
-from bcwave import pipeline, spectral
+from bcwave import _lapack, pipeline, spectral
 from bcwave.config import parse_config
 from bcwave.connecting import connecting_form
 from bcwave.errors import ConfigError, DomainError, SpectralError
@@ -112,29 +112,34 @@ def test_free_neumann_zero_mode_finite():
                          ids=["forward_pivot", "backward_pivot"])
 def test_zero_pivot_lift(reverse):
     # T = tridiag(-1; 0, 2, 2, 2, 1, 3; -1) has the null vector
-    # (-1, 0, 1, 2, 3, 1); at lam = 0 its first forward pivot is exactly
-    # zero and feeds z, and reversed, its last backward pivot does
+    # (-1, 0, 1, 2, 3, 1); at lam = 0 dgtsv meets an exactly zero pivot
+    # in the forward orientation (info = 6), and the step lifts the
+    # shift by eps max|a| and solves again
     a = np.array([0.0, 2.0, 2.0, 2.0, 1.0, 3.0])
     want = np.array([-1.0, 0.0, 1.0, 2.0, 3.0, 1.0])
     if reverse:
         a, want = a[::-1].copy(), want[::-1]
-    z = np.empty((6, 1))
-    step = spectral._twisted_vectors(a, -np.ones(5), np.zeros(1), z,
-                                     np.empty_like(z))
-    assert step[0] == 0.0     # a lifted shift keeps its value
-    z = z[:, 0] * (want @ z[:, 0]) / (z[:, 0] @ z[:, 0])
+    start = np.random.default_rng(0).standard_normal(6)
+    info = _lapack.lapack().dgtsv(-np.ones(5), a, -np.ones(5), start)[4]
+    assert info == (0 if reverse else 6)
+    lam, z = spectral._inverse_step(a, -np.ones(5), 0.0, start)
+    assert abs(lam) <= 1e-12
+    z = z * (want @ z) / (z @ z)
     assert np.max(np.abs(z - want)) <= 1e-12
 
 
 def _stein_eigenpairs(a, b, count):
-    """The tridiagonal solve eigensolve used before the twisted
-    factorisation: bisection plus inverse iteration."""
-    return eigh_tridiagonal(a, b, select="i", select_range=(0, count - 1))
+    """The tridiagonal solve eigensolve used before its own solver:
+    bisection plus LAPACK's inverse iteration (stebz, stein), the
+    eigenvectors as rows, as :func:`spectral._inverse_eigenpairs` gives
+    them."""
+    w, v = eigh_tridiagonal(a, b, select="i", select_range=(0, count - 1))
+    return w, v.T
 
 
 def _check_against_stein(monkeypatch, p, bc, count, mesh):
     got = eigensolve(p, 4.0, bc, count, mesh)
-    monkeypatch.setattr(spectral, "_twisted_eigenpairs", _stein_eigenpairs)
+    monkeypatch.setattr(spectral, "_inverse_eigenpairs", _stein_eigenpairs)
     want = eigensolve(p, 4.0, bc, count, mesh)
     # relative to max(|lam|, 1): the free Neumann ground state is 0 up
     # to roundoff in both solvers
@@ -145,6 +150,8 @@ def _check_against_stein(monkeypatch, p, bc, count, mesh):
         assert np.max(np.abs(g - w)) <= 1e-9 * np.max(np.abs(w)), key
 
 
+# The two tests below keep the names of the twisted factorisation they
+# were written for; they check the inverse iteration that replaced it.
 @pytest.mark.parametrize("bc", [(1, 0, 1, 0), (0, 1, 0, 1), (1, 0.5, 2, 1)],
                          ids=["dirichlet", "neumann", "robin"])
 @pytest.mark.parametrize("kind", ["gauss", "zero", "well"])
