@@ -9,6 +9,7 @@ mutated afterwards.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -362,6 +363,17 @@ def write_csv(path, header, blocks, text=(), coords=()) -> None:
     ``_format_slots``); 0, smaller or larger magnitudes, inf and nan take
     ``"%.17g" % x``, element by element.  The chunk's buffers are reused
     for the whole file, so the writer's memory does not grow with it.
+
+    An existing file is rewritten in place: it is opened without
+    truncation and cut at the write position once the rows end, or once
+    a block raises, so it holds what was written and no byte of the old
+    file.  On ext4 (``auto_da_alloc``) a file truncated to zero length
+    and written again is pushed to disk when it is closed, and the next
+    truncation of it waits for that writeback; a rerun into the same
+    ``out`` directory would pay that wait on every file.  The writer
+    never syncs the file, so durability is what truncating first gave.
+    A new file gets the mode ``open(path, "wb")`` gives, 0o666 less the
+    umask.
     """
     coords = np.asarray(coords, dtype=float).reshape(-1)
     labelled = len(coords) > 0
@@ -389,34 +401,38 @@ def write_csv(path, header, blocks, text=(), coords=()) -> None:
         fh.write((buf if r == rows else buf[:8 * chunk.size])
                  .translate(None, b"\0"))
 
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        fill = 0
-        for block in blocks:
-            if len(block) != ncols:
-                raise ValueError("CSV block has %d columns, expected %d"
-                                 % (len(block), ncols))
-            if labelled:
-                i, span, *columns = block
-                spanned = labels[span]
-                n = len(spanned)
-            else:
-                columns, n = block, len(block[0])
-            if any(len(c) != n for c in columns):
-                raise ValueError("CSV block columns differ in length")
-            done = 0
-            while done < n:
-                take = min(n - done, rows - fill)
-                dst, src = slice(fill, fill + take), slice(done, done + take)
-                for j, c in enumerate(columns):
-                    values[dst, j] = c[src]
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            fh.write((",".join(header) + "\r\n").encode())
+            fill = 0
+            for block in blocks:
+                if len(block) != ncols:
+                    raise ValueError("CSV block has %d columns, expected %d"
+                                     % (len(block), ncols))
                 if labelled:
-                    words[dst, :lw] = labels[i]
-                    words[dst, lw:2 * lw] = spanned[src]
-                fill += take
-                done += take
-                if fill == rows:
-                    flush(fh, rows)
-                    fill = 0
-        if fill:
-            flush(fh, fill)
+                    i, span, *columns = block
+                    spanned = labels[span]
+                    n = len(spanned)
+                else:
+                    columns, n = block, len(block[0])
+                if any(len(c) != n for c in columns):
+                    raise ValueError("CSV block columns differ in length")
+                done = 0
+                while done < n:
+                    take = min(n - done, rows - fill)
+                    dst = slice(fill, fill + take)
+                    src = slice(done, done + take)
+                    for j, c in enumerate(columns):
+                        values[dst, j] = c[src]
+                    if labelled:
+                        words[dst, :lw] = labels[i]
+                        words[dst, lw:2 * lw] = spanned[src]
+                    fill += take
+                    done += take
+                    if fill == rows:
+                        flush(fh, rows)
+                        fill = 0
+            if fill:
+                flush(fh, fill)
+        finally:
+            fh.truncate()

@@ -32,7 +32,8 @@ from . import BACKEND
 from .config import (INVERSE_STAGES, STAGES, RunConfig, check_memory,
                      config_to_dict)
 from .connecting import assemble_matrix, build_connecting, connecting_form
-from .errors import BCWaveError, ConfigError, ReconstructionError
+from .errors import (BCWaveError, ConfigError, ReconstructionError,
+                     SpectralError)
 from .gl import (operator_identity_residual, recover_q_from_m, solve_gl,
                  write_q_csv)
 from .goursat import solve_kernels
@@ -169,17 +170,23 @@ def _inverse_state(state):
         except ReconstructionError as exc:
             inverse = str(exc)
             if "potential" in state:
-                grid = state["response"].grid
-                q = state["potential"](grid.t - 0.5 * grid.horizon)
                 inverse += ("; but this response was computed from the "
-                            "potential, whose max|q| h^2 is %.3g on the "
-                            "run's grid (h = %g): a larger n may resolve it"
-                            % (np.max(np.abs(q)) * grid.h ** 2, grid.h))
+                            "potential, whose " + _coarse_grid(state))
     if state.get("keep_inverse"):
         state["inverse"] = inverse
     if isinstance(inverse, str):
         raise ReconstructionError(inverse)
     return inverse
+
+
+def _coarse_grid(state) -> str:
+    """The potential's max|q| h^2 on the run's grid, worded for the
+    message of a stage that fails because the grid is too coarse for
+    it."""
+    grid = state["response"].grid
+    q = state["potential"](grid.t - 0.5 * grid.horizon)
+    return ("max|q| h^2 is %.3g on the run's grid (h = %g): a larger n may "
+            "resolve it" % (np.max(np.abs(q)) * grid.h ** 2, grid.h))
 
 
 _TESTS = {"<=": operator.le, ">": operator.gt}
@@ -330,11 +337,18 @@ def _stage_spectral(cfg, state, files):
             resp_errors.append(float(np.linalg.norm(sp.value - dyn_int)
                                      / np.linalg.norm(dyn_int)))
             # relative to sqrt((C F, F)(C G, G)), the scale of (C F, G),
-            # which may itself be near zero
-            scale = (np.sqrt(connecting_form(ck, F, F))
-                     * np.sqrt(connecting_form(ck, G, G)))
+            # which may itself be near zero.  The form of a potential's
+            # response is positive; a NaN is left to the finite-metric rule
+            ff, gg = connecting_form(ck, F, F), connecting_form(ck, G, G)
+            if ff <= 0 or gg <= 0:
+                raise SpectralError(
+                    "the connecting form is not positive on this grid "
+                    "((C F, F) = %.3g, (C G, G) = %.3g for pair %d): the "
+                    "potential's %s" % (ff, gg, len(form_errors) + 1,
+                                        _coarse_grid(state)))
             form_errors.append(float(
-                abs(spf.value - connecting_form(ck, F, G)) / scale))
+                abs(spf.value - connecting_form(ck, F, G))
+                / (np.sqrt(ff) * np.sqrt(gg))))
             tails.extend([sp.tail, spf.tail])
     return {"lambda_min": float(measure.lam[0]),
             "lambda_max": float(measure.lam[-1]),

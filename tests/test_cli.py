@@ -374,6 +374,28 @@ def test_serial_runs_byte_identical(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def test_rerun_into_the_same_out_matches_a_fresh_run(tmp_path, monkeypatch):
+    # every file of the n = 32 run is longer than its n = 16 rewrite
+    base = {"potential": {"kind": "gaussian", "amplitude": 1.0,
+                          "width": 0.3},
+            "T": 1.0, "stages": ["kernels", "response", "connect", "krein",
+                                 "gl"],
+            "out": "out"}
+    outputs = {}
+    for tag, sizes in (("fresh", [16]), ("rerun", [32, 16])):
+        cwd = tmp_path / tag
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        for n in sizes:
+            run_pipeline(parse_config(json.dumps(dict(base, n=n))))
+        outputs[tag] = {p.name: p.read_bytes()
+                        for p in (cwd / "out").iterdir()}
+    assert sorted(outputs["fresh"]) == [
+        "connecting.csv", "gl_kernel.csv", "kernels.csv", "krein_q.csv",
+        "q_gl.csv", "report.json", "response.csv"]
+    assert outputs["rerun"] == outputs["fresh"]
+
+
 def test_paper_sign_and_seed_overrides(tmp_path, capsys):
     c = tmp_path / "c.json"
     c.write_text(json.dumps({

@@ -2,6 +2,8 @@
 ``%.17g`` (integer columns as plain integers), comma-separated, CRLF line
 ends -- the rendering ``csv.writer`` gave these files."""
 
+import os
+import stat
 import tempfile
 from decimal import Decimal
 from pathlib import Path
@@ -383,3 +385,45 @@ def test_chunk_boundaries_leave_bytes_unchanged(tmp_path, monkeypatch,
     whole = (tmp_path / "whole.csv").read_bytes()
     assert whole.count(b"\r\n") > 3 * 7
     assert (tmp_path / "chunked.csv").read_bytes() == whole
+
+
+# A rerun writes each file over the previous run's: in place, cut at the
+# last byte written, whatever the old file held.
+
+
+@pytest.mark.parametrize("old_rows", [3000, 5], ids=["longer", "shorter"])
+def test_rewrite_over_an_existing_file(tmp_path, old_rows):
+    rng = np.random.default_rng(old_rows)
+    old, new = rng.standard_normal((2, old_rows)), rng.standard_normal((2, 40))
+    path = tmp_path / "rewritten.csv"
+    write_csv(path, ["p", "q"], [tuple(old)])
+    inode = path.stat().st_ino
+    write_csv(path, ["p", "q"], [tuple(new)])
+    assert path.read_bytes() == _reference(["p", "q"], new.T)
+    assert path.stat().st_ino == inode
+
+
+def test_block_that_raises_leaves_only_what_was_written(tmp_path):
+    # the first block fills one chunk and queues five rows; the second
+    # has too few columns and raises
+    rows = grid.CSV_CHUNK_ROWS
+    a = np.arange(rows + 5.0)
+    path = tmp_path / "partial.csv"
+    path.write_bytes(b"9" * (40 * 3 * rows))
+    with pytest.raises(ValueError, match="columns"):
+        write_csv(path, ["p", "q"], [(a, -a), (a,)])
+    assert path.read_bytes() == _reference(["p", "q"],
+                                           zip(a[:rows], -a[:rows]))
+
+
+def test_new_file_mode_follows_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_csv(tmp_path / "new.csv", ["p"], [(np.ones(3),)])
+        with open(tmp_path / "plain.csv", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "new.csv").stat().st_mode)
+    assert mode == 0o666 & ~0o027
+    assert mode == stat.S_IMODE((tmp_path / "plain.csv").stat().st_mode)

@@ -257,6 +257,27 @@ def test_coarse_grid_named_on_the_potential_route(tmp_path, amplitude, qh2):
         assert "a larger n may resolve it" in s["error"]
 
 
+def test_coarse_grid_named_by_the_spectral_stage(tmp_path):
+    # at amplitude 1e4 (max|q| h^2 = 9.77) the connecting form of the
+    # spectral stage's first pair is negative; the inverse stages name
+    # the same cause in the same words
+    report = pipeline.run_pipeline(parse_config(json.dumps(
+        {"potential": {"kind": "gaussian", "amplitude": 1e4, "width": 0.3},
+         "T": 1, "n": 32, "spectral": {"cutoff": 40, "mesh": 256},
+         "out": str(tmp_path)})))
+    stages = {s["name"]: s for s in report["stages"]}
+    assert {k: s["status"] for k, s in stages.items()} == {
+        "kernels": "ok", "response": "ok", "connect": "failed",
+        "krein": "failed", "gl": "failed", "spectral": "failed"}
+    grid = ("max|q| h^2 is 9.77 on the run's grid (h = 0.03125): a larger n "
+            "may resolve it")
+    assert stages["spectral"]["error"] == (
+        "the connecting form is not positive on this grid ((C F, F) = -2.29, "
+        "(C G, G) = -3.26 for pair 1): the potential's " + grid)
+    for name in ("connect", "krein", "gl"):
+        assert stages[name]["error"].endswith("potential, whose " + grid)
+
+
 def test_assembly_asymmetry_from_the_factor(resp_off, resp_skew):
     for r in (resp_off, resp_skew):
         ck = build_connecting(r)
