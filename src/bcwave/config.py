@@ -45,6 +45,11 @@ class SpectralOptions:
     mesh: int
 
 
+def _default_spectral(T: float) -> SpectralOptions:
+    """The spectral settings of a config that gives none: N = 4T."""
+    return SpectralOptions(4.0 * T, (1.0, 0.0, 1.0, 0.0), 400, 2048)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A checked run; ``dataclasses.replace`` makes a checked copy."""
@@ -76,8 +81,7 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.spectral is None:
-            object.__setattr__(self, "spectral", SpectralOptions(
-                4.0 * self.T, (1.0, 0.0, 1.0, 0.0), 400, 2048))
+            object.__setattr__(self, "spectral", _default_spectral(self.T))
         spec = self.spectral
         if spec.half_length <= 0:
             raise ConfigError("spectral.N must be positive")
@@ -234,14 +238,15 @@ def parse_config(text: str) -> RunConfig:
         if not isinstance(s, dict):
             raise ConfigError("'spectral' must be an object")
         _take(s, {"N", "bc", "cutoff", "mesh"}, "spectral")
-        bc = s.get("bc", [1.0, 0.0, 1.0, 0.0])
+        default = _default_spectral(T)
+        bc = s.get("bc", list(default.bc))
         if not isinstance(bc, list) or len(bc) != 4:
             raise ConfigError("spectral.bc must have 4 entries")
         spec = SpectralOptions(
-            finite_number(s.get("N", 4.0 * T), "spectral.N"),
+            finite_number(s.get("N", default.half_length), "spectral.N"),
             tuple(finite_number(v, "spectral.bc") for v in bc),
-            _integer(s.get("cutoff", 400), "spectral.cutoff"),
-            _integer(s.get("mesh", 2048), "spectral.mesh"))
+            _integer(s.get("cutoff", default.cutoff), "spectral.cutoff"),
+            _integer(s.get("mesh", default.mesh), "spectral.mesh"))
     pot = raw.get("potential")
     if pot is not None and not isinstance(pot, dict):
         raise ConfigError("'potential' must be an object")

@@ -51,7 +51,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _lapack
 from .errors import DomainError, GridMismatchError, ReconstructionError
-from .grid import (Control, UniformGrid, cumulative_trapezoid,
+from .grid import (Control, UniformGrid, cumulative_trapezoid, inner_outer,
                    trapezoid_weights, write_csv)
 from .response import ResponseMatrix
 
@@ -142,16 +142,15 @@ class ConnectingKernel:
                   coords=t)
 
 
-def build_connecting(r: ResponseMatrix, n_half: int | None = None) -> ConnectingKernel:
-    """Assemble the connecting kernel for horizon T = n_half * h (default:
-    half the response horizon).  Response data enter the inverse side
-    here, so non-finite data raise :class:`ReconstructionError`."""
+def build_connecting(r: ResponseMatrix) -> ConnectingKernel:
+    """The connecting kernel on [0, T], T half the response horizon, whose
+    step count must be even (else DomainError).  Response data enter the
+    inverse side here: non-finite data raise :class:`ReconstructionError`."""
     if not all(np.isfinite(a).all() for a in (r.r11, r.r12, r.r21, r.r22)):
         raise ReconstructionError("non-finite response data")
-    if n_half is None:
-        if r.grid.n % 2:
-            raise DomainError("response grid has an odd number of steps")
-        n_half = r.grid.n // 2
+    if r.grid.n % 2:
+        raise DomainError("response grid has an odd number of steps")
+    n_half = r.grid.n // 2
     grid = UniformGrid(n_half * r.grid.h, n_half)
     return ConnectingKernel(grid, connecting_nodes(r, n_half))
 
@@ -175,8 +174,6 @@ def apply_connecting(ck: ConnectingKernel, f: Control) -> Control:
 
 def connecting_form(ck: ConnectingKernel, f: Control, g: Control) -> float:
     """Bilinear form (C^T F, G) in the outer space."""
-    from .grid import inner_outer
-
     return inner_outer(apply_connecting(ck, f), g)
 
 

@@ -17,14 +17,6 @@ class ConfigError(BCWaveError):
     """Invalid configuration (bad key, bad value, grid too coarse, ...)."""
 
 
-class InternalConsistencyError(BCWaveError):
-    """Two redundant computation routes disagree beyond tolerance.
-
-    Raised when a self-check fails, which signals a kernel or quadrature
-    bug rather than bad user input.
-    """
-
-
 class ReconstructionError(BCWaveError):
     """A potential reconstruction has too little usable data."""
 

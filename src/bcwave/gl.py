@@ -113,10 +113,8 @@ def solve_gl(ck: ConnectingKernel,
         fac = assemble_matrix(ck)
     converged = np.zeros(n, dtype=bool)
     for cols in np.array_split(np.arange(1, n + 1), GL_PANELS):
-        if len(cols):
-            first, last = int(cols[0]), int(cols[-1])
-            converged[first - 1:last] = _solve_panel(
-                cr, fac.panel(first, last), m)
+        first, last = int(cols[0]), int(cols[-1])
+        converged[cols - 1] = _solve_panel(cr, fac.panel(first, last), m)
     m[:2, :2] = -2.0 * cr[:2, :2]   # s = 0: the system is the identity
     del fac
     for j in range(1, n + 1):

@@ -38,15 +38,6 @@ class UniformGrid:
     def t(self) -> np.ndarray:
         return self.h * np.arange(self.n + 1)
 
-    def subgrid(self, m: int) -> "UniformGrid":
-        """Grid over [0, m*h] with the same step (subsampling, never
-        regridding)."""
-        return UniformGrid(m * self.h, m)
-
-    def doubled(self) -> "UniformGrid":
-        """Grid over [0, 2*horizon] with the same step."""
-        return UniformGrid(2.0 * self.horizon, 2 * self.n)
-
 
 def trapezoid_weights(m: int, h: float) -> np.ndarray:
     """Composite trapezoid weights for m+1 nodes with step h."""
@@ -69,14 +60,13 @@ def row_trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def cumulative_trapezoid(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """Antiderivative samples along ``axis``: out[k] = int_0^{t_k} y,
-    out[0] = 0."""
-    y = np.moveaxis(y, axis, 0)
+def cumulative_trapezoid(y: np.ndarray, h: float) -> np.ndarray:
+    """Antiderivative samples along the first axis: out[k] =
+    int_0^{t_k} y, out[0] = 0."""
     out = np.empty_like(y, dtype=float)
     out[0] = 0.0
     np.cumsum(0.5 * h * (y[1:] + y[:-1]), axis=0, out=out[1:])
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def conv_trapezoid(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
@@ -137,23 +127,11 @@ class Control:
             if v is not None:
                 object.__setattr__(self, name, _as_samples(self.grid, v))
 
-    @property
-    def has_analytic_derivative(self) -> bool:
-        return self.df1 is not None and self.df2 is not None
-
     def derivative(self) -> tuple[np.ndarray, np.ndarray]:
         h = self.grid.h
         d1 = self.df1 if self.df1 is not None else differentiate(self.f1, h)
         d2 = self.df2 if self.df2 is not None else differentiate(self.f2, h)
         return d1, d2
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.f1, self.f2])
-
-    @staticmethod
-    def from_stacked(grid: UniformGrid, v: np.ndarray) -> "Control":
-        m = grid.n + 1
-        return Control(grid, v[:m], v[m:])
 
 
 def _check_same_grid(a, b):
@@ -168,18 +146,14 @@ def inner_outer(f: Control, g: Control) -> float:
     return float(np.sum(w * (f.f1 * g.f1 + f.f2 * g.f2)))
 
 
-def smooth_random_control(grid: UniformGrid, rng, modes: int = 5) -> Control:
-    """Seeded smooth test control: random sine series vanishing at both
-    endpoints, with exact derivatives attached."""
+def smooth_random_control(grid: UniformGrid, rng) -> Control:
+    """Seeded smooth test control: a random five-term sine series
+    vanishing at both endpoints, with exact derivatives attached."""
     t = grid.t
-    T = grid.horizon
-    f1 = np.zeros_like(t)
-    f2 = np.zeros_like(t)
-    d1 = np.zeros_like(t)
-    d2 = np.zeros_like(t)
-    for m in range(1, modes + 1):
+    f1, f2, d1, d2 = np.zeros((4, len(t)))
+    for m in range(1, 6):
         a, b = rng.standard_normal(2) / m
-        k = m * np.pi / T
+        k = m * np.pi / grid.horizon
         f1 += a * np.sin(k * t)
         d1 += a * k * np.cos(k * t)
         f2 += b * np.sin(k * t)

@@ -56,8 +56,7 @@ class SpectralMeasure:
                     self.gamma)])
 
 
-def eigensolve(p: Potential, half_length: float, bc=(1.0, 0.0, 1.0, 0.0),
-               count: int = 400, mesh: int = 2048,
+def eigensolve(p: Potential, half_length: float, bc, count: int, mesh: int,
                vecs: bool = True) -> SpectralMeasure:
     """Lowest ``count`` eigenpairs by 3-point finite differences.
 
@@ -305,7 +304,7 @@ def _shared_grid(controls) -> UniformGrid:
 
 
 def smoothed_response_traces(measure: SpectralMeasure, controls,
-                             reference: SpectralMeasure | None = None
+                             reference: SpectralMeasure
                              ) -> list[SpectralResult]:
     """Time-integrated responses int_0^u (R^T F)(t) dt on the control grid,
     one SpectralResult per control F of ``controls``; each value has
@@ -323,9 +322,9 @@ def smoothed_response_traces(measure: SpectralMeasure, controls,
 
     The cancellation is exact only against the q = 0 problem of the
     measure's own discretisation, so ``reference`` must share its
-    cutoff, interval, bc and mesh, else DomainError.  By default it is
-    :func:`free_reference`: the discrete closed form for Dirichlet and
-    Neumann ends, a numeric solve for Robin ends.  The continuum
+    cutoff, interval, bc and mesh, else DomainError.  The spectral stage
+    passes :func:`free_reference`: the discrete closed form for Dirichlet
+    and Neumann ends, a numeric solve for Robin ends.  The continuum
     eigenvalues (k pi/2N)^2 would not do: they are up to 3% off the
     discrete ones at k = 400, and the divergent parts would no longer
     cancel.
@@ -337,8 +336,6 @@ def smoothed_response_traces(measure: SpectralMeasure, controls,
     grid = _shared_grid(controls)
     if grid.horizon >= 2.0 * measure.half_length:
         raise DomainError("control horizon must stay below 2N")
-    if reference is None:
-        reference = free_reference(measure)
     if (reference.count != measure.count
             or reference.half_length != measure.half_length
             or reference.bc != measure.bc

@@ -1,6 +1,7 @@
 """Test oracles: independent constructions the test suite checks the
 package against.  No stage of a run calls them.
 
+- the error an oracle raises where two of its routes disagree;
 - the Picard iteration of the Goursat kernels' integral equation, and
   grid-node access to the kernels' level store;
 - state vectors of the inner space L2(-T, T) and the fixed operator
@@ -25,7 +26,7 @@ import numpy as np
 
 from bcwave.config import RunConfig, config_to_dict
 from bcwave.connecting import ASYMMETRY_H2
-from bcwave.errors import DomainError, InternalConsistencyError
+from bcwave.errors import BCWaveError, DomainError
 from bcwave.gl import OperatorM
 from bcwave.goursat import KernelField, _boundary_arrays, _check_support
 from bcwave.grid import (Control, UniformGrid, _as_samples, _check_same_grid,
@@ -34,6 +35,12 @@ from bcwave.grid import (Control, UniformGrid, _as_samples, _check_same_grid,
 from bcwave.potentials import Potential
 from bcwave.spectral import (TAIL_FRACTION, SpectralMeasure, SpectralResult,
                              _cauchy_coefficients, _tail, wave_kernel)
+
+
+class InternalConsistencyError(BCWaveError):
+    """Two redundant computation routes of an oracle disagree beyond
+    tolerance, which signals a kernel or quadrature bug rather than bad
+    input."""
 
 
 # ---------------------------------------------------------------- grid
@@ -90,7 +97,7 @@ def s_apply(obj):
         g1 = 0.5 * (obj.f1 - obj.f2)
         g2 = 0.5 * (-obj.f1 - obj.f2)
         d1 = d2 = None
-        if obj.has_analytic_derivative:
+        if obj.df1 is not None:
             d1 = 0.5 * (obj.df1 - obj.df2)
             d2 = 0.5 * (-obj.df1 - obj.df2)
         return Control(obj.grid, g1, g2, d1, d2)
@@ -106,7 +113,7 @@ def s_apply(obj):
 def jt_apply(f: Control) -> Control:
     """Time reversal (J^T F)(t) = F(T - t); sample k -> n - k."""
     d1 = d2 = None
-    if f.has_analytic_derivative:
+    if f.df1 is not None:
         d1 = -f.df1[::-1]
         d2 = -f.df2[::-1]
     return Control(f.grid, f.f1[::-1], f.f2[::-1], d1, d2)
@@ -141,7 +148,7 @@ def picard_oracle(p: Potential, grid: UniformGrid, iterations: int) -> KernelFie
     Q = np.asarray(p(0.5 * h * (a_idx - b_idx)), dtype=float)
 
     def cum2d(F):
-        return cumulative_trapezoid(cumulative_trapezoid(F, h), h, axis=1)
+        return cumulative_trapezoid(cumulative_trapezoid(F, h).T, h).T
 
     levels = np.arange(grid.n + 1)
     k = np.repeat(levels, 2 * levels + 1)
@@ -217,7 +224,7 @@ def forward_solution(f: Control, field: KernelField, t: float) -> StateVector:
         # x = -i h
         integ = np.sum(w * (W1[c - i] * g1 + W2[c - i] * g2))
         a2[i] = -0.5 * f1[k - i] - 0.5 * f2[k - i] + integ
-    return StateVector(field.grid.subgrid(k), a1, a2)
+    return StateVector(UniformGrid(k * field.grid.h, k), a1, a2)
 
 
 def operator_k_matrix(field: KernelField, n_half: int) -> np.ndarray:
@@ -275,7 +282,8 @@ def control_operator(f: Control, field: KernelField) -> StateVector:
     T = f.grid.horizon
     g = jt_apply(f)
     K = operator_k_matrix(field, n_half)
-    v = g.stacked() + K @ g.stacked()
+    v = np.concatenate([g.f1, g.f2])
+    v += K @ v
     m = n_half + 1
     state = s_apply(StateVector(f.grid, v[:m], v[m:]))
 
@@ -459,7 +467,7 @@ def spectral_forward(measure: SpectralMeasure, f: Control,
     a2 = c @ ym
     head = np.concatenate([c[:n_head] @ yp[:n_head], c[:n_head] @ ym[:n_head]])
     full = np.concatenate([a1, a2])
-    state = StateVector(f.grid.subgrid(k), a1, a2)
+    state = StateVector(UniformGrid(k * f.grid.h, k), a1, a2)
     return SpectralResult(state, _tail(full, head))
 
 

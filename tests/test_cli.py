@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from bcwave import cli
 from bcwave.cli import main
 from bcwave.config import (
     ALL_STAGES,
@@ -38,6 +39,11 @@ def test_parse_minimal_defaults():
     ('{"potential": {}, "T": 1, "n": 16, "bogus": 1}', "bogus"),
     ('{"potential": {}, "T": 1, "n": 16, "spectral": {"NN": 4}}', "NN"),
     ('{"potential": {"kind": "gaussian", "amp": 2}, "T": 1, "n": 16}', "amp"),
+    # and each malformed value, named by what is wrong
+    ('{"potential": {}, "T": 1, "n": 16', "invalid JSON"),
+    ('[{"potential": {}, "T": 1, "n": 16}]', "JSON object"),
+    ('{"potential": 3, "T": 1, "n": 16}', "'potential' must be an object"),
+    ('{"potential": {}, "T": 1, "n": "64.5"}', "'n' must be an integer"),
 ])
 def test_unknown_keys_rejected_by_name(text, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -150,8 +156,11 @@ def test_integral_floats_accepted_as_integers():
     ('{"N": -4}', "spectral.N"),
     ('{"bc": [0, 0, 1, 0]}', "spectral.bc"),
     ('{"bc": [1, 0, 0.0, -0.0]}', "spectral.bc"),
+    ('3', "'spectral' must be an object"),
+    ('{"bc": [1, 0, 1]}', "spectral.bc must have 4 entries"),
 ], ids=["cutoff_zero", "cutoff_negative", "mesh_odd", "cutoff_half_mesh",
-        "N_zero", "N_negative", "bc_left_zero", "bc_right_zero"])
+        "N_zero", "N_negative", "bc_left_zero", "bc_right_zero",
+        "not_an_object", "bc_three_entries"])
 def test_spectral_options_rejected_at_parse(tmp_path, capsys, spectral,
                                             needle):
     text = ('{"potential": {"kind": "gaussian"}, "T": 1, "n": 16, '
@@ -317,6 +326,16 @@ def test_selftest_passes(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "krein.q_rel_error" in out and "FAIL" not in out
     assert (tmp_path / "selftest_out" / "report.json").exists()
+
+
+def test_failed_selftest_gate_exits_1(tmp_path, monkeypatch, capsys):
+    # every stage ok, but krein's q error above its selftest bound
+    report = {"ok": True, "stages": [
+        {"name": "krein", "status": "ok", "metrics": {"q_rel_error": 0.5}}]}
+    monkeypatch.setattr(cli, "run_pipeline", lambda cfg: report)
+    assert main(["selftest", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "krein.q_rel_error" in out and "FAIL" in out
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

@@ -12,7 +12,7 @@ from bcwave.errors import DomainError, GridMismatchError
 from bcwave.goursat import solve_kernels
 from bcwave.grid import UniformGrid, smooth_random_control, trapezoid_weights
 from bcwave.potentials import ConstantPotential, ZeroPotential
-from bcwave.response import response_matrix
+from bcwave.response import ResponseMatrix, response_matrix
 
 from oracles import _assemble, control_norm, forward_solution, inner_inner
 
@@ -95,7 +95,7 @@ def test_assembled_solve_round_trip(ck128):
     f = smooth_random_control(grid, np.random.default_rng(9))
     g = apply_connecting(ck128, f)
     A, w = _assemble(ck128.nodes, grid.h)
-    sol = np.linalg.solve(A, w * g.stacked())
+    sol = np.linalg.solve(A, w * np.concatenate([g.f1, g.f2]))
     m = grid.n + 1
     assert np.max(np.abs(sol[:m] - f.f1)) < 1e-8
     assert np.max(np.abs(sol[m:] - f.f2)) < 1e-8
@@ -135,7 +135,13 @@ def test_shorter_horizon_is_the_leading_block(resp_off, k):
 
 def test_horizon_and_grid_guards(resp128, ck128):
     with pytest.raises(DomainError):
-        build_connecting(resp128, resp128.grid.n)  # needs 2T of data
+        connecting_nodes(resp128, resp128.grid.n)  # needs 2T of data
+    n = resp128.grid.n - 1
+    odd = ResponseMatrix(UniformGrid(n * resp128.grid.h, n),
+                         *(a[:n + 1] for a in (resp128.r11, resp128.r12,
+                                               resp128.r21, resp128.r22)))
+    with pytest.raises(DomainError, match="odd number of steps"):
+        build_connecting(odd)
     f = smooth_random_control(UniformGrid(1.0, 64), np.random.default_rng(0))
     with pytest.raises(GridMismatchError):
         apply_connecting(ck128, f)

@@ -356,6 +356,13 @@ def test_block_shape_mismatch_raises(tmp_path, labelled, block):
         write_csv(tmp_path / "bad.csv", header, [block], coords=coords)
 
 
+def test_nul_in_a_text_field_raises(tmp_path):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="NUL"):
+        write_csv(path, ["p", "route"], [(np.ones(2),)], text=("G\0L",))
+    assert not path.exists()
+
+
 @pytest.fixture(scope="module")
 def writers(solved):
     """Each of the seven writers on data of many rows and blocks."""

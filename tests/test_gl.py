@@ -7,7 +7,7 @@ import pytest
 from bcwave import gl, pipeline
 from bcwave.config import parse_config
 from bcwave.connecting import ConnectingKernel, build_connecting
-from bcwave.errors import ReconstructionError
+from bcwave.errors import GridMismatchError, ReconstructionError
 from bcwave.gl import (
     OperatorM,
     operator_identity_residual,
@@ -107,6 +107,9 @@ def test_two_route_agreement(field128, ck128, gl128):
 def test_operator_identity(ck128, gl128):
     h = ck128.grid.h
     assert operator_identity_residual(ck128, gl128) <= 50.0 * h * h
+    other = OperatorM(UniformGrid(0.5, 8), np.zeros((18, 18)))
+    with pytest.raises(GridMismatchError):
+        operator_identity_residual(ck128, other)
 
 
 def _reflected_twice(ck):

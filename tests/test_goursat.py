@@ -72,6 +72,8 @@ def test_diagonal_data_signs():
         diagonal_data(p, x, "w1", "left")
     with pytest.raises(ValueError):
         diagonal_data(p, x, "w3", "right")
+    with pytest.raises(ValueError, match="side"):
+        diagonal_data(p, x, "w1", "up")
 
 
 def test_perturbative_constant_potential():

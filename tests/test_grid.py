@@ -31,8 +31,6 @@ def test_grid_basics():
     g = UniformGrid(2.0, 10)
     assert g.h == pytest.approx(0.2)
     assert np.allclose(g.t, 0.2 * np.arange(11))
-    assert g.subgrid(8) == UniformGrid(1.6, 8)
-    assert g.doubled() == UniformGrid(4.0, 20)
 
 
 def test_grid_validation():
@@ -119,15 +117,6 @@ def test_jt_apply_involution_and_derivative():
     assert np.allclose(rf.df1, -f.df1[::-1])
     back = jt_apply(rf)
     assert np.allclose(back.f1, f.f1) and np.allclose(back.df2, f.df2)
-
-
-def test_control_stacking_round_trip():
-    g = UniformGrid(1.0, 8)
-    f = smooth_random_control(g, np.random.default_rng(3))
-    g2 = Control.from_stacked(g, f.stacked())
-    assert np.allclose(g2.f1, f.f1) and np.allclose(g2.f2, f.f2)
-    assert not g2.has_analytic_derivative
-    assert f.has_analytic_derivative
 
 
 def test_control_shape_validation():

@@ -138,11 +138,17 @@ def test_tabulated_validation():
         TabulatedPotential([0, 1, 1, 2], [1, 1, 1, 1])       # not increasing
     with pytest.raises(ConfigError):
         TabulatedPotential([1, 2, 3, 4], [1, 1, 1, 1])       # misses x = 0
+    with pytest.raises(ConfigError, match="potential.x"):
+        TabulatedPotential([[-1, 0], [1]], [1, 1, 1])        # ragged x
 
 
 def test_gaussian_width_validation():
     with pytest.raises(ConfigError):
         GaussianPotential(width=0.0)
+    with pytest.raises(ConfigError, match="sech2 width"):
+        Sech2Potential(width=-0.5)
+    with pytest.raises(ConfigError, match="at least one coefficient"):
+        PolynomialPotential([])
 
 
 def test_config_round_trip():

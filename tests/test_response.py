@@ -96,7 +96,7 @@ def test_control_operator_matches_forward(field128):
     direct = forward_solution(f, field128, 1.0)
     assert np.max(np.abs(state.a1 - direct.a1)) < 1e-4
     W = control_operator_matrix(field128, 128)
-    v = W @ f.stacked()
+    v = W @ np.concatenate([f.f1, f.f2])
     assert np.max(np.abs(v[:129] - state.a1)) < 1e-12
 
 
@@ -109,9 +109,22 @@ def test_apply_response_free_space(free_field):
     assert np.max(np.abs(out.f2 - 0.5 * f.f2)) < 1e-13
     # a sampled control without analytic derivative: f1' by the grid rule
     raw = Control(grid, f.f1, f.f2)
-    assert not raw.has_analytic_derivative
+    assert raw.df1 is None
     assert np.array_equal(apply_response(r, raw).f1,
                           -0.5 * differentiate(f.f1, grid.h))
+
+
+def test_apply_response_guards(free_field):
+    r = response_matrix(free_field)
+    coarse = smooth_random_control(UniformGrid(1.0, 50),
+                                   np.random.default_rng(0))
+    with pytest.raises(DomainError, match="different steps"):
+        apply_response(r, coarse)
+    n = r.grid.n + 8
+    longer = smooth_random_control(UniformGrid(n * r.grid.h, n),
+                                   np.random.default_rng(0))
+    with pytest.raises(DomainError, match="exceeds the response horizon"):
+        apply_response(r, longer)
 
 
 def test_response_csv_round_trip(tmp_path, resp128):
@@ -142,14 +155,26 @@ def test_response_csv_validation(tmp_path, resp128):
         read_response_csv(good, min_horizon=3.0)
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "abc"])
 def test_response_csv_rejects_non_finite(tmp_path, bad):
     p = tmp_path / "bad.csv"
     rows = ["%g,0,0,0,0" % (0.1 * k) for k in range(12)]
     rows[4] = "0.4,0,%s,0,0" % bad
     p.write_text("t,r11,r12,r21,r22\n" + "\n".join(rows) + "\n")
-    with pytest.raises(IngestionError, match="row 6: non-finite"):
+    why = "could not convert" if bad == "abc" else "non-finite"
+    with pytest.raises(IngestionError, match="row 6: " + why):
         read_response_csv(p)
+
+
+def test_response_csv_skips_blank_lines(tmp_path, resp128):
+    good = tmp_path / "good.csv"
+    resp128.write_csv(good)
+    lines = good.read_text().splitlines()
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\n".join(lines[:3] + [""] + lines[3:] + ["", ""]))
+    back = read_response_csv(spaced)
+    assert back.grid == resp128.grid
+    assert np.array_equal(back.r12, resp128.r12)
 
 
 def test_pipeline_reports_non_finite_response(tmp_path, resp128):

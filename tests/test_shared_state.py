@@ -11,7 +11,8 @@ import pytest
 
 from bcwave import connecting, krein, pipeline
 from bcwave.config import parse_config
-from bcwave.connecting import assemble_matrix, build_connecting
+from bcwave.connecting import (ConnectingKernel, assemble_matrix,
+                               build_connecting, connecting_nodes)
 from bcwave.errors import ReconstructionError
 from bcwave.gl import GL_PANELS, _solve_column, solve_gl
 from bcwave.goursat import solve_kernels
@@ -26,7 +27,9 @@ from oracles import _assemble
 def test_panelled_gl_matches_column_solves(request, resp):
     # 127 columns make panels of 32, 32, 32 and 31; resp_skew's factor
     # stops short, so no panel is solved
-    ck = build_connecting(request.getfixturevalue(resp), 127)
+    r = request.getfixturevalue(resp)
+    ck = ConnectingKernel(UniformGrid(127 * r.grid.h, 127),
+                          connecting_nodes(r, 127))
     assert ck.grid.n % GL_PANELS
     if resp == "resp_skew":
         with pytest.raises(ReconstructionError, match="stops short"):

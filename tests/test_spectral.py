@@ -173,6 +173,10 @@ def test_non_finite_eigendata_raises(monkeypatch):
                         lambda d, e: (np.full(len(d), np.nan), 0))
     with pytest.raises(SpectralError):
         eigensolve(ZeroPotential(), 4.0, (1, 0, 1, 0), 20, 128)
+    # LAPACK reports no convergence
+    monkeypatch.setattr(spectral, "dsterf", lambda d, e: (d, 2))
+    with pytest.raises(SpectralError, match="info 2"):
+        eigensolve(ZeroPotential(), 4.0, (1, 0, 1, 0), 20, 128)
 
 
 def test_non_finite_eigendata_fails_the_stage(monkeypatch, tmp_path):
@@ -319,7 +323,7 @@ def test_measure_substitution(gauss, resp128):
     for N, bc in ((4.0, (1, 0, 1, 0)), (5.0, (1, 0, 1, 0)),
                   (4.0, (0, 1, 0, 1))):
         m = eigensolve(gauss, N, bc, CUTOFF, MESH)
-        tr = smoothed_response_traces(m, [f])[0].value
+        tr = smoothed_response_traces(m, [f], free_reference(m))[0].value
         if base is None:
             base = tr
         else:
@@ -375,11 +379,11 @@ def test_spectral_forward_vs_dynamic(field128, measure_g):
     assert sp.tail < 0.05
 
 
-def test_domain_guards(measure_g):
+def test_domain_guards(measure_g, reference):
     long_grid = UniformGrid(9.0, 128)
     f = smooth_random_control(long_grid, np.random.default_rng(0))
     with pytest.raises(DomainError):
-        smoothed_response_traces(measure_g, [f])
+        smoothed_response_traces(measure_g, [f], reference)
     gridT = UniformGrid(5.0, 64)
     F = smooth_random_control(gridT, np.random.default_rng(0))
     with pytest.raises(DomainError):
@@ -393,7 +397,7 @@ def test_domain_guards(measure_g):
     a = smooth_random_control(UniformGrid(1.0, 128), rng)
     b = smooth_random_control(UniformGrid(1.0, 64), rng)
     with pytest.raises(DomainError):
-        smoothed_response_traces(measure_g, [a, b])
+        smoothed_response_traces(measure_g, [a, b], reference)
     with pytest.raises(DomainError):
         spectral_connecting_form(measure_g, [(a, b)])
     with pytest.raises(DomainError):
