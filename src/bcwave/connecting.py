@@ -17,10 +17,9 @@ form in the test suite, at first order in q analytically and for generic
 potentials numerically.
 
 All kernel arguments are exact node indices on the shared grid, so no
-interpolation enters.  C21 and C12 are built independently from their own
-formulas; their mismatch is a reported consistency diagnostic for the
-response data, never silently averaged.  For an even potential r12 and
-r21 vanish identically and C12 = C21 = 0 pointwise.
+interpolation enters.  C11 and C22 are symmetric by construction; C12 and
+C21 come from their own formulas (both zero for an even potential), and
+their mismatch is a reported consistency diagnostic for the response data.
 
 The kernel is held once, as the node-major, time-reflected array of
 C~(t, s) = C(T - t, T - s) (:func:`connecting_nodes`); the forward-time
@@ -62,9 +61,6 @@ ASYMMETRY_H2 = 100.0
 #: Lanczos steps of :meth:`NestedFactor.min_eigenvalue` before it falls
 #: back to a dense eigensolve.
 LANCZOS_STEPS = 100
-#: Rows and columns per block of :func:`assemble_matrix`'s asymmetry scan
-#: and symmetrization; even, so that a block holds whole nodes.
-_SCAN_BLOCK = 128
 
 
 def connecting_nodes(r: ResponseMatrix, n_half: int) -> np.ndarray:
@@ -363,38 +359,28 @@ class NestedFactor:
 
 
 def _symmetrize(a: np.ndarray):
-    """a <- (a + a^T)/2 in place, one pair of _SCAN_BLOCK blocks at a
-    time.  Returns, per node, the largest |a - a^T| over its pairs with
-    the earlier nodes (``row``, 0 for node 0) and within its own 2x2
-    block (``own``), taken before the symmetrization."""
-    size = a.shape[0]
-    row, own = np.zeros(size // 2), np.empty(size // 2)
-    for i0 in range(0, size, _SCAN_BLOCK):
-        rows = slice(i0, i0 + _SCAN_BLOCK)
-        nodes = slice(i0 // 2, (i0 + _SCAN_BLOCK) // 2)
-        for j0 in range(0, i0 + 1, _SCAN_BLOCK):
-            cols = slice(j0, j0 + _SCAN_BLOCK)
-            x, y = a[rows, cols], a[cols, rows].T
-            gap = np.abs(x - y)
-            if j0 == i0:
-                pair = np.maximum(np.maximum(gap[0::2, 0::2], gap[0::2, 1::2]),
-                                  np.maximum(gap[1::2, 0::2], gap[1::2, 1::2]))
-                own[nodes] = np.diagonal(pair)
-                top = np.tril(pair, -1).max(axis=1)
-            else:
-                top = gap.max(axis=1)
-                top = np.maximum(top[0::2], top[1::2])
-            row[nodes] = np.maximum(row[nodes], top)
-            x += y
-            x *= 0.5
-            a[cols, rows] = x.T
+    """a <- (a + a^T)/2 in place, for a node-major A = W/2 + W C~ W, on
+    its C12 block x and transposed C21 block y: the C11 and C22 node
+    blocks are exactly symmetric, as weights h, h/2 round (c w_i) w_j like
+    (c w_j) w_i.  Returns, per node, the largest |a - a^T| with the earlier
+    nodes (``row``, 0 for node 0) and in its own 2x2 block (``own``)."""
+    x, y = a[0::2, 1::2], a[1::2, 0::2].T
+    gap = x - y
+    np.abs(gap, out=gap)
+    own = gap.diagonal().copy()
+    lower = np.tri(len(gap), k=-1, dtype=bool)
+    row = np.maximum(gap.max(axis=1, where=lower, initial=0.0),
+                     gap.max(axis=0, where=lower.T, initial=0.0))
+    mean = np.add(x, y, out=gap)    # gap's buffer, once it is scanned
+    mean *= 0.5
+    x[...] = y[...] = mean
     return row, own
 
 
 def assemble_matrix(ck: ConnectingKernel) -> NestedFactor:
     """The inverse state of ``ck``, built once: form B = W/2 + W C~ W
-    from its node-major reflected array, symmetrize it, (B + B^T)/2, and
-    factor it in place.
+    from its node-major reflected array, symmetrize its C12/C21 block
+    pair, (B + B^T)/2, and factor it in place.
 
     :class:`ReconstructionError` if the factor stops short of the full
     horizon, naming the first horizon it misses and why: B is not

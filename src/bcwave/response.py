@@ -66,7 +66,9 @@ def read_response_csv(path, min_horizon: float | None = None) -> ResponseMatrix:
         if not all(math.isfinite(v) for v in vals):
             raise IngestionError("row %d: non-finite value" % ln)
         data.append(vals)
-    arr = np.array(data).reshape(-1, 5)
+    if not data:
+        raise IngestionError("response CSV %s has no data rows" % path)
+    arr = np.array(data)
     t = arr[:, 0]
     steps = len(t) - 1
     if steps > 0:

@@ -81,6 +81,24 @@ def resp_off32(offcenter):
     return response_matrix(solve_kernels(offcenter, UniformGrid(2.0, 64)))
 
 
+@pytest.fixture(scope="session")
+def resp_off_noisy(resp_off):
+    """resp_off with seeded normal noise of 1e-3 max|R| on all four
+    entries: C12 and C21 disagree by the noise, and the factor still
+    reaches every horizon."""
+    rng = np.random.default_rng(27)
+    entries = (resp_off.r11, resp_off.r12, resp_off.r21, resp_off.r22)
+    scale = 1e-3 * max(np.max(np.abs(v)) for v in entries)
+    return ResponseMatrix(resp_off.grid, *(
+        v + scale * rng.standard_normal(v.shape) for v in entries))
+
+
+@pytest.fixture(scope="session")
+def resp_off33(offcenter):
+    """offcenter's response at n = 33, an odd number of steps per half."""
+    return response_matrix(solve_kernels(offcenter, UniformGrid(2.0, 66)))
+
+
 @pytest.fixture(scope="session", params=[70.25, 0.25])
 def resp_broken(request):
     """Response with r22 = -c only (T = 1, n = 96): C22 = -c is a

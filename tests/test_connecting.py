@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bcwave.connecting import (
+    _symmetrize,
     apply_connecting,
     assemble_matrix,
     build_connecting,
@@ -88,6 +89,39 @@ def test_assembled_spd(ck256):
     assert asm.asymmetry <= 100.0 * ck256.grid.h ** 2
     lam = np.linalg.eigvalsh(A)
     assert lam[0] >= -1e-8 * np.abs(lam).max()
+
+
+@pytest.mark.parametrize("resp", ["resp_off", "resp_off_noisy", "resp_skew",
+                                  "resp_off33"])
+def test_only_the_c12_c21_pair_is_asymmetric(request, resp):
+    # assemble_matrix scans and symmetrizes the C12/C21 block pair alone,
+    # which is exact while the C11 and C22 node blocks of A = W/2 + W C~ W
+    # equal their transposes bit for bit
+    ck = build_connecting(request.getfixturevalue(resp))
+    w = np.repeat(trapezoid_weights(ck.grid.n, ck.grid.h), 2)
+    a = w[:, None] * ck.nodes * w + np.diag(0.5 * w)
+    for block in (a[0::2, 0::2], a[1::2, 1::2]):
+        assert np.array_equal(block, block.T)
+    # per node, the largest |A - A^T| with the earlier nodes and within
+    # its own 2x2 block, from the dense matrix
+    m = a.shape[0] // 2
+    pair = np.abs(a - a.T).reshape(m, 2, m, 2).max(axis=(1, 3))
+    row, own = _symmetrize(a.copy())
+    assert np.array_equal(row, np.tril(pair, -1).max(axis=1))
+    assert np.array_equal(own, np.diagonal(pair))
+    if resp == "resp_skew":         # its factor stops short
+        return
+    # B, the factor's strict upper triangle and b_diag, is the dense
+    # (A + A^T)/2 in node-major, time-reversed order
+    inverse = assemble_matrix(ck)
+    b = np.triu(inverse.factor, 1)
+    b = b + b.T
+    b[np.diag_indices_from(b)] = inverse.b_diag
+    size = b.shape[0]
+    order = np.concatenate([np.arange(size - 2, -1, -2),
+                            np.arange(size - 1, 0, -2)])
+    assert np.array_equal(b[np.ix_(order, order)],
+                          _assemble(ck.nodes, ck.grid.h)[0])
 
 
 def test_assembled_solve_round_trip(ck128):

@@ -215,3 +215,21 @@ def test_ingest_refuses_a_grid_the_inverse_stages_cannot_use(tmp_path, steps):
     assert report["stages"][0]["error"] == (
         "response CSV %s has %d time steps; the inverse stages need an even "
         "number of at least 16" % (path, steps))
+
+
+@pytest.mark.parametrize("body", ["", "\n\n"])
+def test_ingest_refuses_a_header_without_rows(tmp_path, body):
+    # a header alone has no time step to count: ingest names the missing
+    # rows instead of "-1 time steps"
+    path = tmp_path / "response.csv"
+    path.write_text("t,r11,r12,r21,r22\n" + body)
+    with pytest.raises(IngestionError, match="has no data rows"):
+        read_response_csv(path)
+    report = run_pipeline(parse_config(json.dumps(
+        {"response_csv": str(path), "T": 1.0, "n": 16,
+         "out": str(tmp_path / "out")})))
+    status = {s["name"]: s["status"] for s in report["stages"]}
+    assert status == {"ingest": "failed", "connect": "skipped",
+                      "krein": "skipped", "gl": "skipped"}
+    assert report["stages"][0]["error"] == (
+        "response CSV %s has no data rows" % path)

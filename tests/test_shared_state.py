@@ -281,18 +281,39 @@ def test_coarse_grid_named_by_the_spectral_stage(tmp_path):
         assert stages[name]["error"].endswith("potential, whose " + grid)
 
 
-def test_assembly_asymmetry_from_the_factor(resp_off, resp_skew):
-    for r in (resp_off, resp_skew):
+def _asymmetry(nodes, h):
+    """max |A - A^T| of the dense A = W/2 + W C W of the horizon whose
+    node-major array is ``nodes``."""
+    w = np.repeat(trapezoid_weights(nodes.shape[0] // 2 - 1, h), 2)
+    a = w[:, None] * nodes * w
+    return np.max(np.abs(a - a.T))
+
+
+def test_assembly_asymmetry_from_the_factor(resp_off, resp_off_noisy,
+                                            resp_off33, resp_skew):
+    for r in (resp_off, resp_off_noisy, resp_off33, resp_skew):
         ck = build_connecting(r)
-        w = np.tile(trapezoid_weights(ck.grid.n, ck.grid.h), 2)
+        n, h = ck.grid.n, ck.grid.h
+        w = np.tile(trapezoid_weights(n, h), 2)
         A = 0.5 * np.diag(w) + (w[:, None] * np.block(
             [[ck.c11, ck.c12], [ck.c21, ck.c22]]) * w[None, :])
-        asym = np.max(np.abs(A - A.T))
-        if r is resp_off:
-            assert assemble_matrix(ck).asymmetry == asym
-        else:   # resp_skew's factor stops short
-            with pytest.raises(ReconstructionError, match="has asymmetry"):
-                assemble_matrix(ck)
+        asym = [_asymmetry(connecting_nodes(r, k), h)
+                for k in range(1, n + 1)]
+        assert asym[-1] == np.max(np.abs(A - A.T))
+        beyond = [k for k in range(1, n + 1)
+                  if asym[k - 1] > connecting.ASYMMETRY_H2 * h * h]
+        if r is not resp_skew:
+            assert not beyond
+            assert assemble_matrix(ck).asymmetry == asym[-1]
+            continue
+        # resp_skew's factor stops short at the first horizon whose matrix
+        # is too asymmetric, and names that matrix's asymmetry
+        with pytest.raises(ReconstructionError) as err:
+            assemble_matrix(ck)
+        assert str(err.value).startswith(
+            "the nested factor stops short of horizon %d of %d: its "
+            "connecting matrix has asymmetry %.3g above 100 h^2"
+            % (beyond[0], n, asym[beyond[0] - 1]))
 
 
 def test_one_state_per_run_freed_before_spectral(tmp_path, monkeypatch):
