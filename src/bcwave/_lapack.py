@@ -50,7 +50,7 @@ def _load(name: str) -> ModuleType:
 
 
 def blas() -> ModuleType:
-    """``scipy.linalg._fblas``: dtrsm, dsymm, dtrsv."""
+    """``scipy.linalg._fblas``: dtrsm, dsymm, dtrsv, dgemm."""
     return _load("_fblas")
 
 

@@ -28,17 +28,21 @@ inverse routes solve, for every horizon k = 1..n, the Nystrom system of
 C^{tau_k} in reversed time.  Reversal makes the kernel depend only on
 t' + s' and |t' - s'|, so every such matrix is the leading block, on the
 nodes 0..k, of one fixed matrix B = W/2 + W C~ W, except that the
-trapezoid weight of node k is halved.  :func:`assemble_matrix` factors B
-once and returns the :class:`NestedFactor`, which solves every horizon
-by bordering its leading Cholesky factor (Levinson 1947; the Krein
-equations of the boundary control method, Belishev 2007).
+trapezoid weight of node k is halved.  A :class:`BorderedFactor` of B
+solves every horizon by bordering its leading factor (Levinson 1947; the
+Krein equations of the boundary control method, Belishev 2007).
+:func:`assemble_matrix` factors the symmetrized B by Cholesky and
+returns the :class:`NestedFactor`.
 
 That factor is the one inverse state of a run.  It reaches every horizon
 of a potential's response (its connecting operator is positive
 definite); where it would stop short, :func:`assemble_matrix` raises.
 The connect stage reports from it the assembly asymmetry and the
-smallest eigenvalue (Lanczos through the factor, Lanczos 1950); krein
-and gl solve through it.
+smallest eigenvalue (Lanczos through the factor, Lanczos 1950), and
+krein solves through it.  gl solves the unsymmetrized B, whose symmetric
+part is the matrix the factor proves positive definite, so gl factors B
+itself by LU without row interchanges (:func:`~bcwave.gl.solve_gl`) and
+solves through that by the same bordering.
 """
 
 from __future__ import annotations
@@ -173,12 +177,22 @@ def connecting_form(ck: ConnectingKernel, f: Control, g: Control) -> float:
     return inner_outer(apply_connecting(ck, f), g)
 
 
-def _tri_solve(factor: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
-    """Solve L x = b (trans 0) or L^T x = b (trans 1) in place for a
-    C-ordered b.  Its transpose is Fortran-ordered, so BLAS solves
-    x^T op(L)^T = b^T from the right without copying b."""
-    return _lapack.blas().dtrsm(1.0, factor, b.T, side=1, lower=1,
-                                trans_a=1 - trans, overwrite_b=1).T
+#: dtrsm flags (lower, trans_a, diag) of the forward and the back
+#: substitution with a factor held in one array: Cholesky's L x = b and
+#: L^T x = b, and, for an LU factorisation without row interchanges,
+#: L x = b with unit lower L and U x = b.
+CHOLESKY = ((1, 1, 0), (1, 0, 0))
+LU = ((1, 1, 1), (0, 1, 0))
+
+
+def _tri_solve(factor: np.ndarray, b: np.ndarray, flags) -> np.ndarray:
+    """Solve T x = b in place for a C-ordered b, T the triangle of
+    ``factor`` that ``flags`` (one half of :data:`CHOLESKY` or :data:`LU`)
+    names.  The transpose of b is Fortran-ordered, so BLAS solves
+    x^T T^T = b^T from the right without copying b."""
+    lower, trans_a, diag = flags
+    return _lapack.blas().dtrsm(1.0, factor, b.T, side=1, lower=lower,
+                                trans_a=trans_a, diag=diag, overwrite_b=1).T
 
 
 def _lanczos_top(op, v0: np.ndarray) -> float | None:
@@ -210,81 +224,70 @@ def _lanczos_top(op, v0: np.ndarray) -> float | None:
 
 
 @dataclass(frozen=True)
-class NestedFactor:
-    """One Cholesky factor L L^T = B serving every horizon k = 1..n.
+class BorderedFactor:
+    """A factor L U of B = W/2 + W C~ W that solves the matrix of every
+    horizon k = first..first + K - 1 by bordering its leading block.
 
     The reversed-time matrix of horizon k is
-    A_k = [[B_11, d B_12], [d B_21, A_kk]]: B_11 is the block of B on the
-    nodes 0..k-1, B_21 the rows of node k, and d = (h/2) / w_k halves
-    node k's weight (d = 1 at k = n, whose weight is already h/2).  With
-    z = L_11^{-1} b_a and the border X = d L_21, A_k f = b is solved by
+    A_k = [[B_11, d B_12], [d B_21, d^2 B_kk + (h/4)(1 - d) I]]: B_11 is
+    the block of B on the nodes 0..k-1, B_21 and B_12 the rows and the
+    columns of node k there, B_kk its own 2x2 block, and d = (h/2) / w_k
+    halves node k's weight (d = 1 at k = n, whose weight is already h/2).
+    With z = L_11^{-1} b_a, A_k f = b is solved by
 
-        S f_b = b_b - X z,   L_11^T f_a = z - X^T f_b,
+        S f_b = b_b - d L_21 z,   U_11 f_a = z - d U_12 f_b,
 
-    where the 2x2 Schur complement S = A_kk - X X^T equals
-    d^2 L_kk L_kk^T + (h/4)(1 - d) I, positive definite since the factor
-    reaches node k.  Factoring costs O(n^3/3) once; each horizon then
-    costs O(k^2) for f, and O(1) more for f_b given z.
+    where the 2x2 Schur complement S equals
+    d^2 L_kk U_kk + (h/4)(1 - d) I.  Where the symmetric part of B is
+    positive definite, so is that of S, and the factor needs no row
+    interchanges (Golub and Van Loan 1979).  Factoring costs O(n^3)
+    once; each horizon then costs O(k^2) for f, and O(1) more for f_b
+    given z.
 
-    ``factor`` holds L in its lower triangle and B in its strict upper
-    triangle (Fortran order), ``b_diag`` the diagonal of B.  B is a
-    symmetric permutation (time reversal, node-major order) of the
-    stacked matrix A = W/2 + W C W of C^T, so the two share their
-    asymmetry and their spectrum.  A :meth:`panel` serves the horizons
-    first..last only.
+    ``factor`` holds L and U in one Fortran-ordered array, in the
+    triangles ``triangles`` names (:data:`CHOLESKY` or :data:`LU`);
+    ``l_kk`` and ``u_kk`` are their 2x2 diagonal blocks.  A :meth:`panel`
+    serves the horizons first..last only.
     """
 
     h: float
     factor: np.ndarray
-    b_diag: np.ndarray
     node_weights: np.ndarray  # trapezoid weights of B, node-major
     border: np.ndarray        # d, horizons first..last
     l_kk: np.ndarray          # the 2x2 diagonal blocks of L, nodes first..last
+    u_kk: np.ndarray          # and of U
     s_inv: np.ndarray         # S^{-1}, horizons first..last
-    asymmetry: float          # max |A - A^T| before the symmetrization
-    first: int = 1
+    triangles: tuple          # dtrsm flags of L and of U
+    first: int
+
+    @classmethod
+    def bordering(cls, factor, h, node_weights, l_kk, u_kk, triangles,
+                  **fields):
+        """The factor of the horizons 1..n, from ``factor`` and the 2x2
+        blocks ``l_kk``, ``u_kk`` of its L and U at the nodes 1..n;
+        ``fields`` are a subclass's own."""
+        border = 0.5 * h / node_weights[2::2]
+        s = (border * border)[:, None, None] * (l_kk @ u_kk)
+        s[:, [0, 1], [0, 1]] += (0.25 * h * (1.0 - border))[:, None]
+        return cls(h, factor, node_weights, border, l_kk, u_kk,
+                   np.linalg.inv(s), triangles, 1, **fields)
 
     @property
     def horizons(self) -> int:
         return len(self.border)
 
-    def panel(self, first: int, last: int) -> "NestedFactor":
+    def panel(self, first: int, last: int) -> "BorderedFactor":
         """The factor of the horizons first..last (1 <= first <= last <= n)
         on the leading 2 last + 2 rows, the only ones they use, so that
         its solves run on that leading block alone.  The block is copied
         to Fortran order unless it is the whole factor."""
         rows = 2 * last + 2
         own = slice(first - self.first, last - self.first + 1)
-        return NestedFactor(self.h,
-                            np.asfortranarray(self.factor[:rows, :rows]),
-                            self.b_diag[:rows], self.node_weights[:rows],
-                            self.border[own], self.l_kk[own], self.s_inv[own],
-                            self.asymmetry, first)
-
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the symmetrized A.
-
-        B is positive definite, so this is the inverse of the largest
-        eigenvalue of B^{-1}, found by :func:`_lanczos_top` on an operator
-        of two triangular solves (``dtrsv``) with the factor.  If Lanczos
-        does not converge in LANCZOS_STEPS steps, it comes from a dense
-        ``eigvalsh`` of B, read from the factor: its strict upper triangle
-        and ``b_diag``.
-        """
-        dtrsv = _lapack.blas().dtrsv
-
-        def b_inverse(x):
-            z = dtrsv(self.factor, x, lower=1)
-            return dtrsv(self.factor, z, lower=1, trans=1, overwrite_x=1)
-
-        # a fixed start vector keeps the result deterministic
-        v0 = np.random.default_rng(0).standard_normal(self.factor.shape[0])
-        mu = _lanczos_top(b_inverse, v0)
-        if mu is not None:
-            return float(1.0 / mu)
-        b = self.factor.copy()
-        b[np.diag_indices_from(b)] = self.b_diag
-        return float(np.linalg.eigvalsh(b, UPLO="U")[0])
+        return BorderedFactor(self.h,
+                              np.asfortranarray(self.factor[:rows, :rows]),
+                              self.node_weights[:rows], self.border[own],
+                              self.l_kk[own], self.u_kk[own],
+                              self.s_inv[own], self.triangles, first)
 
     def _border(self):
         """Row and column indices of node k in horizon k's columns, in
@@ -320,21 +323,64 @@ class NestedFactor:
         r - 1, of which the rows of the nodes 0..k are used.  Returns f in
         the same layout, exactly zero below node k.
 
-        Both substitutions run with the full L: the rows of node k give
-        X z = d (b_b - L_kk z_b), and back substitution from
-        d L_kk^T f_b at node k (zero below) yields f_a and d f_b.
+        Both substitutions run with the full factor: the rows of node k
+        give d L_21 z = d (b_b - L_kk z_b), and back substitution from
+        d U_kk f_b at node k (zero below) yields f_a and d f_b.
         """
         N, K = b.shape[0], self.horizons
         rows, cols = self._border()
         d = self.border[:, None, None]
+        forward, back = self.triangles
         bb = b.reshape(N, K, -1)[rows, cols]                  # (K, 2, r)
-        z3 = _tri_solve(self.factor, b, 0).reshape(N, K, -1)
+        z3 = _tri_solve(self.factor, b, forward).reshape(N, K, -1)
         fb = self.s_inv @ (bb - d * (bb - self.l_kk @ z3[rows, cols]))
         self._zero_below(z3)
-        z3[rows, cols] = d * (self.l_kk.transpose(0, 2, 1) @ fb)
-        f = _tri_solve(self.factor, z3.reshape(N, -1), 1)
+        z3[rows, cols] = d * (self.u_kk @ fb)
+        f = _tri_solve(self.factor, z3.reshape(N, -1), back)
         f.reshape(N, K, -1)[rows, cols] = fb
         return f
+
+
+@dataclass(frozen=True)
+class NestedFactor(BorderedFactor):
+    """The Cholesky factor L L^T of the symmetrized B (:data:`CHOLESKY`,
+    U = L^T), built once per run: the Krein route solves through it, and
+    the connect stage reports from it.
+
+    ``factor`` holds L in its lower triangle and B in its strict upper
+    triangle, ``b_diag`` the diagonal of B.  B is a symmetric permutation
+    (time reversal, node-major order) of the stacked matrix
+    A = W/2 + W C W of C^T, so the two share their asymmetry and their
+    spectrum.
+    """
+
+    b_diag: np.ndarray
+    asymmetry: float          # max |A - A^T| before the symmetrization
+
+    def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the symmetrized A.
+
+        B is positive definite, so this is the inverse of the largest
+        eigenvalue of B^{-1}, found by :func:`_lanczos_top` on an operator
+        of two triangular solves (``dtrsv``) with the factor.  If Lanczos
+        does not converge in LANCZOS_STEPS steps, it comes from a dense
+        ``eigvalsh`` of B, read from the factor: its strict upper triangle
+        and ``b_diag``.
+        """
+        dtrsv = _lapack.blas().dtrsv
+
+        def b_inverse(x):
+            z = dtrsv(self.factor, x, lower=1)
+            return dtrsv(self.factor, z, lower=1, trans=1, overwrite_x=1)
+
+        # a fixed start vector keeps the result deterministic
+        v0 = np.random.default_rng(0).standard_normal(self.factor.shape[0])
+        mu = _lanczos_top(b_inverse, v0)
+        if mu is not None:
+            return float(1.0 / mu)
+        b = self.factor.copy()
+        b[np.diag_indices_from(b)] = self.b_diag
+        return float(np.linalg.eigvalsh(b, UPLO="U")[0])
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """A_k f for every horizon, in the layout of :meth:`solve` (f zero
@@ -356,6 +402,23 @@ class NestedFactor:
         self._cut(p).reshape(N, K, -1)[rows, cols] += \
             corner * f.reshape(N, K, -1)[rows, cols]
         return p
+
+
+def weighted_matrix(ck: ConnectingKernel):
+    """B = W/2 + W C~ W of ``ck``, from its node-major reflected array, in
+    Fortran order, and the node-major trapezoid weights w."""
+    w = np.repeat(trapezoid_weights(ck.grid.n, ck.grid.h), 2)
+    a = np.multiply(ck.nodes, w[:, None], order="F")
+    a *= w[None, :]
+    a[np.diag_indices_from(a)] += 0.5 * w
+    return a, w
+
+
+def diagonal_blocks(a: np.ndarray) -> np.ndarray:
+    """The 2x2 blocks of the nodes 1..n on the diagonal of a node-major
+    (2n+2)^2 array, as one (n, 2, 2) array."""
+    k = np.arange(2, a.shape[0], 2)[:, None, None]
+    return a[k + [[0], [1]], k + [0, 1]]
 
 
 def _symmetrize(a: np.ndarray):
@@ -387,10 +450,7 @@ def assemble_matrix(ck: ConnectingKernel) -> NestedFactor:
     positive definite, or that horizon's matrix A_k is more asymmetric,
     before the symmetrization, than ASYMMETRY_H2 h^2."""
     n, h = ck.grid.n, ck.grid.h
-    w = np.repeat(trapezoid_weights(n, h), 2)
-    a = np.multiply(ck.nodes, w[:, None], order="F")
-    a *= w[None, :]
-    a[np.diag_indices_from(a)] += 0.5 * w
+    a, w = weighted_matrix(ck)
     # asymmetry of A_k: the node pairs within 0..k-1 as in B, node k's
     # pairs with them times d, its own block times d^2
     row, own = _symmetrize(a)
@@ -412,13 +472,7 @@ def assemble_matrix(ck: ConnectingKernel) -> NestedFactor:
         raise ReconstructionError(
             "the nested factor stops short of horizon %d of %d: %s, so the "
             "response belongs to no potential" % (K + 1, n, cause))
-    k = np.arange(1, n + 1)
-    border = d[1:]
-    l_kk = np.zeros((n, 2, 2))
-    l_kk[:, 0, 0] = a[2 * k, 2 * k]
-    l_kk[:, 1, 0] = a[2 * k + 1, 2 * k]
-    l_kk[:, 1, 1] = a[2 * k + 1, 2 * k + 1]
-    s = (border * border)[:, None, None] * (l_kk @ l_kk.transpose(0, 2, 1))
-    s[:, [0, 1], [0, 1]] += (0.25 * h * (1.0 - border))[:, None]
-    return NestedFactor(h, a, b_diag, w, border, l_kk, np.linalg.inv(s),
-                        float(asym[-1]))
+    l_kk = np.tril(diagonal_blocks(a))
+    return NestedFactor.bordering(a, h, w, l_kk, l_kk.transpose(0, 2, 1),
+                                  CHOLESKY, b_diag=b_diag,
+                                  asymmetry=float(asym[-1]))

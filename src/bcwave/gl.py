@@ -8,18 +8,18 @@ K*K).  The test suite checks it against m built from forward kernel
 data instead, by block triangular back-substitution of (I+K)(I+M) = I
 (``invert_volterra`` in ``tests/oracles.py``).
 
-Scaled by W/2, the column system at s_j is the unsymmetrized matrix of
-the Krein horizon j, so :func:`solve_gl` shares the Krein route's nested
-Cholesky factor, built once per run from the kernel's array
-(:func:`~bcwave.connecting.assemble_matrix`): O(n^3/3) once, then
-O(j^2) per column.  Column j uses only the rows of the nodes 0..j, so
-the columns go in GL_PANELS panels, each solved and refined on the
-leading rows of its last column.  The factor is of the symmetrized
-matrix, so two steps of iterative refinement against the unsymmetrized
-system I + C~ W follow, and m equals a dense per-column solve to
-roundoff.  Columns whose refinement has not converged get that dense
-solve; its symmetric part is the positive definite matrix just factored,
-so it needs no shift.
+Scaled by W/2, the column system at s_j is the matrix of the Krein
+horizon j before its symmetrization: the leading block, on the nodes
+0..j, of B = W/2 + W (C~/2) W with node j's weight halved.  B is not
+symmetric where the data's C12 and C21^T blocks differ, but its
+symmetric part is the positive definite matrix the Krein route factors,
+so B has an LU factor without row interchanges (Golub and Van Loan
+1979).  :func:`solve_gl` builds it once per run, by a recursive BLAS-3
+LU in O(n^3), and solves every column through it to roundoff, with no
+refinement, by the bordering the Krein route uses
+(:class:`~bcwave.connecting.BorderedFactor`), in O(j^2) per column.
+Column j uses only the rows of the nodes 0..j, so the columns go in
+GL_PANELS panels, each solved on the leading rows of its last column.
 
 m is held once (:class:`OperatorM`), as one node-major (2n+2)^2 array
 laid out as the connecting kernel's, without its time reflection: entry
@@ -38,20 +38,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connecting import ConnectingKernel, NestedFactor, assemble_matrix
+from . import _lapack
+from .connecting import (LU, BorderedFactor, ConnectingKernel,
+                         diagonal_blocks, weighted_matrix)
 from .errors import GridMismatchError, ReconstructionError
 from .grid import (UniformGrid, differentiate, row_trapezoid_weights,
                    trapezoid_weights, write_csv)
 
-#: Refinement steps against the unsymmetrized column systems after the
-#: solve through the symmetrized factor, and the largest size of the last
-#: step, relative to the column, that counts as converged.
-REFINEMENT_STEPS = 2
-REFINEMENT_TOLERANCE = 1e-10
-#: Column panels of the factor's solves and refinement: panel p solves
-#: only the leading rows its last column uses, about half the flops of
-#: whole-height solves at 4 panels.
+#: Column panels of the factor's solves: panel p solves only the leading
+#: rows its last column uses, about half the flops of whole-height solves
+#: at 4 panels.
 GL_PANELS = 4
+#: Order up to which :func:`_lu` factors a diagonal block column by
+#: column, in numpy; larger blocks are split in two, through BLAS.
+LU_LEAF = 32
 
 
 @dataclass(frozen=True)
@@ -88,84 +88,77 @@ class OperatorM:
                   coords=t)
 
 
-def solve_gl(ck: ConnectingKernel,
-             fac: NestedFactor | None = None) -> OperatorM:
+def solve_gl(ck: ConnectingKernel) -> OperatorM:
     """Solve the second-kind equation for m column by column.
 
     For fixed s_j the unknown column m(., s_j) lives on the x-nodes
     0..j and satisfies (I + C~|_{[0,s_j]^2} W) m = -C~(., s_j); both
-    matrix columns share the system matrix.  The columns are solved
-    through ``fac``, the nested factor of ``ck``
-    (:func:`~bcwave.connecting.assemble_matrix`, which raises
-    :class:`ReconstructionError` where the factor stops short), and
-    refined, GL_PANELS panels of them at a time on the panel's leading
-    rows; a column whose refinement does not converge is solved densely.
-    A one-off call without ``fac`` (perfbench's accuracy check) builds
-    it.  A non-finite m (from non-finite kernel data) raises
+    matrix columns share the system matrix.  Scaled by W/2 that is the
+    matrix of horizon j of :func:`_column_factor`, the LU factor of the
+    unsymmetrized B, and the columns are solved through it, GL_PANELS
+    panels of them at a time on the panel's leading rows.
+
+    The factor needs no row interchanges where the symmetric part of B
+    is positive definite, which :func:`~bcwave.connecting.assemble_matrix`
+    checks; the pipeline refuses a response that fails it before this
+    runs.  A non-finite m (from non-finite kernel data) raises
     :class:`ReconstructionError`.
     """
     n = ck.grid.n
-    h = ck.grid.h
     cr = ck.nodes
-    # the result first, below the work arrays on the heap
+    # the factor before the result: in the other order, repeated runs at
+    # n = 320 left the heap no free block for a caller's later 13 MB read
+    # (perfbench hashes each CSV whole), and the peak RSS rose by that much
+    fac = _column_factor(ck)
     m = np.zeros((2 * n + 2, 2 * n + 2))
-    if fac is None:
-        fac = assemble_matrix(ck)
-    converged = np.zeros(n, dtype=bool)
     for cols in np.array_split(np.arange(1, n + 1), GL_PANELS):
         first, last = int(cols[0]), int(cols[-1])
-        converged[cols - 1] = _solve_panel(cr, fac.panel(first, last), m)
+        panel = fac.panel(first, last)
+        rows, own = 2 * last + 2, slice(2 * first, 2 * last + 2)
+        # A_j m = -W_j C~(., s_j)/2, and cr is C~/2
+        m[:rows, own] = panel.solve(panel.weigh(-cr[:rows, own]))
+    del fac, panel
     m[:2, :2] = -2.0 * cr[:2, :2]   # s = 0: the system is the identity
-    del fac
-    for j in range(1, n + 1):
-        if not converged[j - 1]:
-            m[:2 * j + 2, 2 * j:2 * j + 2] = _solve_column(cr, j, h)
     if not np.isfinite(m).all():
         raise ReconstructionError("non-finite GL kernel m")
     return OperatorM(ck.grid, m)
 
 
-def _solve_panel(cr: np.ndarray, fac: NestedFactor,
-                 out: np.ndarray) -> np.ndarray:
-    """Solve and refine the columns j = first..last of the panel factor
-    ``fac`` on its leading 2 last + 2 rows, the only ones they use, and
-    write them into the node-major m ``out``.  Returns, per column,
-    whether the refinement converged.
-
-    A_j m = -W C~(., s_j)/2 with A_j = W/2 + W (C~/2) W, and ``cr`` is
-    C~/2: the residual of m is -W g with
-    g = C~(., s_j)/2 + m/2 + (C~/2) W m.  Column 2(j - first) + b of m
-    is m_ab(., s_j) in node-major rows 2i + a.
-    """
-    first, rows = fac.first, fac.factor.shape[0]
-    c = cr[:rows, :rows]
-    rhs = cr[:rows, 2 * first:2 * (first + fac.horizons)]
-    m = fac.solve(fac.weigh(-rhs))
-    wm, g = np.empty_like(m), np.empty_like(m)
-    for _ in range(REFINEMENT_STEPS):
-        np.copyto(wm, m)
-        np.matmul(c, fac.weigh(wm), out=g)
-        g += np.multiply(m, 0.5, out=wm)
-        g += rhs
-        g *= -1.0
-        step = fac.solve(fac.weigh(g))
-        m += step
-    # a column whose last step is not at roundoff level has not converged
-    # (too asymmetric a system) and is solved on its own
-    size = np.maximum(step.max(axis=0), -step.min(axis=0))
-    scale = np.maximum(m.max(axis=0), -m.min(axis=0))
-    out[:rows, 2 * first:2 * (first + fac.horizons)] = m
-    return (size <= REFINEMENT_TOLERANCE * scale).reshape(-1, 2).all(axis=1)
+def _column_factor(ck: ConnectingKernel) -> BorderedFactor:
+    """The LU factor, without row interchanges, of the unsymmetrized
+    B = W/2 + W (C~/2) W of ``ck``, bordered for every column: column j's
+    system, scaled by W/2, is B's horizon j (see
+    :class:`~bcwave.connecting.BorderedFactor`)."""
+    a, w = weighted_matrix(ck)
+    _lu(a)
+    blocks = diagonal_blocks(a)
+    return BorderedFactor.bordering(a, ck.grid.h, w,
+                                    np.tril(blocks, -1) + np.eye(2),
+                                    np.triu(blocks), LU)
 
 
-def _solve_column(cr: np.ndarray, j: int, h: float) -> np.ndarray:
-    """Dense solve of the column system at s_j (j >= 1) on the node-major
-    rows of the nodes 0..j, by two right-hand sides: m_ab(x_i, s_j) in
-    row 2i + a, column b.  ``cr`` is the node-major array C~/2."""
-    c = 2.0 * cr[:2 * j + 2, :2 * j + 2]
-    a = c * np.repeat(trapezoid_weights(j, h), 2)
-    a[np.diag_indices_from(a)] += 1.0
-    return np.linalg.solve(a, -c[:, 2 * j:])
+def _lu(a: np.ndarray) -> None:
+    """a = L U in place, L unit lower and U upper triangular, without row
+    interchanges: recursively, the leading half first, then the two off-
+    diagonal blocks by ``dtrsm``, the trailing block's update by ``dgemm``
+    and its factor (Toledo 1997).  Blocks up to LU_LEAF go column by
+    column."""
+    size = a.shape[0]
+    if size <= LU_LEAF:
+        for k in range(size - 1):
+            a[k + 1:, k] /= a[k, k]
+            a[k + 1:, k + 1:] -= np.multiply.outer(a[k + 1:, k],
+                                                   a[k, k + 1:])
+        return
+    blas = _lapack.blas()
+    half = size // 2
+    top = a[:half, :half]
+    _lu(top)
+    a[:half, half:] = blas.dtrsm(1.0, top, a[:half, half:], lower=1, diag=1)
+    a[half:, :half] = blas.dtrsm(1.0, top, a[half:, :half], side=1)
+    a[half:, half:] = blas.dgemm(-1.0, a[half:, :half], a[:half, half:],
+                                 1.0, a[half:, half:])
+    _lu(a[half:, half:])
 
 
 def operator_identity_residual(ck: ConnectingKernel, M: OperatorM) -> float:

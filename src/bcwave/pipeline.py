@@ -12,7 +12,8 @@ nested Cholesky factor of the connecting kernel and the kernel it was
 built from, built by the first of them to run and let go by the last,
 so that the factor is freed before the spectral stage.  Where the
 factor stops short, the state is that failure, and every inverse stage
-fails with its message.
+fails with its message.  The gl stage lets the factor go before it
+factors the unsymmetrized matrix on its own.
 
 :data:`GATES` holds every bound on a metric.  After its rows, one rule
 holds for every stage: a metric that is not finite fails the stage,
@@ -275,9 +276,10 @@ def _stage_krein(cfg, state, files):
 
 
 def _stage_gl(cfg, state, files):
-    ck, fac = _inverse_state(state)
-    M = solve_gl(ck, fac)
-    del fac
+    # the shared state refuses a response whose factor stops short; the
+    # Cholesky factor itself is let go before solve_gl factors anew
+    ck = _inverse_state(state)[0]
+    M = solve_gl(ck)
     kpath = os.path.join(cfg.out, "gl_kernel.csv")
     M.dump_csv(kpath)
     x, q = recover_q_from_m(M, cfg.sign)

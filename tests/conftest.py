@@ -76,9 +76,18 @@ def resp_off(field_off):
 
 @pytest.fixture(scope="session")
 def resp_off32(offcenter):
-    """offcenter's response at n = 32, where the GL refinement does not
-    converge in 20 of the 32 columns."""
+    """offcenter's response at n = 32."""
     return response_matrix(solve_kernels(offcenter, UniformGrid(2.0, 64)))
+
+
+def with_noise(r, level, seed):
+    """``r`` with seeded normal noise of ``level`` max|R| on all four
+    entries."""
+    rng = np.random.default_rng(seed)
+    entries = (r.r11, r.r12, r.r21, r.r22)
+    scale = level * max(np.max(np.abs(v)) for v in entries)
+    return ResponseMatrix(r.grid, *(
+        v + scale * rng.standard_normal(v.shape) for v in entries))
 
 
 @pytest.fixture(scope="session")
@@ -86,11 +95,14 @@ def resp_off_noisy(resp_off):
     """resp_off with seeded normal noise of 1e-3 max|R| on all four
     entries: C12 and C21 disagree by the noise, and the factor still
     reaches every horizon."""
-    rng = np.random.default_rng(27)
-    entries = (resp_off.r11, resp_off.r12, resp_off.r21, resp_off.r22)
-    scale = 1e-3 * max(np.max(np.abs(v)) for v in entries)
-    return ResponseMatrix(resp_off.grid, *(
-        v + scale * rng.standard_normal(v.shape) for v in entries))
+    return with_noise(resp_off, 1e-3, 27)
+
+
+@pytest.fixture(scope="session")
+def resp_off_noisier(resp_off):
+    """resp_off with seeded normal noise of 1e-2 max|R| on all four
+    entries."""
+    return with_noise(resp_off, 1e-2, 28)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,8 @@ package against.  No stage of a run calls them.
 - the forward solution by the representation formula, the Volterra
   operator K and the control operator W^T = S (I + K) J^T;
 - the GL kernel m from forward kernel data, by block back-substitution
-  of (I+K)(I+M) = I;
+  of (I+K)(I+M) = I, and one dense GL column solve from the connecting
+  kernel;
 - the dense stacked Nystrom matrix of a connecting kernel, and one dense
   Krein solve per horizon on it;
 - the raw spectral partial sums of the response and of the forward
@@ -346,6 +347,17 @@ def m_action_matrix(M: OperatorM) -> np.ndarray:
     w = row_trapezoid_weights(M.grid.n, M.grid.h)
     return np.block([[M.m11 * w, M.m12 * w], [M.m21 * w, M.m22 * w]])
 
+
+
+def _solve_column(cr: np.ndarray, j: int, h: float) -> np.ndarray:
+    """Dense solve of the GL column system at s_j (j >= 1) on the
+    node-major rows of the nodes 0..j, by two right-hand sides:
+    m_ab(x_i, s_j) in row 2i + a, column b.  ``cr`` is the node-major
+    array C~/2 of the connecting kernel."""
+    c = 2.0 * cr[:2 * j + 2, :2 * j + 2]
+    a = c * np.repeat(trapezoid_weights(j, h), 2)
+    a[np.diag_indices_from(a)] += 1.0
+    return np.linalg.solve(a, -c[:, 2 * j:])
 
 # ---------------------------------------------------------------- connecting
 

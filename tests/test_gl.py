@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from bcwave import gl, pipeline
+from bcwave import _lapack, gl, pipeline
 from bcwave.config import parse_config
-from bcwave.connecting import ConnectingKernel, build_connecting
+from bcwave.connecting import (ConnectingKernel, assemble_matrix,
+                               build_connecting, weighted_matrix)
 from bcwave.errors import GridMismatchError, ReconstructionError
 from bcwave.gl import (
     OperatorM,
@@ -136,16 +137,11 @@ def _dense_identity_residual(ck, M):
 def test_operator_identity_residual_matches_dense_formula(request, resp):
     ck = build_connecting(request.getfixturevalue(resp))
     if resp == "resp_skew":
-        # no potential's response: solve_gl refuses it, and m comes from
-        # the dense per-column solves
+        # no potential's response: the shared state refuses it, so a run
+        # never reaches solve_gl, but solve_gl's LU solves it all the same
         with pytest.raises(ReconstructionError, match="asymmetry"):
-            solve_gl(ck)
-        # node-major: entry (2i + a, 2j + b) is m_ab(x_i, s_j)
-        size = 2 * ck.grid.n + 2
-        M = OperatorM(ck.grid, _oracle_gl(ck).reshape(2, 2, size // 2, -1)
-                      .transpose(2, 0, 3, 1).reshape(size, size))
-    else:
-        M = solve_gl(ck)
+            assemble_matrix(ck)
+    M = solve_gl(ck)
     res = operator_identity_residual(ck, M)
     assert abs(res - _dense_identity_residual(ck, M)) <= 1e-12
 
@@ -246,33 +242,98 @@ def _oracle_gl(ck):
     return m
 
 
-@pytest.mark.parametrize("resp", ["resp_off", "resp_off32"])
-def test_solve_gl_matches_per_column_solves(request, monkeypatch, resp):
-    # resp_off32: the refinement does not converge in some columns, which
-    # are solved densely; resp_off: it converges in every column
-    ck = build_connecting(request.getfixturevalue(resp))
-    dense = []
-    solve_column = gl._solve_column
-    monkeypatch.setattr(gl, "_solve_column",
-                        lambda cr, j, h: dense.append(j)
-                        or solve_column(cr, j, h))
+def _bump20(T, n):
+    """The response of a Gaussian of amplitude 20, centre 0.1 and width
+    0.3 on [0, 2T], n steps per T: far from the symmetric case, so the
+    LU has much skew to carry."""
+    p = GaussianPotential(amplitude=20.0, center=0.1, width=0.3)
+    return response_matrix(solve_kernels(p, UniformGrid(2.0 * T, 2 * n)))
+
+
+@pytest.mark.parametrize("resp", [
+    "resp_off", "resp_off32", "resp_off_noisy", "resp_off_noisier",
+    pytest.param((1.0, 8), id="bump20_n8"),
+    pytest.param((1.0, 16), id="bump20_n16"),
+    pytest.param((3.0, 32), id="bump20_T3_n32")])
+def test_solve_gl_matches_per_column_solves(request, resp):
+    # the noisy responses and the amplitude-20 bumps (T, n) give the most
+    # skewed column systems
+    ck = build_connecting(_bump20(*resp) if isinstance(resp, tuple)
+                          else request.getfixturevalue(resp))
     M = solve_gl(ck)
     ref = _oracle_gl(ck)
     for blk, r in zip((M.m11, M.m12, M.m21, M.m22), ref):
         assert np.max(np.abs(blk - r)) <= 1e-12 * np.max(np.abs(r))
     assert M.regularized == ()
-    assert bool(dense) == (resp == "resp_off32")
 
 
-def test_solve_gl_fails_past_the_factor(resp_broken):
-    ck = build_connecting(resp_broken)
+def test_gl_stage_fails_past_the_factor(tmp_path, monkeypatch, resp_broken):
+    # the shared state refuses the response before the gl stage solves
+    path = tmp_path / "response.csv"
+    resp_broken.write_csv(path)
+    monkeypatch.setattr(pipeline, "solve_gl", None)
+    report = pipeline.run_pipeline(parse_config(json.dumps(
+        {"response_csv": str(path), "T": 1.0, "n": 96, "stages": ["gl"],
+         "out": str(tmp_path / "out")})))
+    gl_stage = report["stages"][1]
+    assert gl_stage["name"] == "gl" and gl_stage["status"] == "failed"
     # the factor misses column p first
-    p = max(int(np.ceil(-0.5 / (resp_broken.r22[0] * ck.grid.h) - 0.5)), 1)
-    with pytest.raises(ReconstructionError,
-                       match="stops short of horizon %d of %d: the "
-                             "connecting matrix is not positive definite"
-                             % (p, ck.grid.n)):
-        solve_gl(ck)
+    h = resp_broken.grid.h
+    p = max(int(np.ceil(-0.5 / (resp_broken.r22[0] * h) - 0.5)), 1)
+    assert gl_stage["error"] == (
+        "the nested factor stops short of horizon %d of 96: the connecting "
+        "matrix is not positive definite, so the response belongs to no "
+        "potential" % p)
+
+
+def _skewed(rng, size, skew):
+    """A seeded matrix whose symmetric part is positive semidefinite, plus
+    a skew part of scale ``skew``."""
+    g = rng.standard_normal((size, size))
+    k = rng.standard_normal((size, size))
+    return g @ g.T / size + skew * (k - k.T)
+
+
+@pytest.mark.parametrize("size", [5, 68, 131])
+def test_lu_without_interchanges(size):
+    rng = np.random.default_rng(size)
+    a = _skewed(rng, size, 3.0) + 0.1 * np.eye(size)
+    assert np.linalg.eigvalsh(a + a.T)[0] > 0.0
+    # partial pivoting would interchange rows of this matrix
+    _, piv, _ = _lapack.lapack().dgetrf(a)
+    assert np.any(piv != np.arange(size))
+    lu = np.asfortranarray(a)
+    gl._lu(lu)
+    low = np.tril(lu, -1) + np.eye(size)
+    assert np.max(np.abs(low @ np.triu(lu) - a)) <= 1e-13 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("n", [33, 42])
+def test_bordered_lu_solves_every_column_system(n):
+    # C~/2 with a positive semidefinite symmetric part and a skew part
+    # far above h/2 in B = W/2 + W (C~/2) W; n = 33 and 42 make uneven
+    # panels
+    rng = np.random.default_rng(n)
+    h = 1.0 / n
+    cr = _skewed(rng, 2 * n + 2, 100.0)
+    ck = ConnectingKernel(UniformGrid(1.0, n), cr)
+    _, piv, _ = _lapack.lapack().dgetrf(weighted_matrix(ck)[0])
+    assert np.any(piv != np.arange(2 * n + 2))
+    fac = gl._column_factor(ck)
+    for cols in np.array_split(np.arange(1, n + 1), gl.GL_PANELS):
+        first, last = int(cols[0]), int(cols[-1])
+        rows = 2 * last + 2
+        b = rng.standard_normal((rows, 2 * len(cols)))
+        f = fac.panel(first, last).solve(b.copy())
+        for i, j in enumerate(cols):
+            # column j's matrix, node j's weight halved
+            w = np.repeat(trapezoid_weights(j, h), 2)
+            a = np.diag(0.5 * w) + w[:, None] * cr[:2 * j + 2, :2 * j + 2] * w
+            own = slice(2 * i, 2 * i + 2)
+            ref = np.linalg.solve(a, b[:2 * j + 2, own])
+            assert (np.max(np.abs(f[:2 * j + 2, own] - ref))
+                    <= 1e-12 * np.max(np.abs(ref)))
+            assert not f[2 * j + 2:, own].any()
 
 
 def _nan_kernel(n=16):
