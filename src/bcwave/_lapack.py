@@ -55,5 +55,5 @@ def blas() -> ModuleType:
 
 
 def lapack() -> ModuleType:
-    """``scipy.linalg._flapack``: dpotrf, dgbsv, dsterf, dgtsv."""
+    """``scipy.linalg._flapack``: dpotrf, dtrtri, dgbsv, dsterf, dgtsv."""
     return _load("_flapack")

@@ -132,11 +132,10 @@ def memory_estimate(cfg: RunConfig, n_inverse: int | None = None) -> int:
     arrays, all float64.  The kernels stay alive while the later stages
     run, so the terms add.  The inverse stages share two such matrices
     (C, held once, and the nested factor).  The gl stage lets the factor
-    go and holds C, its result m, and its own LU factor with the panel
-    copies and work arrays (near 3.9 of them at most), then, with the LU
-    freed, C, m and the identity residual's three buffers: near 5.3 of
-    them (traced at n = 320 and 1024), the peak.  Seven leave the
-    allocator headroom.
+    go and holds C, its own LU factor and then its result m (near 3.0 of
+    them at most), then, with the LU freed, C, m and the identity
+    residual's three buffers: near 5.3 of them (traced at n = 320 and
+    1024), the peak.  Seven leave the allocator headroom.
     ``n_inverse`` replaces ``cfg.n`` in the inverse term: on the response
     CSV route the file, not the config, sets the size.
     """

@@ -28,11 +28,11 @@ inverse routes solve, for every horizon k = 1..n, the Nystrom system of
 C^{tau_k} in reversed time.  Reversal makes the kernel depend only on
 t' + s' and |t' - s'|, so every such matrix is the leading block, on the
 nodes 0..k, of one fixed matrix B = W/2 + W C~ W, except that the
-trapezoid weight of node k is halved.  A :class:`BorderedFactor` of B
+trapezoid weight of node k is halved.  A :class:`NestedFactor` of B
 solves every horizon by bordering its leading factor (Levinson 1947; the
 Krein equations of the boundary control method, Belishev 2007).
 :func:`assemble_matrix` factors the symmetrized B by Cholesky and
-returns the :class:`NestedFactor`.
+returns it.
 
 That factor is the one inverse state of a run.  It reaches every horizon
 of a potential's response (its connecting operator is positive
@@ -41,8 +41,8 @@ The connect stage reports from it the assembly asymmetry and the
 smallest eigenvalue (Lanczos through the factor, Lanczos 1950), and
 krein solves through it.  gl solves the unsymmetrized B, whose symmetric
 part is the matrix the factor proves positive definite, so gl factors B
-itself by LU without row interchanges (:func:`~bcwave.gl.solve_gl`) and
-solves through that by the same bordering.
+itself by LU without row interchanges and reads its kernel off the
+inverse of the upper factor (:func:`~bcwave.gl.solve_gl`).
 """
 
 from __future__ import annotations
@@ -178,18 +178,16 @@ def connecting_form(ck: ConnectingKernel, f: Control, g: Control) -> float:
 
 
 #: dtrsm flags (lower, trans_a, diag) of the forward and the back
-#: substitution with a factor held in one array: Cholesky's L x = b and
-#: L^T x = b, and, for an LU factorisation without row interchanges,
-#: L x = b with unit lower L and U x = b.
+#: substitution with the Cholesky factor held in one array: L x = b and
+#: L^T x = b.
 CHOLESKY = ((1, 1, 0), (1, 0, 0))
-LU = ((1, 1, 1), (0, 1, 0))
 
 
 def _tri_solve(factor: np.ndarray, b: np.ndarray, flags) -> np.ndarray:
     """Solve T x = b in place for a C-ordered b, T the triangle of
-    ``factor`` that ``flags`` (one half of :data:`CHOLESKY` or :data:`LU`)
-    names.  The transpose of b is Fortran-ordered, so BLAS solves
-    x^T T^T = b^T from the right without copying b."""
+    ``factor`` that ``flags`` (one half of :data:`CHOLESKY`) names.  The
+    transpose of b is Fortran-ordered, so BLAS solves x^T T^T = b^T from
+    the right without copying b."""
     lower, trans_a, diag = flags
     return _lapack.blas().dtrsm(1.0, factor, b.T, side=1, lower=lower,
                                 trans_a=trans_a, diag=diag, overwrite_b=1).T
@@ -223,10 +221,24 @@ def _lanczos_top(op, v0: np.ndarray) -> float | None:
     return None
 
 
+def schur_complements(h: float, node_weights: np.ndarray,
+                      l_kk: np.ndarray, u_kk: np.ndarray):
+    """d = (h/2) / w_k and the 2x2 Schur complements
+    S = d^2 L_kk U_kk + (h/4)(1 - d) I of the horizons k = 1..n, from the
+    2x2 diagonal blocks ``l_kk``, ``u_kk`` of a factor L U of B at the
+    nodes 1..n (see :class:`NestedFactor`)."""
+    border = 0.5 * h / node_weights[2::2]
+    s = (border * border)[:, None, None] * (l_kk @ u_kk)
+    s[:, [0, 1], [0, 1]] += (0.25 * h * (1.0 - border))[:, None]
+    return border, s
+
+
 @dataclass(frozen=True)
-class BorderedFactor:
-    """A factor L U of B = W/2 + W C~ W that solves the matrix of every
-    horizon k = first..first + K - 1 by bordering its leading block.
+class NestedFactor:
+    """The Cholesky factor L L^T of the symmetrized B = W/2 + W C~ W,
+    built once per run, that solves the matrix of every horizon k = 1..n
+    by bordering its leading block: the Krein route solves through it,
+    and the connect stage reports from it.
 
     The reversed-time matrix of horizon k is
     A_k = [[B_11, d B_12], [d B_21, d^2 B_kk + (h/4)(1 - d) I]]: B_11 is
@@ -235,71 +247,44 @@ class BorderedFactor:
     halves node k's weight (d = 1 at k = n, whose weight is already h/2).
     With z = L_11^{-1} b_a, A_k f = b is solved by
 
-        S f_b = b_b - d L_21 z,   U_11 f_a = z - d U_12 f_b,
+        S f_b = b_b - d L_21 z,   L_11^T f_a = z - d L_21^T f_b,
 
     where the 2x2 Schur complement S equals
-    d^2 L_kk U_kk + (h/4)(1 - d) I.  Where the symmetric part of B is
-    positive definite, so is that of S, and the factor needs no row
-    interchanges (Golub and Van Loan 1979).  Factoring costs O(n^3)
-    once; each horizon then costs O(k^2) for f, and O(1) more for f_b
-    given z.
+    d^2 L_kk L_kk^T + (h/4)(1 - d) I (:func:`schur_complements`).
+    Factoring costs O(n^3) once; each horizon then costs O(k^2) for f,
+    and O(1) more for f_b given z.
 
-    ``factor`` holds L and U in one Fortran-ordered array, in the
-    triangles ``triangles`` names (:data:`CHOLESKY` or :data:`LU`);
-    ``l_kk`` and ``u_kk`` are their 2x2 diagonal blocks.  A :meth:`panel`
-    serves the horizons first..last only.
+    ``factor`` holds L in its lower triangle and B in its strict upper
+    triangle, ``b_diag`` the diagonal of B, and ``l_kk`` L's 2x2 diagonal
+    blocks.  B is a symmetric permutation (time reversal, node-major
+    order) of the stacked matrix A = W/2 + W C W of C^T, so the two share
+    their asymmetry and their spectrum.
     """
 
     h: float
     factor: np.ndarray
     node_weights: np.ndarray  # trapezoid weights of B, node-major
-    border: np.ndarray        # d, horizons first..last
-    l_kk: np.ndarray          # the 2x2 diagonal blocks of L, nodes first..last
-    u_kk: np.ndarray          # and of U
-    s_inv: np.ndarray         # S^{-1}, horizons first..last
-    triangles: tuple          # dtrsm flags of L and of U
-    first: int
-
-    @classmethod
-    def bordering(cls, factor, h, node_weights, l_kk, u_kk, triangles,
-                  **fields):
-        """The factor of the horizons 1..n, from ``factor`` and the 2x2
-        blocks ``l_kk``, ``u_kk`` of its L and U at the nodes 1..n;
-        ``fields`` are a subclass's own."""
-        border = 0.5 * h / node_weights[2::2]
-        s = (border * border)[:, None, None] * (l_kk @ u_kk)
-        s[:, [0, 1], [0, 1]] += (0.25 * h * (1.0 - border))[:, None]
-        return cls(h, factor, node_weights, border, l_kk, u_kk,
-                   np.linalg.inv(s), triangles, 1, **fields)
+    border: np.ndarray        # d, horizons 1..n
+    l_kk: np.ndarray          # the 2x2 diagonal blocks of L, nodes 1..n
+    s_inv: np.ndarray         # S^{-1}, horizons 1..n
+    b_diag: np.ndarray
+    asymmetry: float          # max |A - A^T| before the symmetrization
 
     @property
     def horizons(self) -> int:
         return len(self.border)
 
-    def panel(self, first: int, last: int) -> "BorderedFactor":
-        """The factor of the horizons first..last (1 <= first <= last <= n)
-        on the leading 2 last + 2 rows, the only ones they use, so that
-        its solves run on that leading block alone.  The block is copied
-        to Fortran order unless it is the whole factor."""
-        rows = 2 * last + 2
-        own = slice(first - self.first, last - self.first + 1)
-        return BorderedFactor(self.h,
-                              np.asfortranarray(self.factor[:rows, :rows]),
-                              self.node_weights[:rows], self.border[own],
-                              self.l_kk[own], self.u_kk[own],
-                              self.s_inv[own], self.triangles, first)
-
     def _border(self):
         """Row and column indices of node k in horizon k's columns, in
         the (N, K, r) view."""
-        k = np.arange(self.first, self.first + self.horizons)
-        return 2 * k[:, None] + [0, 1], k[:, None] - self.first
+        k = np.arange(1, self.horizons + 1)
+        return 2 * k[:, None] + [0, 1], k[:, None] - 1
 
     def _zero_below(self, x3: np.ndarray) -> None:
         """Zero, in the (N, K, r) view, the rows below node k in horizon
         k's columns: node i's rows in the columns of the horizons < i."""
-        for i in range(self.first + 1, x3.shape[0] // 2):
-            x3[2 * i:2 * i + 2, :i - self.first] = 0.0
+        for i in range(2, x3.shape[0] // 2):
+            x3[2 * i:2 * i + 2, :i - 1] = 0.0
 
     def _cut(self, x: np.ndarray) -> np.ndarray:
         """D x in place: rows of node k times d, rows below it zeroed."""
@@ -318,44 +303,27 @@ class BorderedFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A_k f = b for every horizon at once, overwriting b.
 
-        ``b`` is C-ordered (rows of ``factor``, K r): r right-hand sides
-        per horizon, horizon k in the columns (k-first) r .. (k-first+1)
-        r - 1, of which the rows of the nodes 0..k are used.  Returns f in
-        the same layout, exactly zero below node k.
+        ``b`` is C-ordered (rows of ``factor``, n r): r right-hand sides
+        per horizon, horizon k in the columns (k-1) r .. k r - 1, of which
+        the rows of the nodes 0..k are used.  Returns f in the same
+        layout, exactly zero below node k.
 
         Both substitutions run with the full factor: the rows of node k
         give d L_21 z = d (b_b - L_kk z_b), and back substitution from
-        d U_kk f_b at node k (zero below) yields f_a and d f_b.
+        d L_kk^T f_b at node k (zero below) yields f_a and d f_b.
         """
         N, K = b.shape[0], self.horizons
         rows, cols = self._border()
         d = self.border[:, None, None]
-        forward, back = self.triangles
+        forward, back = CHOLESKY
         bb = b.reshape(N, K, -1)[rows, cols]                  # (K, 2, r)
         z3 = _tri_solve(self.factor, b, forward).reshape(N, K, -1)
         fb = self.s_inv @ (bb - d * (bb - self.l_kk @ z3[rows, cols]))
         self._zero_below(z3)
-        z3[rows, cols] = d * (self.u_kk @ fb)
+        z3[rows, cols] = d * (self.l_kk.transpose(0, 2, 1) @ fb)
         f = _tri_solve(self.factor, z3.reshape(N, -1), back)
         f.reshape(N, K, -1)[rows, cols] = fb
         return f
-
-
-@dataclass(frozen=True)
-class NestedFactor(BorderedFactor):
-    """The Cholesky factor L L^T of the symmetrized B (:data:`CHOLESKY`,
-    U = L^T), built once per run: the Krein route solves through it, and
-    the connect stage reports from it.
-
-    ``factor`` holds L in its lower triangle and B in its strict upper
-    triangle, ``b_diag`` the diagonal of B.  B is a symmetric permutation
-    (time reversal, node-major order) of the stacked matrix
-    A = W/2 + W C W of C^T, so the two share their asymmetry and their
-    spectrum.
-    """
-
-    b_diag: np.ndarray
-    asymmetry: float          # max |A - A^T| before the symmetrization
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the symmetrized A.
@@ -473,6 +441,6 @@ def assemble_matrix(ck: ConnectingKernel) -> NestedFactor:
             "the nested factor stops short of horizon %d of %d: %s, so the "
             "response belongs to no potential" % (K + 1, n, cause))
     l_kk = np.tril(diagonal_blocks(a))
-    return NestedFactor.bordering(a, h, w, l_kk, l_kk.transpose(0, 2, 1),
-                                  CHOLESKY, b_diag=b_diag,
-                                  asymmetry=float(asym[-1]))
+    border, s = schur_complements(h, w, l_kk, l_kk.transpose(0, 2, 1))
+    return NestedFactor(h, a, w, border, l_kk, np.linalg.inv(s), b_diag,
+                        float(asym[-1]))

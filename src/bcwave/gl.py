@@ -8,24 +8,26 @@ K*K).  The test suite checks it against m built from forward kernel
 data instead, by block triangular back-substitution of (I+K)(I+M) = I
 (``invert_volterra`` in ``tests/oracles.py``).
 
-Scaled by W/2, the column system at s_j is the matrix of the Krein
+Scaled by W/2, the column system at s_j is the matrix A_j of the Krein
 horizon j before its symmetrization: the leading block, on the nodes
 0..j, of B = W/2 + W (C~/2) W with node j's weight halved.  B is not
 symmetric where the data's C12 and C21^T blocks differ, but its
 symmetric part is the positive definite matrix the Krein route factors,
 so B has an LU factor without row interchanges (Golub and Van Loan
-1979).  :func:`solve_gl` builds it once per run, by a recursive BLAS-3
-LU in O(n^3), and solves every column through it to roundoff, with no
-refinement, by the bordering the Krein route uses
-(:class:`~bcwave.connecting.BorderedFactor`), in O(j^2) per column.
-Column j uses only the rows of the nodes 0..j, so the columns go in
-GL_PANELS panels, each solved on the leading rows of its last column.
+1979), which :func:`solve_gl` builds once per run by a recursive BLAS-3
+LU in O(n^3).  The right-hand side of column j is node j's own column
+of A_j, up to a multiple of the identity, so bordering that factor
+gives m in closed form: U^{-1} (LAPACK's ``dtrtri``) with each column
+block scaled by a 2x2 matrix, to roundoff and with no refinement.  I + M
+is the triangular factor that the operator identity
+(I+M)* (I+C~) (I+M) = I makes of I + C~, the Volterra factorisation of
+Gohberg and Krein (1970).
 
 m is held once (:class:`OperatorM`), as one node-major (2n+2)^2 array
 laid out as the connecting kernel's, without its time reflection: entry
-(2i + a, 2j + b) is m_ab(x_i, s_j).  The panel solves write into it
-directly and the identity residual multiplies it as it is; m11..m22
-are views.
+(2i + a, 2j + b) is m_ab(x_i, s_j).  :func:`solve_gl` writes it column
+block by column block and the identity residual multiplies it as it is;
+m11..m22 are views.
 
 On the diagonal m(x,x) = -k(x,x), and the potential follows from
 q(x) = 2 d/dx [m11(x,x) - m12(x,x)] with the left half-line recovered
@@ -39,16 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .connecting import (LU, BorderedFactor, ConnectingKernel,
-                         diagonal_blocks, weighted_matrix)
+from .connecting import (ConnectingKernel, diagonal_blocks,
+                         schur_complements, weighted_matrix)
 from .errors import GridMismatchError, ReconstructionError
 from .grid import (UniformGrid, differentiate, row_trapezoid_weights,
                    trapezoid_weights, write_csv)
 
-#: Column panels of the factor's solves: panel p solves only the leading
-#: rows its last column uses, about half the flops of whole-height solves
-#: at 4 panels.
-GL_PANELS = 4
 #: Order up to which :func:`_lu` factors a diagonal block column by
 #: column, in numpy; larger blocks are split in two, through BLAS.
 LU_LEAF = 32
@@ -89,52 +87,68 @@ class OperatorM:
 
 
 def solve_gl(ck: ConnectingKernel) -> OperatorM:
-    """Solve the second-kind equation for m column by column.
+    """Solve the second-kind equation for m, every column at once.
 
     For fixed s_j the unknown column m(., s_j) lives on the x-nodes
     0..j and satisfies (I + C~|_{[0,s_j]^2} W) m = -C~(., s_j); both
-    matrix columns share the system matrix.  Scaled by W/2 that is the
-    matrix of horizon j of :func:`_column_factor`, the LU factor of the
-    unsymmetrized B, and the columns are solved through it, GL_PANELS
-    panels of them at a time on the panel's leading rows.
+    matrix columns share the system matrix.  Scaled by W/2 that is
+    A_j m = -W_j C~(., s_j)/2, A_j the leading block of
+    B = W/2 + W (C~/2) W = L U on the nodes 0..j with node j's weight
+    w_j halved (d = (h/2)/w_j).  With E_j node j's two columns, the
+    right-hand side is -(2/h) A_j E_j + E_j/2, so
+    m(., s_j) = -(2/h) E_j + A_j^{-1} E_j / 2, and bordering gives, with
+    X = U^{-1} and S_j = d^2 L_jj U_jj + (h/4)(1 - d) I:
+
+    - at the nodes 0..j-1, (d/2) X[:, j] U_jj S_j^{-1};
+    - at node j, S_j^{-1} (d/w_j) (P_j - w_j^2 C~_jj/2) with
+      P_j = L[node j, :2j] U[:2j, node j], which equals
+      -(2/h) I + S_j^{-1}/2 without cancelling its two O(1/h) terms;
+    - below node j, 0, and at s = 0 the system is the identity.
 
     The factor needs no row interchanges where the symmetric part of B
-    is positive definite, which :func:`~bcwave.connecting.assemble_matrix`
-    checks; the pipeline refuses a response that fails it before this
-    runs.  A non-finite m (from non-finite kernel data) raises
-    :class:`ReconstructionError`.
+    is positive definite, as it is for a response that
+    :func:`~bcwave.connecting.assemble_matrix` accepts; a pivot of U
+    that is not positive proves the response belongs to no potential and
+    raises :class:`ReconstructionError`, as does a non-finite m (from
+    non-finite kernel data).
     """
-    n = ck.grid.n
+    n, h = ck.grid.n, ck.grid.h
     cr = ck.nodes
-    # the factor before the result: in the other order, repeated runs at
-    # n = 320 left the heap no free block for a caller's later 13 MB read
-    # (perfbench hashes each CSV whole), and the peak RSS rose by that much
-    fac = _column_factor(ck)
+    a, w = weighted_matrix(ck)
+    _lu(a)
+    bad = np.flatnonzero(np.diag(a) <= 0.0)
+    if bad.size:
+        raise ReconstructionError(
+            "the LU factor of the GL column systems has a pivot <= 0 at "
+            "node %d of %d, so the response belongs to no potential"
+            % (bad[0] // 2, n))
+    blocks = diagonal_blocks(a)
+    u_kk = np.triu(blocks)
+    d, s = schur_complements(h, w, np.tril(blocks, -1) + np.eye(2), u_kk)
+    s_inv = np.linalg.inv(s)
+    wk = w[2::2]
+    p = np.empty((n, 2, 2))
+    for j in range(1, n + 1):
+        own = slice(2 * j, 2 * j + 2)
+        p[j - 1] = a[own, :2 * j] @ a[:2 * j, own]
+    p -= (wk * wk)[:, None, None] * diagonal_blocks(cr)
+    own_block = s_inv @ ((d / wk)[:, None, None] * p)
+    scale = (0.5 * d)[:, None, None] * (u_kk @ s_inv)
+    x, _ = _lapack.lapack().dtrtri(a, overwrite_c=1)
+    # m after the inverse, and the factor let go once m is written: m
+    # written into the factor's buffer instead left the heap, at n = 320,
+    # no free block for a caller's later 13 MB read (perfbench hashes
+    # each CSV whole), and the peak RSS rose by that much
     m = np.zeros((2 * n + 2, 2 * n + 2))
-    for cols in np.array_split(np.arange(1, n + 1), GL_PANELS):
-        first, last = int(cols[0]), int(cols[-1])
-        panel = fac.panel(first, last)
-        rows, own = 2 * last + 2, slice(2 * first, 2 * last + 2)
-        # A_j m = -W_j C~(., s_j)/2, and cr is C~/2
-        m[:rows, own] = panel.solve(panel.weigh(-cr[:rows, own]))
-    del fac, panel
+    for j in range(1, n + 1):
+        own = slice(2 * j, 2 * j + 2)
+        m[:2 * j, own] = x[:2 * j, own] @ scale[j - 1]
+        m[own, own] = own_block[j - 1]
+    del a, x
     m[:2, :2] = -2.0 * cr[:2, :2]   # s = 0: the system is the identity
     if not np.isfinite(m).all():
         raise ReconstructionError("non-finite GL kernel m")
     return OperatorM(ck.grid, m)
-
-
-def _column_factor(ck: ConnectingKernel) -> BorderedFactor:
-    """The LU factor, without row interchanges, of the unsymmetrized
-    B = W/2 + W (C~/2) W of ``ck``, bordered for every column: column j's
-    system, scaled by W/2, is B's horizon j (see
-    :class:`~bcwave.connecting.BorderedFactor`)."""
-    a, w = weighted_matrix(ck)
-    _lu(a)
-    blocks = diagonal_blocks(a)
-    return BorderedFactor.bordering(a, ck.grid.h, w,
-                                    np.tril(blocks, -1) + np.eye(2),
-                                    np.triu(blocks), LU)
 
 
 def _lu(a: np.ndarray) -> None:

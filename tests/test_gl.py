@@ -22,6 +22,7 @@ from bcwave.potentials import ConstantPotential, GaussianPotential, ZeroPotentia
 from bcwave.response import response_matrix
 
 from oracles import (
+    _solve_column,
     invert_volterra,
     m_action_matrix,
     operator_k_kernel,
@@ -311,29 +312,46 @@ def test_lu_without_interchanges(size):
 @pytest.mark.parametrize("n", [33, 42])
 def test_bordered_lu_solves_every_column_system(n):
     # C~/2 with a positive semidefinite symmetric part and a skew part
-    # far above h/2 in B = W/2 + W (C~/2) W; n = 33 and 42 make uneven
-    # panels
+    # far above h/2 in B = W/2 + W (C~/2) W
     rng = np.random.default_rng(n)
-    h = 1.0 / n
     cr = _skewed(rng, 2 * n + 2, 100.0)
     ck = ConnectingKernel(UniformGrid(1.0, n), cr)
     _, piv, _ = _lapack.lapack().dgetrf(weighted_matrix(ck)[0])
     assert np.any(piv != np.arange(2 * n + 2))
-    fac = gl._column_factor(ck)
-    for cols in np.array_split(np.arange(1, n + 1), gl.GL_PANELS):
-        first, last = int(cols[0]), int(cols[-1])
-        rows = 2 * last + 2
-        b = rng.standard_normal((rows, 2 * len(cols)))
-        f = fac.panel(first, last).solve(b.copy())
-        for i, j in enumerate(cols):
-            # column j's matrix, node j's weight halved
-            w = np.repeat(trapezoid_weights(j, h), 2)
-            a = np.diag(0.5 * w) + w[:, None] * cr[:2 * j + 2, :2 * j + 2] * w
-            own = slice(2 * i, 2 * i + 2)
-            ref = np.linalg.solve(a, b[:2 * j + 2, own])
-            assert (np.max(np.abs(f[:2 * j + 2, own] - ref))
-                    <= 1e-12 * np.max(np.abs(ref)))
-            assert not f[2 * j + 2:, own].any()
+    m = solve_gl(ck).nodes
+    for j in range(1, n + 1):
+        own = slice(2 * j, 2 * j + 2)
+        ref = _solve_column(cr, j, ck.grid.h)
+        assert (np.max(np.abs(m[:2 * j + 2, own] - ref))
+                <= 1e-12 * np.max(np.abs(ref)))
+        assert not m[2 * j + 2:, own].any()
+
+
+def test_own_blocks_keep_q_at_roundoff(resp_off):
+    # node j's own block of m feeds q's diagonal: as -(2/h) I + S^{-1}/2
+    # it cancels two O(1/h) terms, and q moves by 1e-11 of max|q| here
+    ck = build_connecting(resp_off)
+    n = ck.grid.n
+    ref = np.zeros_like(ck.nodes)
+    ref[:2, :2] = -2.0 * ck.nodes[:2, :2]
+    for j in range(1, n + 1):
+        ref[:2 * j + 2, 2 * j:2 * j + 2] = _solve_column(ck.nodes, j,
+                                                         ck.grid.h)
+    _, q_ref = recover_q_from_m(OperatorM(ck.grid, ref))
+    _, q = recover_q_from_m(solve_gl(ck))
+    assert np.max(np.abs(q - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))
+
+
+def test_solve_gl_refuses_a_broken_response(resp_broken):
+    # called alone, without the shared state's check: the LU factor of
+    # B has a pivot <= 0 first at node ceil(p - 1/2), where the second
+    # component's leading block of B stops being positive definite
+    h = resp_broken.grid.h
+    node = int(np.ceil(-0.5 / (resp_broken.r22[0] * h) - 0.5))
+    with pytest.raises(ReconstructionError, match=(
+            r"pivot <= 0 at node %d of 96, so the response belongs to no "
+            r"potential" % node)):
+        solve_gl(build_connecting(resp_broken))
 
 
 def _nan_kernel(n=16):

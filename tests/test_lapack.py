@@ -16,7 +16,7 @@ import bcwave
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bcwave.__file__)))
 
 BLAS = ["dtrsm", "dsymm", "dtrsv", "dgemm"]
-LAPACK = ["dpotrf", "dgbsv", "dsterf", "dgtsv"]
+LAPACK = ["dpotrf", "dtrtri", "dgbsv", "dsterf", "dgtsv"]
 
 #: Leaves in ``same`` whether each routine of ``_lapack`` is scipy's.
 SAME = (

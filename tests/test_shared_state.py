@@ -1,6 +1,6 @@
 """The inverse stages' shared state: one connecting kernel, held as one
-node-major array, and one nested factor per run, GL solved on horizon
-panels."""
+node-major array, and one nested factor per run; GL reads its kernel off
+the inverse of its own LU factor's upper triangle."""
 
 import json
 import tracemalloc
@@ -14,7 +14,7 @@ from bcwave.config import parse_config
 from bcwave.connecting import (ConnectingKernel, assemble_matrix,
                                build_connecting, connecting_nodes)
 from bcwave.errors import ReconstructionError
-from bcwave.gl import GL_PANELS, solve_gl
+from bcwave.gl import solve_gl
 from bcwave.goursat import solve_kernels
 from bcwave.grid import UniformGrid, trapezoid_weights
 from bcwave.potentials import ZeroPotential
@@ -24,12 +24,11 @@ from oracles import _assemble, _solve_column
 
 
 @pytest.mark.parametrize("resp", ["resp128", "resp_off", "resp_skew"])
-def test_panelled_gl_matches_column_solves(request, resp):
-    # 127 columns make panels of 32, 32, 32 and 31
+def test_gl_matches_column_solves_at_n127(request, resp):
+    # an odd number of columns, each checked against its own dense solve
     r = request.getfixturevalue(resp)
     ck = ConnectingKernel(UniformGrid(127 * r.grid.h, 127),
                           connecting_nodes(r, 127))
-    assert ck.grid.n % GL_PANELS
     if resp == "resp_skew":
         # no potential's response: the shared state refuses it, so a run
         # never reaches solve_gl; its LU solves the columns all the same,
