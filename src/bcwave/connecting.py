@@ -34,15 +34,18 @@ Krein equations of the boundary control method, Belishev 2007).
 :func:`assemble_matrix` factors the symmetrized B by Cholesky and
 returns it.
 
-That factor is the one inverse state of a run.  It reaches every horizon
-of a potential's response (its connecting operator is positive
-definite); where it would stop short, :func:`assemble_matrix` raises.
-The connect stage reports from it the assembly asymmetry and the
-smallest eigenvalue (Lanczos through the factor, Lanczos 1950), and
-krein solves through it.  gl solves the unsymmetrized B, whose symmetric
-part is the matrix the factor proves positive definite, so gl factors B
-itself by LU without row interchanges and reads its kernel off the
-inverse of the upper factor (:func:`~bcwave.gl.solve_gl`).
+That factor is the one inverse state of a run, and :func:`assemble_matrix`
+is the one place a run refuses a response.  A potential's connecting
+operator is self-adjoint and positive definite (Belishev 2007), so it
+raises, once and from the whole matrix, where B is more asymmetric than
+the symmetrization may hide (before factoring) and where the factor
+stops short of the full horizon.  The connect stage reports from it the
+assembly asymmetry and, as a diagnostic, the smallest eigenvalue
+(Lanczos through the factor, Lanczos 1950), and krein solves through
+it.  gl solves the unsymmetrized B, whose symmetric part is the matrix
+the factor proves positive definite, so gl factors B itself by LU
+without row interchanges and reads its kernel off the inverse of the
+upper factor (:func:`~bcwave.gl.solve_gl`).
 """
 
 from __future__ import annotations
@@ -389,23 +392,19 @@ def diagonal_blocks(a: np.ndarray) -> np.ndarray:
     return a[k + [[0], [1]], k + [0, 1]]
 
 
-def _symmetrize(a: np.ndarray):
+def _symmetrize(a: np.ndarray) -> float:
     """a <- (a + a^T)/2 in place, for a node-major A = W/2 + W C~ W, on
     its C12 block x and transposed C21 block y: the C11 and C22 node
     blocks are exactly symmetric, as weights h, h/2 round (c w_i) w_j like
-    (c w_j) w_i.  Returns, per node, the largest |a - a^T| with the earlier
-    nodes (``row``, 0 for node 0) and in its own 2x2 block (``own``)."""
+    (c w_j) w_i.  Returns max |a - a^T| before the symmetrization."""
     x, y = a[0::2, 1::2], a[1::2, 0::2].T
     gap = x - y
     np.abs(gap, out=gap)
-    own = gap.diagonal().copy()
-    lower = np.tri(len(gap), k=-1, dtype=bool)
-    row = np.maximum(gap.max(axis=1, where=lower, initial=0.0),
-                     gap.max(axis=0, where=lower.T, initial=0.0))
+    asymmetry = float(gap.max())
     mean = np.add(x, y, out=gap)    # gap's buffer, once it is scanned
     mean *= 0.5
     x[...] = y[...] = mean
-    return row, own
+    return asymmetry
 
 
 def assemble_matrix(ck: ConnectingKernel) -> NestedFactor:
@@ -413,34 +412,29 @@ def assemble_matrix(ck: ConnectingKernel) -> NestedFactor:
     from its node-major reflected array, symmetrize its C12/C21 block
     pair, (B + B^T)/2, and factor it in place.
 
-    :class:`ReconstructionError` if the factor stops short of the full
-    horizon, naming the first horizon it misses and why: B is not
-    positive definite, or that horizon's matrix A_k is more asymmetric,
-    before the symmetrization, than ASYMMETRY_H2 h^2."""
+    This is where a run refuses a response: :class:`ReconstructionError`
+    if B is more asymmetric, before the symmetrization, than
+    ASYMMETRY_H2 h^2 (checked before factoring), or if B is not positive
+    definite, naming the first horizon the factor misses."""
     n, h = ck.grid.n, ck.grid.h
     a, w = weighted_matrix(ck)
-    # asymmetry of A_k: the node pairs within 0..k-1 as in B, node k's
-    # pairs with them times d, its own block times d^2
-    row, own = _symmetrize(a)
-    d = 0.5 * h / w[0::2]
-    inner = np.maximum.accumulate(np.maximum(row, own))[:-1]
-    asym = np.maximum(inner, np.maximum(d[1:] * row[1:], d[1:] ** 2 * own[1:]))
+    # every horizon's matrix A_k is at most as asymmetric as B, and A_n's
+    # asymmetry is B's
+    asymmetry = _symmetrize(a)
+    if asymmetry > ASYMMETRY_H2 * h * h:
+        raise ReconstructionError(
+            "the connecting matrix has asymmetry %.3g above %g h^2, so the "
+            "response belongs to no potential" % (asymmetry, ASYMMETRY_H2))
     b_diag = np.diag(a).copy()
     a, info = _lapack.lapack().dpotrf(a, lower=1, clean=0, overwrite_a=1)
-    # Horizon k needs the factor down to node k.  On failure LAPACK leaves
-    # the factor of the leading block of order info - 1.  The horizons
-    # served also end before the first whose matrix is too asymmetric for
-    # the symmetrization to hide.
-    K = n if info == 0 else min(n, max(0, (info - 1) // 2 - 1))
-    K = min(K, int(np.argmax(np.append(asym, np.inf) > ASYMMETRY_H2 * h * h)))
-    if K < n:
-        cause = ("its connecting matrix has asymmetry %.3g above %g h^2"
-                 % (asym[K], ASYMMETRY_H2) if asym[K] > ASYMMETRY_H2 * h * h
-                 else "the connecting matrix is not positive definite")
+    if info:
+        # LAPACK leaves the factor of the leading block of order info - 1,
+        # and horizon k needs the factor down to node k
         raise ReconstructionError(
-            "the nested factor stops short of horizon %d of %d: %s, so the "
-            "response belongs to no potential" % (K + 1, n, cause))
+            "the nested factor stops short of horizon %d of %d: the "
+            "connecting matrix is not positive definite, so the response "
+            "belongs to no potential" % (max(1, (info - 1) // 2), n))
     l_kk = np.tril(diagonal_blocks(a))
     border, s = schur_complements(h, w, l_kk, l_kk.transpose(0, 2, 1))
     return NestedFactor(h, a, w, border, l_kk, np.linalg.inv(s), b_diag,
-                        float(asym[-1]))
+                        asymmetry)

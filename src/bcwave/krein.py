@@ -11,7 +11,10 @@ matrix (:func:`~bcwave.connecting.assemble_matrix`, O(n^3/3)) and
 borders the leading factor for each horizon: after one forward
 substitution y(+-tau_k) costs O(1), and the full solution, which the
 per-horizon residual needs, O(k^2).  In a pipeline run the factor is the
-one the connect and gl stages share.  The test suite checks the sweep
+one the connect and gl stages share, which has already refused any
+response that belongs to no potential; a horizon whose solve is not
+finite fails the sweep (:func:`recover_q_from_y`).  The test suite
+checks the sweep
 against one dense solve per horizon, on the leading block of the
 kernel's array, which is C^{tau_k} (``solve_krein`` in
 ``tests/oracles.py``).
@@ -64,7 +67,7 @@ def sweep_reconstruct(r: ResponseMatrix,
 
     Every horizon is solved at once through ``fac``, the nested factor of
     the connecting kernel of ``r`` (:func:`~bcwave.connecting.assemble_matrix`,
-    which raises where the factor stops short).  ``r`` still sets the
+    which refuses a response of no potential).  ``r`` still sets the
     step: the kernel's grid step can differ from it by an ulp.  A
     one-off call without ``fac`` (perfbench's accuracy check) builds it.
     """
@@ -203,14 +206,15 @@ def recover_q_from_y(x: np.ndarray, y: np.ndarray):
     The fit is :func:`_smoothing_spline`, Woltring's (1986) spline in
     the natural-spline basis of Hutchinson and de Hoog (1985), a numpy
     port that matches scipy 1.17.1's ``make_smoothing_spline`` bit for
-    bit; non-finite samples are left out of the fit and get its values."""
-    good = np.isfinite(y)
-    if np.count_nonzero(good) < 5:
-        raise ReconstructionError("fewer than 5 valid y samples")
+    bit.  :class:`ReconstructionError` if y holds a non-finite sample or
+    fewer than 5 samples."""
+    if not np.isfinite(y).all():
+        raise ReconstructionError("non-finite Cauchy solution y")
+    if len(y) < 5:
+        raise ReconstructionError("fewer than 5 y samples")
     h = x[1] - x[0]
-    ys = _smoothing_spline(x[good], y[good], h ** 4, x)
+    ys = _smoothing_spline(x, y, h ** 4, x)
     ypp = second_derivative(ys, h)
-    eps = EPS_FRAC * np.max(np.abs(y[good]))
-    valid = good & (np.abs(ys) >= eps)
+    valid = np.abs(ys) >= EPS_FRAC * np.max(np.abs(y))
     q = np.where(valid, ypp / np.where(valid, ys, 1.0), np.nan)
     return q, valid

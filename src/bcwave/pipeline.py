@@ -10,21 +10,21 @@ and the memory budget is checked again at the file's size once read.
 The inverse stages share one state (:func:`_inverse_state`): the
 nested Cholesky factor of the connecting kernel and the kernel it was
 built from, built by the first of them to run and let go by the last,
-so that the factor is freed before the spectral stage.  Where the
-factor stops short, the state is that failure, and every inverse stage
-fails with its message.  The gl stage lets the factor go before it
-factors the unsymmetrized matrix on its own.
+so that the factor is freed before the spectral stage.  Building it is
+the one place a run refuses a response
+(:func:`~bcwave.connecting.assemble_matrix`): then the state is that
+failure, and every inverse stage fails with its message.  The gl stage
+lets the factor go before it factors the unsymmetrized matrix on its
+own.
 
-:data:`GATES` holds every bound on a metric.  After its rows, one rule
-holds for every stage: a metric that is not finite fails the stage,
-and report.json writes it as null.
+One rule holds for every stage: a metric that is not finite fails the
+stage, and report.json writes it as null.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 
 import numpy as np
@@ -98,13 +98,11 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
 def _run_stage(entry, runner, cfg, state) -> bool:
     """Run one stage into its report ``entry`` and return whether it
-    passed.  A stage fails on an error, on a "fail" row of GATES, and
-    then on a metric that holds a NaN or an infinity; such a number is
-    written as None, null in report.json, whether the stage failed or
-    not."""
+    passed.  A stage fails on an error, and then on a metric that holds a
+    NaN or an infinity; such a number is written as None, null in
+    report.json, whether the stage failed or not."""
     try:
         entry["metrics"] = runner(cfg, state, entry["files"])
-        _apply_fail_gates(entry["name"], entry["metrics"])
         entry["status"] = "ok"
     except (BCWaveError, np.linalg.LinAlgError) as exc:
         entry["status"] = "failed"
@@ -190,45 +188,6 @@ def _coarse_grid(state) -> str:
             "resolve it" % (np.max(np.abs(q)) * grid.h ** 2, grid.h))
 
 
-_TESTS = {"<=": operator.le, ">": operator.gt}
-
-#: Every bound on a stage metric: (stage, metric, test, bound, kind,
-#: failure).  A "fail" row fails its stage in every run, with its
-#: ``failure`` text, once the stage's runner returns; ``bcwave selftest``
-#: checks the "selftest" rows on its built-in configuration.
-GATES = (
-    ("response", "compatibility_residual", "<=", 1e-2, "selftest", None),
-    ("connect", "block_symmetry_residual", "<=", 1e-2, "selftest", None),
-    # the connecting operator of a potential is positive definite
-    ("connect", "min_eigenvalue", ">", 0.0, "fail",
-     "connecting matrix is not positive definite"),
-    ("krein", "q_rel_error", "<=", 0.05, "selftest", None),
-    ("gl", "q_rel_error", "<=", 0.05, "selftest", None),
-    ("gl", "krein_gl_agreement", "<=", 0.07, "selftest", None),
-    # GL solutions of responses of real potentials give at most 0.03
-    # (Gaussians of amplitude up to 3, n = 8-256); a response that
-    # belongs to no potential gives 4 and more
-    ("gl", "operator_identity_residual", "<=", 0.5, "fail",
-     "GL operator identity residual is out of bounds"),
-)
-
-
-def within(metrics, key, test, bound) -> bool:
-    """Whether ``metrics[key]`` passes ``test`` against ``bound``; a
-    missing or NaN metric does not."""
-    val = metrics.get(key)
-    return val is not None and _TESTS[test](val, bound)
-
-
-def _apply_fail_gates(stage, metrics):
-    for name, key, test, bound, kind, failure in GATES:
-        if (name == stage and kind == "fail"
-                and not within(metrics, key, test, bound)):
-            raise ReconstructionError(
-                "%s (%s %s, bound %s %g): the response belongs to no "
-                "potential" % (failure, key, metrics.get(key), test, bound))
-
-
 def _stage_connect(cfg, state, files):
     ck = build_connecting(state["response"])
     state["connect"] = ck
@@ -262,7 +221,7 @@ def _stage_krein(cfg, state, files):
     prof.write_csv(path)
     files.append(path)
     metrics = {
-        "max_solver_residual": float(np.nanmax(prof.residuals)),
+        "max_solver_residual": float(np.max(prof.residuals)),
         "regularized_horizons": int(np.count_nonzero(prof.regularized)),
         "failed_horizons": int(np.count_nonzero(np.isnan(prof.residuals))),
         "valid_fraction": float(np.mean(prof.valid)),
@@ -276,7 +235,7 @@ def _stage_krein(cfg, state, files):
 
 
 def _stage_gl(cfg, state, files):
-    # the shared state refuses a response whose factor stops short; the
+    # the shared state refuses a response of no potential; the
     # Cholesky factor itself is let go before solve_gl factors anew
     ck = _inverse_state(state)[0]
     M = solve_gl(ck)

@@ -359,6 +359,18 @@ def _solve_column(cr: np.ndarray, j: int, h: float) -> np.ndarray:
     a[np.diag_indices_from(a)] += 1.0
     return np.linalg.solve(a, -c[:, 2 * j:])
 
+
+def solve_gl_columns(ck) -> OperatorM:
+    """The GL kernel m of the connecting kernel ``ck`` by one dense solve
+    per column (:func:`_solve_column`), node-major as in
+    :class:`OperatorM`; column 0, whose system is the identity, is
+    -C~(0, 0)."""
+    m = np.zeros_like(ck.nodes)
+    m[:2, :2] = -2.0 * ck.nodes[:2, :2]
+    for j in range(1, ck.grid.n + 1):
+        m[:2 * j + 2, 2 * j:2 * j + 2] = _solve_column(ck.nodes, j, ck.grid.h)
+    return OperatorM(ck.grid, m)
+
 # ---------------------------------------------------------------- connecting
 
 def _assemble(cr: np.ndarray, h: float):

@@ -6,11 +6,11 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import make_smoothing_spline
 
-from bcwave.connecting import connecting_nodes
+from bcwave.connecting import NestedFactor, connecting_nodes
 from bcwave.config import parse_config
 from bcwave.errors import BCWaveError, ReconstructionError
 from bcwave.goursat import solve_kernels
-from bcwave.grid import UniformGrid
+from bcwave.grid import UniformGrid, trapezoid_weights
 from bcwave.krein import (
     _smoothing_spline,
     recover_q_from_y,
@@ -150,14 +150,33 @@ def test_smoothing_spline_matches_scipy_bit_for_bit(n):
 def test_fewer_than_five_samples_rejected():
     x = 0.1 * np.arange(-5, 6)
     y = np.sinh(x)
-    y[:3] = y[7:] = np.nan  # non-finite samples are left out of the fit
+    recover_q_from_y(x[:5], y[:5])
     with pytest.raises(ReconstructionError, match="fewer than 5"):
-        recover_q_from_y(x, y)
-    y[7] = np.sinh(x[7])
-    recover_q_from_y(x, y)
+        recover_q_from_y(x[:4], y[:4])
+    # a non-finite sample fails the fit, which does not go round it
     y[7] = np.nan
-    with pytest.raises(ReconstructionError, match="fewer than 5"):
+    with pytest.raises(ReconstructionError, match="non-finite"):
         recover_q_from_y(x, y)
+
+
+def test_non_finite_horizon_fails_krein(tmp_path, monkeypatch):
+    # a NaN in one horizon's solve fails the stage, not fitted around
+    solve = NestedFactor.solve
+
+    def poisoned(self, b):
+        f = solve(self, b)
+        f[:, 5] = np.nan        # horizon 6
+        return f
+
+    monkeypatch.setattr(NestedFactor, "solve", poisoned)
+    report = run_pipeline(parse_config(json.dumps(
+        {"potential": {"kind": "gaussian"}, "T": 1.0, "n": 32,
+         "stages": ["kernels", "response", "krein"],
+         "out": str(tmp_path)})))
+    krein = report["stages"][-1]
+    assert krein["status"] == "failed" and not report["ok"]
+    assert krein["error"] == "non-finite Cauchy solution y"
+    assert krein["files"] == [] and "metrics" not in krein
 
 
 def test_profile_csv(tmp_path, resp128):
@@ -224,7 +243,7 @@ def test_sweep_fails_past_the_factor(resp_broken):
 
 
 def test_failed_horizons_counted(tmp_path, resp_skew):
-    # the message names the first of the failed horizons, which run to n
+    # the dense per-horizon solves fail from some horizon on, up to n
     r = resp_skew
     n = r.grid.n // 2
     failed = []
@@ -234,9 +253,13 @@ def test_failed_horizons_counted(tmp_path, resp_skew):
         except BCWaveError:
             failed.append(k)
     assert failed and failed == list(range(failed[0], n + 1))
-    # the factor stops where the asymmetry check would reject the horizon
-    named = "the nested factor stops short of horizon %d of %d: its " \
-        "connecting matrix has asymmetry" % (failed[0], n)
+    # the sweep is refused once, on the asymmetry of the whole matrix,
+    # which is the last and largest horizon's
+    h = r.grid.h
+    w = np.repeat(trapezoid_weights(n, h), 2)
+    a = w[:, None] * connecting_nodes(r, n) * w
+    named = "the connecting matrix has asymmetry %.3g above 100 h^2" \
+        % np.max(np.abs(a - a.T))
     with pytest.raises(ReconstructionError) as err:
         sweep_reconstruct(r)
     assert str(err.value).startswith(named)

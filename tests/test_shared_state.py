@@ -20,7 +20,7 @@ from bcwave.grid import UniformGrid, trapezoid_weights
 from bcwave.potentials import ZeroPotential
 from bcwave.response import response_matrix
 
-from oracles import _assemble, _solve_column
+from oracles import _assemble, solve_gl_columns
 
 
 @pytest.mark.parametrize("resp", ["resp128", "resp_off", "resp_skew"])
@@ -33,18 +33,11 @@ def test_gl_matches_column_solves_at_n127(request, resp):
         # no potential's response: the shared state refuses it, so a run
         # never reaches solve_gl; its LU solves the columns all the same,
         # as the skew leaves the symmetric part positive definite
-        with pytest.raises(ReconstructionError, match="stops short"):
+        with pytest.raises(ReconstructionError, match="has asymmetry"):
             assemble_matrix(ck)
-    M = solve_gl(ck)
-    ref = np.zeros((4, ck.grid.n + 1, ck.grid.n + 1))
-    ref[:, 0, 0] = -2.0 * ck.nodes[:2, :2].ravel()
-    for j in range(1, ck.grid.n + 1):
-        k = j + 1
-        # node-major rows: m_ab(x_i, s_j) in row 2i + a, column b
-        sol = _solve_column(ck.nodes, j, ck.grid.h)
-        ref[0, :k, j], ref[2, :k, j] = sol[0::2, 0], sol[1::2, 0]
-        ref[1, :k, j], ref[3, :k, j] = sol[0::2, 1], sol[1::2, 1]
-    for blk, r in zip((M.m11, M.m12, M.m21, M.m22), ref):
+    M, ref = solve_gl(ck), solve_gl_columns(ck)
+    for blk, r in zip((M.m11, M.m12, M.m21, M.m22),
+                      (ref.m11, ref.m12, ref.m21, ref.m22)):
         assert np.max(np.abs(blk - r)) <= 1e-12 * np.max(np.abs(r))
     # a second solve gives the same bits
     assert np.array_equal(solve_gl(ck).nodes, M.nodes)
@@ -287,6 +280,9 @@ def _asymmetry(nodes, h):
 
 def test_assembly_asymmetry_from_the_factor(resp_off, resp_off_noisy,
                                             resp_off33, resp_skew):
+    # the horizons' asymmetry never falls as the horizon grows, and ends
+    # at the whole matrix's: so the whole matrix is refused iff a horizon
+    # would be
     for r in (resp_off, resp_off_noisy, resp_off33, resp_skew):
         ck = build_connecting(r)
         n, h = ck.grid.n, ck.grid.h
@@ -295,21 +291,28 @@ def test_assembly_asymmetry_from_the_factor(resp_off, resp_off_noisy,
             [[ck.c11, ck.c12], [ck.c21, ck.c22]]) * w[None, :])
         asym = [_asymmetry(connecting_nodes(r, k), h)
                 for k in range(1, n + 1)]
+        assert asym == sorted(asym)
         assert asym[-1] == np.max(np.abs(A - A.T))
-        beyond = [k for k in range(1, n + 1)
-                  if asym[k - 1] > connecting.ASYMMETRY_H2 * h * h]
-        if r is not resp_skew:
-            assert not beyond
+        if asym[-1] <= connecting.ASYMMETRY_H2 * h * h:
+            assert r is not resp_skew
             assert assemble_matrix(ck).asymmetry == asym[-1]
             continue
-        # resp_skew's factor stops short at the first horizon whose matrix
-        # is too asymmetric, and names that matrix's asymmetry
+        assert r is resp_skew
         with pytest.raises(ReconstructionError) as err:
             assemble_matrix(ck)
-        assert str(err.value).startswith(
-            "the nested factor stops short of horizon %d of %d: its "
-            "connecting matrix has asymmetry %.3g above 100 h^2"
-            % (beyond[0], n, asym[beyond[0] - 1]))
+        assert str(err.value) == (
+            "the connecting matrix has asymmetry %.3g above 100 h^2, so the "
+            "response belongs to no potential" % asym[-1])
+
+
+def test_asymmetry_refused_before_the_factor(monkeypatch, resp_skew):
+    # the O(n^3) Cholesky factor is not built for a refused response
+    def no_lapack():
+        raise AssertionError("dpotrf called")
+
+    monkeypatch.setattr(connecting._lapack, "lapack", no_lapack)
+    with pytest.raises(ReconstructionError, match="has asymmetry"):
+        assemble_matrix(build_connecting(resp_skew))
 
 
 def test_one_state_per_run_freed_before_spectral(tmp_path, monkeypatch):
