@@ -180,22 +180,6 @@ def connecting_form(ck: ConnectingKernel, f: Control, g: Control) -> float:
     return inner_outer(apply_connecting(ck, f), g)
 
 
-#: dtrsm flags (lower, trans_a, diag) of the forward and the back
-#: substitution with the Cholesky factor held in one array: L x = b and
-#: L^T x = b.
-CHOLESKY = ((1, 1, 0), (1, 0, 0))
-
-
-def _tri_solve(factor: np.ndarray, b: np.ndarray, flags) -> np.ndarray:
-    """Solve T x = b in place for a C-ordered b, T the triangle of
-    ``factor`` that ``flags`` (one half of :data:`CHOLESKY`) names.  The
-    transpose of b is Fortran-ordered, so BLAS solves x^T T^T = b^T from
-    the right without copying b."""
-    lower, trans_a, diag = flags
-    return _lapack.blas().dtrsm(1.0, factor, b.T, side=1, lower=lower,
-                                trans_a=trans_a, diag=diag, overwrite_b=1).T
-
-
 def _lanczos_top(op, v0: np.ndarray) -> float | None:
     """Largest eigenvalue of the symmetric operator ``op``, by Lanczos
     (Lanczos 1950) from ``v0`` with full reorthogonalisation, or None if
@@ -318,13 +302,18 @@ class NestedFactor:
         N, K = b.shape[0], self.horizons
         rows, cols = self._border()
         d = self.border[:, None, None]
-        forward, back = CHOLESKY
+        # L z = b and L^T f = z as z^T L^T = b^T and f^T L = z^T from the
+        # right: the transpose of a C-ordered b is Fortran-ordered, so
+        # BLAS overwrites it without a copy
+        dtrsm = _lapack.blas().dtrsm
         bb = b.reshape(N, K, -1)[rows, cols]                  # (K, 2, r)
-        z3 = _tri_solve(self.factor, b, forward).reshape(N, K, -1)
+        z3 = dtrsm(1.0, self.factor, b.T, side=1, lower=1, trans_a=1,
+                   overwrite_b=1).T.reshape(N, K, -1)
         fb = self.s_inv @ (bb - d * (bb - self.l_kk @ z3[rows, cols]))
         self._zero_below(z3)
         z3[rows, cols] = d * (self.l_kk.transpose(0, 2, 1) @ fb)
-        f = _tri_solve(self.factor, z3.reshape(N, -1), back)
+        f = dtrsm(1.0, self.factor, z3.reshape(N, -1).T, side=1, lower=1,
+                  overwrite_b=1).T
         f.reshape(N, K, -1)[rows, cols] = fb
         return f
 

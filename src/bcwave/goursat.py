@@ -200,10 +200,9 @@ def _trace_derivative(W: np.ndarray, n: int, h: float):
     deriv[2:] = 0.5 * (right + left)
     resid[2:] = np.abs(right - left)
 
-    if n >= 1:
-        # only x = 0, +-h available: central difference, first-order sides
-        deriv[1] = (W[3] - W[1]) / (2 * h)
-        resid[1] = abs((W[3] - mid[1]) / h - (mid[1] - W[1]) / h)
+    # only x = 0, +-h available: central difference, first-order sides
+    deriv[1] = (W[3] - W[1]) / (2 * h)
+    resid[1] = abs((W[3] - mid[1]) / h - (mid[1] - W[1]) / h)
     # corner: quadratic extrapolation from the first interior estimates
     deriv[0] = 3.0 * deriv[1] - 3.0 * deriv[2] + deriv[3]
     resid[0] = 0.0

@@ -112,8 +112,8 @@ def second_derivative(y: np.ndarray, h: float) -> np.ndarray:
 def _bspline_basis(t: np.ndarray, x: np.ndarray):
     """The four cubic B-splines that do not vanish at each x on the
     clamped knots ``t``: values (len(x), 4) and the interval l of each x,
-    t[l] <= x < t[l+1] clipped to the base interval, so that x outside it
-    extrapolates the end polynomials.  Cox-de Boor in scipy's order of
+    t[l] <= x < t[l+1] clipped to the base interval, so that x = t[-1],
+    its right end, falls in the last interval.  Cox-de Boor in scipy's order of
     operations (``_deBoor_D``), vectorised over x."""
     l = np.clip(np.searchsorted(t, x, side="right") - 1, 3, len(t) - 5)
     h = np.zeros((len(x), 4))
@@ -141,17 +141,16 @@ def _divided_difference(xw: np.ndarray) -> np.ndarray:
     return 1.0 / pp
 
 
-def _smoothing_spline(x: np.ndarray, y: np.ndarray, lam: float,
-                      at: np.ndarray) -> np.ndarray:
-    """Values at ``at`` of the cubic smoothing spline of (x, y) with
-    penalty ``lam`` (unit weights, x strictly ascending, len(x) >= 5).
+def _smoothing_spline(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """Values at x of the cubic smoothing spline of (x, y) with penalty
+    ``lam`` (unit weights, x strictly ascending, len(x) >= 5).
 
     This is Woltring's smoothing spline (Woltring 1986) in scipy's
     clean-room form: the fit is solved in the natural-spline basis of
     Hutchinson and de Hoog (1985), one banded system (X + lam W^-1 E) c
     = y, and mapped back to B-spline coefficients on the knots
     (x0, x0, x0, x, xn, xn, xn).  Every operation follows scipy's
-    ``make_smoothing_spline(x, y, lam=lam)(at)``, whose bits it gives
+    ``make_smoothing_spline(x, y, lam=lam)(x)``, whose bits it gives
     on scipy 1.17.1; the banded solve is the ``dgbsv`` call of scipy's
     ``solve_banded((2, 2), ...)``, on the band with two zero rows on top
     for the fill-in of the pivoting.
@@ -160,7 +159,7 @@ def _smoothing_spline(x: np.ndarray, y: np.ndarray, lam: float,
     t = np.concatenate([[x[0]] * 3, x, [x[-1]] * 3])
     # row r of the design matrix holds B_r..B_{r+3}(x_r), the last row
     # B_{n-2}..B_{n+1}(x_{n-1}); X holds it in the natural-spline basis
-    H, _ = _bspline_basis(t, x)
+    H, l = _bspline_basis(t, x)
     X = np.zeros((5, n))
     X[1, 2:-2] = H[1:-3, 2]
     X[2, 2:-2] = H[2:-2, 1]
@@ -191,10 +190,10 @@ def _smoothing_spline(x: np.ndarray, y: np.ndarray, lam: float,
                         c[1:-1],
                         [c[-1] * (t[-4] - t[-6]) + c[-2],
                          c[-1] * (2 * t[-4] - t[-5] - t[-6]) + c[-2]]])
-    B, l = _bspline_basis(t, at)
-    out = np.zeros(len(at))
+    # the fit at the data sites is the design basis times c
+    out = np.zeros(n)
     for a in range(4):
-        out += c[l - 3 + a] * B[:, a]
+        out += c[l - 3 + a] * H[:, a]
     return out
 
 
@@ -213,7 +212,7 @@ def recover_q_from_y(x: np.ndarray, y: np.ndarray):
     if len(y) < 5:
         raise ReconstructionError("fewer than 5 y samples")
     h = x[1] - x[0]
-    ys = _smoothing_spline(x, y, h ** 4, x)
+    ys = _smoothing_spline(x, y, h ** 4)
     ypp = second_derivative(ys, h)
     valid = np.abs(ys) >= EPS_FRAC * np.max(np.abs(y))
     q = np.where(valid, ypp / np.where(valid, ys, 1.0), np.nan)

@@ -245,18 +245,16 @@ def _stage_gl(cfg, state, files):
     qpath = os.path.join(cfg.out, "q_gl.csv")
     write_q_csv(qpath, x, q, "GL")
     files.extend([kpath, qpath])
-    metrics = {
-        "operator_identity_residual": operator_identity_residual(ck, M),
-        "regularized_columns": len(M.regularized),
-    }
+    metrics = {"operator_identity_residual": operator_identity_residual(ck, M)}
     if "potential" in state:
         metrics["q_rel_error"] = _band_error(x, q, state["potential"])
     if "krein" in state:
         prof = state["krein"]
         both = prof.valid & (np.abs(x) <= 0.8)
-        scale = max(float(np.max(np.abs(q[both]))), 1e-30)
-        metrics["krein_gl_agreement"] = float(
-            np.max(np.abs(q[both] - prof.q[both])) / scale)
+        if both.any():    # Krein's valid band may miss |x| <= 0.8
+            scale = max(float(np.max(np.abs(q[both]))), 1e-30)
+            metrics["krein_gl_agreement"] = float(
+                np.max(np.abs(q[both] - prof.q[both])) / scale)
     return metrics
 
 

@@ -150,7 +150,7 @@ def _inverse_eigenpairs(a: np.ndarray, b: np.ndarray, count: int):
     vals, info = dsterf(a, b)
     if info != 0:
         raise SpectralError("dsterf failed to converge (info %d)" % info)
-    lam = np.sort(vals)[:count]
+    lam = vals[:count]          # dsterf returns them ascending
     start = np.random.default_rng(0).standard_normal(len(a))
     z = np.empty((count, len(a)))
     with np.errstate(all="ignore"):

@@ -126,8 +126,9 @@ def resp_broken(request):
 def resp_skew(resp_off):
     """resp_off with r12 + 100 and r21 - 100 t, which breaks r21' = r12 by
     a term that is antisymmetric in the connecting matrix: the symmetrized
-    matrix is resp_off's, but the asymmetry of the horizon-tau matrix
-    passes 100 h^2 near tau = 1/2."""
+    matrix is resp_off's (to roundoff), but the whole matrix's asymmetry
+    is about 200 h^2, above the 100 h^2 at which assemble_matrix refuses
+    it before factoring."""
     t = resp_off.grid.t
     return ResponseMatrix(resp_off.grid, resp_off.r11, resp_off.r12 + 100.0,
                           resp_off.r21 - 100.0 * t, resp_off.r22)

@@ -325,7 +325,13 @@ def test_selftest_passes(tmp_path, monkeypatch, capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "krein.q_rel_error" in out and "FAIL" not in out
-    assert (tmp_path / "selftest_out" / "report.json").exists()
+    report = tmp_path / "selftest_out" / "report.json"
+    metrics = {s["name"]: s["metrics"]
+               for s in json.loads(report.read_text())["stages"]}
+    # the potential is not even, so the consistency gates measure
+    # something: for an even one both read exactly 0
+    for stage, key, bound in cli.GATES:
+        assert 0.0 < metrics[stage][key] <= bound, (stage, key)
 
 
 def test_failed_selftest_gate_exits_1(tmp_path, monkeypatch, capsys):
@@ -542,6 +548,26 @@ def test_krein_stage_with_an_empty_error_band(tmp_path):
     assert krein["name"] == "krein" and krein["status"] == "ok"
     assert "q_rel_error" not in krein["metrics"] and report["ok"]
     assert json.loads((tmp_path / "report.json").read_text()) == report
+
+
+@pytest.mark.parametrize("potential,n", [
+    ({"kind": "constant", "value": 4.0}, 64),
+    ({"kind": "constant", "value": 4.0}, 48),
+    ({"kind": "polynomial", "coeffs": [1, 0, 2]}, 48),
+], ids=["constant4-n64", "constant4-n48", "polynomial-n48"])
+def test_gl_stage_with_an_empty_agreement_band(tmp_path, potential, n):
+    # at T = 3 Krein's y has zeros that leave no valid sample in
+    # |x| <= 0.8: gl runs and leaves krein_gl_agreement out of its metrics
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"potential": potential, "T": 3.0, "n": n,
+                               "stages": ["kernels", "response", "krein",
+                                          "gl"]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = _strict_json((tmp_path / "report.json").read_text())
+    krein, gl = report["stages"][2:]
+    assert krein["status"] == gl["status"] == "ok"
+    assert "krein_gl_agreement" not in gl["metrics"]
+    assert gl["metrics"]["q_rel_error"] < 0.05
 
 
 def _strict_json(text):

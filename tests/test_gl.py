@@ -309,7 +309,7 @@ def test_lu_without_interchanges(size):
 
 
 @pytest.mark.parametrize("n", [33, 42])
-def test_bordered_lu_solves_every_column_system(n):
+def test_closed_form_solves_every_column_system(n):
     # C~/2 with a positive semidefinite symmetric part and a skew part
     # far above h/2 in B = W/2 + W (C~/2) W
     rng = np.random.default_rng(n)
