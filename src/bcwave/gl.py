@@ -232,6 +232,6 @@ def recover_q_from_m(M: OperatorM, sign: str = "derived"):
     return x, q
 
 
-def write_q_csv(path, x: np.ndarray, q: np.ndarray, route: str) -> None:
+def write_q_csv(path, x: np.ndarray, q: np.ndarray) -> None:
     write_csv(path, ["x", "q", "route"], [(np.asarray(x), np.asarray(q))],
-              text=[route])
+              text=["GL"])

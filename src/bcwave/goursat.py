@@ -25,25 +25,6 @@ from .grid import UniformGrid, write_csv
 from .potentials import Potential
 
 
-def diagonal_data(p: Potential, x, which: str, side: str):
-    """Kernel value on the characteristic diagonal t = x (side='right',
-    x >= 0) or t = -x (side='left', x <= 0)."""
-    x = np.asarray(x, dtype=float)
-    if which not in ("w1", "w2"):
-        raise ValueError("which must be 'w1' or 'w2'")
-    if side == "right":
-        if np.any(x < 0):
-            raise DomainError("side='right' needs x >= 0")
-        sign = -0.25 if which == "w1" else 0.25
-    elif side == "left":
-        if np.any(x > 0):
-            raise DomainError("side='left' needs x <= 0")
-        sign = -0.25
-    else:
-        raise ValueError("side must be 'right' or 'left'")
-    return sign * p.cumint(x)
-
-
 @dataclass(frozen=True)
 class Traces:
     """x = 0 traces of the solved kernels on [0, horizon].
@@ -53,7 +34,6 @@ class Traces:
     residual; the continuum kernels are C^1 across x = 0).
     """
 
-    grid: UniformGrid
     w1: np.ndarray
     w2: np.ndarray
     w1x: np.ndarray
@@ -99,13 +79,13 @@ class KernelField:
                   coords=np.arange(-n, n + 1) * self.grid.h)
 
 
-def _boundary_arrays(p: Potential, grid: UniformGrid, which: str):
-    """Diagonal data along eta = 0 (x = xi/2) and xi = 0 (x = -eta/2)."""
-    m = 2 * grid.n
-    xi_half = 0.5 * grid.h * np.arange(m + 1)
-    right = diagonal_data(p, xi_half, which, "right")
-    left = diagonal_data(p, -xi_half, which, "left")
-    return right, left
+def _boundary_arrays(p: Potential, grid: UniformGrid):
+    """Diagonal data of w1 and w2 (rows) along eta = 0 (x = xi/2) and
+    xi = 0 (x = -eta/2), by the sign table above."""
+    xi_half = 0.5 * grid.h * np.arange(2 * grid.n + 1)
+    Q = p.cumint(xi_half)
+    left = -0.25 * p.cumint(-xi_half)
+    return np.array([-0.25 * Q, 0.25 * Q]), np.array([left, left])
 
 
 def _check_support(p: Potential, grid: UniformGrid):
@@ -140,11 +120,9 @@ def solve_kernels(p: Potential, grid: UniformGrid) -> KernelField:
     n = grid.n
     size = (n + 1) ** 2
     block = np.frombuffer(mmap.mmap(-1, 2 * size * 8)).reshape(2, size)
-    right, left = zip(*(_boundary_arrays(p, grid, which)
-                        for which in ("w1", "w2")))
+    right, left = _boundary_arrays(p, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        _march(block, np.array(right), np.array(left), _midpoint_q(p, grid),
-               grid.h)
+        _march(block, right, left, _midpoint_q(p, grid), grid.h)
         # min and max hold any NaN or infinity, with no store-sized mask
         finite = np.isfinite([block.min(), block.max()]).all()
     if not finite:
@@ -185,18 +163,17 @@ def _march(levels, right, left, qd, h):
         new[:, 0], new[:, s] = left[:, s], right[:, s]
 
 
-def _trace_derivative(W: np.ndarray, n: int, h: float):
-    """Symmetric average of one-sided x-derivatives at x = 0, plus the
-    left/right mismatch as a continuity residual."""
-    k = np.arange(n + 1)
-    c = k * k + k  # node (k, 0)
+def _trace(W: np.ndarray, c: np.ndarray, h: float):
+    """One kernel's trace at the x = 0 nodes ``c``, the symmetric average
+    of its one-sided x-derivatives there, and their left/right mismatch as
+    a continuity residual."""
     mid = W[c]
-    deriv = np.zeros(n + 1)
-    resid = np.zeros(n + 1)
+    deriv = np.zeros(len(c))
+    resid = np.zeros(len(c))
 
     c2 = c[2:]
-    right = (-3.0 * W[c2] + 4.0 * W[c2 + 1] - W[c2 + 2]) / (2 * h)
-    left = (3.0 * W[c2] - 4.0 * W[c2 - 1] + W[c2 - 2]) / (2 * h)
+    right = (-3.0 * mid[2:] + 4.0 * W[c2 + 1] - W[c2 + 2]) / (2 * h)
+    left = (3.0 * mid[2:] - 4.0 * W[c2 - 1] + W[c2 - 2]) / (2 * h)
     deriv[2:] = 0.5 * (right + left)
     resid[2:] = np.abs(right - left)
 
@@ -206,16 +183,12 @@ def _trace_derivative(W: np.ndarray, n: int, h: float):
     # corner: quadratic extrapolation from the first interior estimates
     deriv[0] = 3.0 * deriv[1] - 3.0 * deriv[2] + deriv[3]
     resid[0] = 0.0
-    return deriv, resid
+    return mid, deriv, resid
 
 
 def extract_traces(field: KernelField) -> Traces:
-    grid = field.grid
-    n, h = grid.n, grid.h
-    k = np.arange(n + 1)
+    k = np.arange(field.grid.n + 1)
     c = k * k + k  # node (k, 0)
-    w1 = field.W1[c]
-    w2 = field.W2[c]
-    w1x, res1 = _trace_derivative(field.W1, n, h)
-    w2x, res2 = _trace_derivative(field.W2, n, h)
-    return Traces(grid, w1, w2, w1x, w2x, np.vstack([res1, res2]))
+    (w1, w1x, res1), (w2, w2x, res2) = (_trace(W, c, field.grid.h)
+                                        for W in (field.W1, field.W2))
+    return Traces(w1, w2, w1x, w2x, np.vstack([res1, res2]))

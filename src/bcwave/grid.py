@@ -80,12 +80,10 @@ def conv_trapezoid(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
 
 
 def differentiate(y: np.ndarray, h: float) -> np.ndarray:
-    """Grid differentiation: 4th-order central stencil in the interior,
-    2nd-order (one-sided at the very ends) near the boundary."""
+    """Grid differentiation of at least five samples: 4th-order central
+    stencil in the interior, 2nd-order (one-sided at the very ends) near
+    the boundary."""
     y = np.asarray(y, dtype=float)
-    m = len(y) - 1
-    if m < 4:
-        return np.gradient(y, h)
     d = np.empty_like(y)
     d[2:-2] = (-y[4:] + 8.0 * y[3:-1] - 8.0 * y[1:-3] + y[:-4]) / (12.0 * h)
     d[1] = (y[2] - y[0]) / (2.0 * h)
@@ -296,14 +294,6 @@ def _label_words(coords: np.ndarray) -> np.ndarray:
                          _WORD).reshape(len(text), width // 8)
 
 
-def _csv_text(value: str) -> str:
-    """A constant text field quoted as the standard ``csv`` module quotes
-    it: only when it holds a comma, quote or line break."""
-    if any(c in value for c in ',"\r\n'):
-        value = '"%s"' % value.replace('"', '""')
-    return value
-
-
 def write_csv(path, header, blocks, text=(), coords=()) -> None:
     """Write a CSV in the one output format every stage uses.
 
@@ -324,11 +314,12 @@ def write_csv(path, header, blocks, text=(), coords=()) -> None:
 
     A block with the wrong number of columns, or whose columns differ in
     length (from each other or from its span), raises ValueError.
-    ``text`` holds constant text fields appended to every row; they must
-    not contain NUL.  Every value is written as ``%.17g``, fields are
-    comma-separated and rows end in CRLF, byte for byte the standard
-    ``csv`` module's rendering.  Integer and boolean columns are
-    converted to float, so they render as plain integers.
+    ``text`` holds constant text fields appended to every row.  They are
+    refused, not quoted: one that holds a comma, quote, line break or NUL
+    raises ValueError before the file is opened.  Every value is written
+    as ``%.17g``, fields are comma-separated and rows end in CRLF, byte
+    for byte the standard ``csv`` module's rendering.  Integer and boolean
+    columns are converted to float, so they render as plain integers.
 
     Blocks are gathered into chunks of CSV_CHUNK_ROWS rows (a block may
     straddle two chunks), and each chunk is formatted by numpy in one
@@ -355,9 +346,10 @@ def write_csv(path, header, blocks, text=(), coords=()) -> None:
     lw = labels.shape[1]                   # words per coordinate label
     ncols = len(header) - len(text)
     m = ncols - 2 * labelled               # data columns
-    suffix = ("".join("," + _csv_text(f) for f in text) + "\r\n").encode()
-    if b"\0" in suffix:
-        raise ValueError("CSV text fields must not contain NUL")
+    if any(c in f for f in text for c in ',"\r\n\0'):
+        raise ValueError("CSV text fields must not contain a comma, quote, "
+                         "line break or NUL")
+    suffix = ("".join("," + f for f in text) + "\r\n").encode()
     suffix = np.frombuffer(suffix.ljust(-(-len(suffix) // 8) * 8, b"\0"),
                            _WORD)
     rows = CSV_CHUNK_ROWS

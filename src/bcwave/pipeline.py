@@ -243,7 +243,7 @@ def _stage_gl(cfg, state, files):
     M.dump_csv(kpath)
     x, q = recover_q_from_m(M, cfg.sign)
     qpath = os.path.join(cfg.out, "q_gl.csv")
-    write_q_csv(qpath, x, q, "GL")
+    write_q_csv(qpath, x, q)
     files.extend([kpath, qpath])
     metrics = {"operator_identity_residual": operator_identity_residual(ck, M)}
     if "potential" in state:

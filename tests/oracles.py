@@ -155,8 +155,7 @@ def picard_oracle(p: Potential, grid: UniformGrid, iterations: int) -> KernelFie
     k = np.repeat(levels, 2 * levels + 1)
     a = np.arange((grid.n + 1) ** 2) - k * k
     field = []
-    for which in ("w1", "w2"):
-        right, left = _boundary_arrays(p, grid, which)
+    for right, left in zip(*_boundary_arrays(p, grid)):
         W0 = right[:, None] + left[None, :]
         W = W0
         for _ in range(iterations):

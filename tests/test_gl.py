@@ -217,7 +217,7 @@ def test_kernel_csv_and_q_csv(tmp_path, gl128):
     assert len(rows) == 1 + (n + 1) * (n + 2) // 2
     x, q = recover_q_from_m(gl128)
     qpath = tmp_path / "q.csv"
-    write_q_csv(qpath, x, q, "GL")
+    write_q_csv(qpath, x, q)
     with open(qpath) as fh:
         rows = list(csv.reader(fh))
     assert rows[1][2] == "GL" and len(rows) == len(x) + 1

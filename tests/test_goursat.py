@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bcwave.errors import DomainError
-from bcwave.goursat import diagonal_data, solve_kernels
+from bcwave.goursat import _boundary_arrays, solve_kernels
 from bcwave.grid import UniformGrid
 from bcwave.potentials import (
     ConstantPotential,
@@ -28,11 +28,10 @@ def _dense_march(p, grid):
     qd = np.asarray(p(0.5 * grid.h * np.arange(-m, m + 1)), dtype=float)
     coef = 0.125 * grid.h * grid.h
     lattices = []
-    for which in ("w1", "w2"):
-        x = 0.5 * grid.h * np.arange(m + 1)
+    for right, left in zip(*_boundary_arrays(p, grid)):
         W = np.zeros((m + 1, m + 1))
-        W[:, 0] = diagonal_data(p, x, which, "right")
-        W[0, :] = diagonal_data(p, -x, which, "left")
+        W[:, 0] = right
+        W[0, :] = left
         for s in range(2, 2 * m + 1):
             a = np.arange(max(1, s - m), min(s - 1, m) + 1)
             if len(a) == 0:
@@ -62,18 +61,20 @@ def test_level_march_bit_identical_to_dense_lattice(p, n):
 
 
 def test_diagonal_data_signs():
-    p = ConstantPotential(2.0)
-    x = np.array([0.0, 0.5, 1.0])
-    assert np.allclose(diagonal_data(p, x, "w1", "right"), -0.5 * x)
-    assert np.allclose(diagonal_data(p, x, "w2", "right"), 0.5 * x)
-    assert np.allclose(diagonal_data(p, -x, "w1", "left"), 0.5 * x)
-    assert np.allclose(diagonal_data(p, -x, "w2", "left"), 0.5 * x)
-    with pytest.raises(DomainError):
-        diagonal_data(p, x, "w1", "left")
-    with pytest.raises(ValueError):
-        diagonal_data(p, x, "w3", "right")
-    with pytest.raises(ValueError, match="side"):
-        diagonal_data(p, x, "w1", "up")
+    # the sign table of the module docstring: w1 = -Q/4 on both
+    # diagonals, w2 = +Q/4 on t = x and -Q/4 on t = -x, at x = +-xi/2
+    grid = UniformGrid(1.0, 8)
+    x = 0.5 * grid.h * np.arange(2 * grid.n + 1)
+    right, left = _boundary_arrays(ConstantPotential(2.0), grid)  # Q = 2 x
+    assert np.allclose(right, [-0.5 * x, 0.5 * x])
+    assert np.allclose(left, [0.5 * x, 0.5 * x])
+    p = GaussianPotential(1.5, 0.25, 0.3)
+    right, left = _boundary_arrays(p, grid)
+    Q_right, Q_left = p.cumint(x), p.cumint(-x)
+    assert np.array_equal(right, [-0.25 * Q_right, 0.25 * Q_right])
+    assert np.array_equal(left, [-0.25 * Q_left, -0.25 * Q_left])
+    # off centre, Q is not odd: w1's two sides are no mirror pair
+    assert not np.allclose(right[0], -left[0])
 
 
 def test_perturbative_constant_potential():
